@@ -1,5 +1,7 @@
 #include "core/early_termination.h"
 
+#include <algorithm>
+
 #include "util/logging.h"
 
 namespace krcore {
@@ -13,16 +15,17 @@ EarlyTerminationChecker::EarlyTerminationChecker(const ComponentContext& comp)
 bool EarlyTerminationChecker::CanTerminate(const SearchContext& ctx) {
   const VertexList& e_list = ctx.e_list();
   if (e_list.empty()) return false;
+  if (ctx.dense()) return CanTerminateDense(ctx);
 
   // Condition (i): one scan of E.
   for (VertexId u = e_list.First(); u != kInvalidVertex; u = e_list.Next(u)) {
-    if (ctx.dp_c(u) == 0 && ctx.deg_m(u) >= ctx.k()) return true;
+    if (!ctx.HasDissimilarInC(u) && ctx.deg_m(u) >= ctx.k()) return true;
   }
 
   // Condition (ii): anchored peel of SF_{C∪E}(E) with M pinned.
   candidates_.clear();
   for (VertexId u = e_list.First(); u != kInvalidVertex; u = e_list.Next(u)) {
-    if (ctx.dp_c(u) == 0 && ctx.dp_e(u) == 0) candidates_.push_back(u);
+    if (!ctx.HasDissimilarInC(u) && ctx.dp_e(u) == 0) candidates_.push_back(u);
   }
   if (candidates_.empty()) return false;
   if (ctx.m_list().empty()) return false;  // nothing to extend (see header)
@@ -93,6 +96,73 @@ bool EarlyTerminationChecker::CanTerminate(const SearchContext& ctx) {
     role_[u] = 0;
   }
   return found;
+}
+
+bool EarlyTerminationChecker::CanTerminateDense(const SearchContext& ctx) {
+  const uint32_t words = ctx.words();
+  const uint64_t* m = ctx.m_bits();
+  const uint64_t* c = ctx.c_bits();
+  const uint64_t* e = ctx.e_bits();
+  bits_.assign(5 * size_t{words}, 0);
+  uint64_t* cand = bits_.data();  // U = SF_{C∪E}(E), then its survivors
+  uint64_t* mu = cand + words;    // M ∪ U
+  uint64_t* reached = mu + words;
+  uint64_t* frontier = reached + words;
+  uint64_t* next = frontier + words;
+
+  // Conditions (i) and the candidates of (ii) in one scan of E.
+  bool found = false, any_candidate = false;
+  bits::ForEach(words, [&](uint32_t i) { return e[i]; }, [&](VertexId u) {
+    const uint64_t* dis = ctx.dis_row(u);
+    if (bits::Intersects(dis, c, words)) return true;
+    if (bits::CountAnd(ctx.adj_row(u), m, words) >= ctx.k()) {
+      found = true;
+      return false;
+    }
+    if (!bits::Intersects(dis, e, words)) {
+      bits::Set(cand, u);
+      any_candidate = true;
+    }
+    return true;
+  });
+  if (found) return true;
+  if (!any_candidate || ctx.m_list().empty()) return false;
+
+  // Anchored peel to the fixpoint: every survivor keeps k neighbors in M ∪ U.
+  for (uint32_t i = 0; i < words; ++i) mu[i] = m[i] | cand[i];
+  bool peeled = true;
+  while (peeled) {
+    peeled = false;
+    bits::ForEach(words, [&](uint32_t i) { return cand[i]; }, [&](VertexId u) {
+      if (bits::CountAnd(ctx.adj_row(u), mu, words) < ctx.k()) {
+        bits::Clear(cand, u);
+        bits::Clear(mu, u);
+        peeled = true;
+      }
+      return true;
+    });
+  }
+
+  // Is any survivor connected to M within M ∪ U?
+  std::copy(m, m + words, reached);
+  std::copy(m, m + words, frontier);
+  for (bool grew = true; grew;) {
+    std::fill(next, next + words, 0);
+    bits::ForEach(words, [&](uint32_t i) { return frontier[i]; },
+                  [&](VertexId v) {
+                    const uint64_t* row = ctx.adj_row(v);
+                    for (uint32_t i = 0; i < words; ++i) next[i] |= row[i];
+                    return true;
+                  });
+    grew = false;
+    for (uint32_t i = 0; i < words; ++i) {
+      frontier[i] = next[i] & mu[i] & ~reached[i];
+      if (frontier[i] & cand[i]) return true;
+      reached[i] |= frontier[i];
+      grew |= frontier[i] != 0;
+    }
+  }
+  return false;
 }
 
 bool CanTerminateEarly(const SearchContext& ctx) {

@@ -1,6 +1,7 @@
 #ifndef KRCORE_CORE_EARLY_TERMINATION_H_
 #define KRCORE_CORE_EARLY_TERMINATION_H_
 
+#include <cstdint>
 #include <vector>
 
 #include "core/search_context.h"
@@ -32,7 +33,11 @@ class EarlyTerminationChecker {
   bool CanTerminate(const SearchContext& ctx);
 
  private:
+  /// The same test as word loops over the dense kernel's bits.
+  bool CanTerminateDense(const SearchContext& ctx);
+
   const ComponentContext& comp_;
+  std::vector<uint64_t> bits_;  // dense: U, M ∪ U, BFS reached/frontier/next
   std::vector<uint8_t> role_;       // 0 = out, 1 = candidate, 2 = anchored M
   std::vector<uint32_t> deg_;
   std::vector<VertexId> candidates_;

@@ -33,7 +33,7 @@ MaximalVerdict MaximalCheckSearcher::Check(const SearchContext& ctx,
   for (VertexId v = e_list.First(); v != kInvalidVertex; v = e_list.Next(v)) {
     bool clash;
     if (core_is_all_mc) {
-      clash = ctx.dp_c(v) != 0;
+      clash = ctx.HasDissimilarInC(v);
     } else {
       clash = false;
       for (VertexId x : comp_.dissimilar[v]) {

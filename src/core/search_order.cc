@@ -17,7 +17,7 @@ VertexId HighestDegreeCandidate(const SearchContext& ctx,
   VertexId best = kInvalidVertex;
   uint32_t best_deg = 0;
   for (VertexId u = c.First(); u != kInvalidVertex; u = c.Next(u)) {
-    if (restrict_to_non_sf && ctx.dp_c(u) == 0) continue;
+    if (restrict_to_non_sf && !ctx.HasDissimilarInC(u)) continue;
     uint32_t d = ctx.deg_mc(u);
     if (best == kInvalidVertex || d > best_deg ||
         (d == best_deg && u < best)) {
@@ -28,64 +28,108 @@ VertexId HighestDegreeCandidate(const SearchContext& ctx,
   return best;
 }
 
+/// Calls fn(x) for u's dissimilar candidates in ascending id order until fn
+/// returns false.
+template <typename Fn>
+void ForEachDissimilarCandidate(const SearchContext& ctx, VertexId u, Fn fn) {
+  if (ctx.dense()) {
+    const uint64_t* row = ctx.dis_row(u);
+    const uint64_t* c = ctx.c_bits();
+    bits::ForEach(ctx.words(), [&](uint32_t i) { return row[i] & c[i]; }, fn);
+    return;
+  }
+  for (VertexId x : ctx.component().dissimilar[u]) {
+    if (ctx.state(x) == VertexState::kInC && !fn(x)) return;
+  }
+}
+
+/// Calls fn(y) for every neighbor y of u in the bitset `set`.
+template <typename Fn>
+void ForEachNeighborIn(const SearchContext& ctx, VertexId u,
+                       const uint64_t* set, Fn fn) {
+  if (ctx.dense()) {
+    const uint64_t* row = ctx.adj_row(u);
+    bits::ForEach(ctx.words(), [&](uint32_t i) { return row[i] & set[i]; },
+                  [&](VertexId y) {
+                    fn(y);
+                    return true;
+                  });
+    return;
+  }
+  for (VertexId y : ctx.component().graph.neighbors(u)) {
+    if (bits::Test(set, y)) fn(y);
+  }
+}
+
 }  // namespace
 
+void SearchOrderPolicy::SnapshotCandidates(const SearchContext& ctx) {
+  const VertexId n = ctx.component().size();
+  if (dp_c_.size() < n) {
+    dp_c_.resize(n);
+    drop_dp_.resize(n);
+    drop_edges_.resize(n);
+  }
+  boundary_.assign((n + 63) / 64, 0);
+  const VertexList& c = ctx.c_list();
+  for (VertexId u = c.First(); u != kInvalidVertex; u = c.Next(u)) {
+    dp_c_[u] = ctx.dp_c(u);
+    drop_edges_[u] = ctx.deg_mc(u);
+    if (drop_edges_[u] == ctx.k()) bits::Set(boundary_.data(), u);
+  }
+  // Second hop: x's neighbors in C at the degree boundary, which the peel
+  // (Thm 2) would discard with x.
+  for (VertexId x = c.First(); x != kInvalidVertex; x = c.Next(x)) {
+    uint64_t dp = dp_c_[x], edges = drop_edges_[x];
+    ForEachNeighborIn(ctx, x, boundary_.data(), [&](VertexId y) {
+      dp += dp_c_[y];
+      edges += ctx.k();
+    });
+    drop_dp_[x] = dp;
+    drop_edges_[x] = edges;
+  }
+}
+
 SearchOrderPolicy::DeltaEstimate SearchOrderPolicy::EstimateDeltas(
-    const SearchContext& ctx, VertexId u) {
-  const ComponentContext& comp = ctx.component();
+    const SearchContext& ctx, VertexId u) const {
   const double total_dp = static_cast<double>(ctx.dissimilar_pairs_c());
   const double total_edges = static_cast<double>(ctx.edges_mc());
   DeltaEstimate est;
 
   // --- Expand branch: the directly pruned vertices are u's dissimilar
-  // candidates (Thm 3); second hop: their neighbors in C that would fall
-  // below degree k (Thm 2). The Sec 7.2 estimate only looks two hops out;
-  // we additionally subsample large pruned sets (extrapolating linearly) so
-  // a node's ordering never costs more than O(|C| * kSampleCap * d).
+  // candidates (Thm 3), each with its structure victims. The Sec 7.2
+  // estimate only looks two hops out; we additionally subsample the first
+  // kSampleCap pruned vertices in id order (extrapolating linearly) so a
+  // node's ordering never costs more than O(|C| * kSampleCap). The sums are
+  // of integers, so they are exact whatever the grouping.
   {
     constexpr size_t kSampleCap = 24;
-    std::vector<VertexId>& removed = scratch_removed_;
-    removed.clear();
-    for (VertexId x : comp.dissimilar[u]) {
-      if (ctx.state(x) == VertexState::kInC) removed.push_back(x);
-    }
-    double dp_drop = 0.0, edge_drop = 0.0;
-    size_t sampled = std::min(removed.size(), kSampleCap);
-    for (size_t i = 0; i < sampled; ++i) {
-      VertexId x = removed[i];
-      dp_drop += ctx.dp_c(x);
-      edge_drop += ctx.deg_mc(x);
-      // Two-hop: structure victims among x's neighbors.
-      for (VertexId y : comp.graph.neighbors(x)) {
-        if (ctx.state(y) == VertexState::kInC && ctx.deg_mc(y) == ctx.k()) {
-          dp_drop += ctx.dp_c(y);
-          edge_drop += ctx.deg_mc(y);
-        }
-      }
-    }
-    if (sampled > 0 && sampled < removed.size()) {
-      double scale = static_cast<double>(removed.size()) / sampled;
+    const size_t num_removed = dp_c_[u];
+    uint64_t dp = 0, edges = 0;
+    size_t sampled = 0;
+    ForEachDissimilarCandidate(ctx, u, [&](VertexId x) {
+      dp += drop_dp_[x];
+      edges += drop_edges_[x];
+      return ++sampled < kSampleCap;
+    });
+    double dp_drop = static_cast<double>(dp);
+    double edge_drop = static_cast<double>(edges);
+    if (sampled > 0 && sampled < num_removed) {
+      double scale = static_cast<double>(num_removed) / sampled;
       dp_drop *= scale;
       edge_drop *= scale;
     }
     // u itself leaves C (its dissimilar pairs leave DP(C) as well).
-    dp_drop += ctx.dp_c(u);
+    dp_drop += dp_c_[u];
     est.d1_expand = total_dp > 0.0 ? std::min(1.0, dp_drop / total_dp) : 0.0;
     est.d2_expand =
         total_edges > 0.0 ? std::min(1.0, edge_drop / total_edges) : 0.0;
   }
 
-  // --- Shrink branch: u is removed; second hop: u's neighbors in C at the
-  // degree boundary.
+  // --- Shrink branch: u is removed with its structure victims.
   {
-    double dp_drop = ctx.dp_c(u);
-    double edge_drop = ctx.deg_mc(u);
-    for (VertexId y : comp.graph.neighbors(u)) {
-      if (ctx.state(y) == VertexState::kInC && ctx.deg_mc(y) == ctx.k()) {
-        dp_drop += ctx.dp_c(y);
-        edge_drop += ctx.deg_mc(y);
-      }
-    }
+    const double dp_drop = static_cast<double>(drop_dp_[u]);
+    const double edge_drop = static_cast<double>(drop_edges_[u]);
     est.d1_shrink = total_dp > 0.0 ? std::min(1.0, dp_drop / total_dp) : 0.0;
     est.d2_shrink =
         total_edges > 0.0 ? std::min(1.0, edge_drop / total_edges) : 0.0;
@@ -120,7 +164,7 @@ BranchChoice SearchOrderPolicy::Choose(const SearchContext& ctx,
     std::vector<VertexId>& eligible = scratch_eligible_;
     eligible.clear();
     for (VertexId u = c.First(); u != kInvalidVertex; u = c.Next(u)) {
-      if (restrict_to_non_sf && ctx.dp_c(u) == 0) continue;
+      if (restrict_to_non_sf && !ctx.HasDissimilarInC(u)) continue;
       eligible.push_back(u);
     }
     KRCORE_DCHECK(!eligible.empty());
@@ -134,19 +178,18 @@ BranchChoice SearchOrderPolicy::Choose(const SearchContext& ctx,
   }
 
   // Measurement-based orders. Initial stage: highest degree (Sec 7.1).
-  if (ctx.m_list().empty() && ctx.c_list().size() == 0) {
-    // unreachable; guard kept for clarity
-  }
   if (ctx.m_list().empty()) {
     choice.vertex = HighestDegreeCandidate(ctx, restrict_to_non_sf);
     return FinalizeBranch(choice, true);
   }
 
+  SnapshotCandidates(ctx);
   double best_score = -1e300;
   double best_tiebreak = 1e300;
   bool best_expand_first = true;
+  // Exact score ties keep the first candidate in c_list order.
   for (VertexId u = c.First(); u != kInvalidVertex; u = c.Next(u)) {
-    if (restrict_to_non_sf && ctx.dp_c(u) == 0) continue;
+    if (restrict_to_non_sf && dp_c_[u] == 0) continue;
     DeltaEstimate est = EstimateDeltas(ctx, u);
     double score = 0.0, tiebreak = 0.0;
     bool expand_first = true;

@@ -46,14 +46,22 @@ class SearchOrderPolicy {
     double d1_expand = 0.0, d2_expand = 0.0;
     double d1_shrink = 0.0, d2_shrink = 0.0;
   };
-  DeltaEstimate EstimateDeltas(const SearchContext& ctx, VertexId u);
+  /// Records, for every candidate x, dp_c(x) and the two-hop estimate of
+  /// what removing x costs: DP(C) and edges lost with x and with its
+  /// neighbors on C's degree-k boundary. Every EstimateDeltas call of one
+  /// Choose reads these.
+  void SnapshotCandidates(const SearchContext& ctx);
+  DeltaEstimate EstimateDeltas(const SearchContext& ctx, VertexId u) const;
 
   VertexOrder order_;
   BranchOrder branch_order_;
   double lambda_;
   Rng rng_;
-  std::vector<VertexId> scratch_removed_;
   std::vector<VertexId> scratch_eligible_;
+  // Per-Choose candidate snapshot (indexed by vertex; valid for C members).
+  std::vector<uint32_t> dp_c_;
+  std::vector<uint64_t> drop_dp_, drop_edges_;
+  std::vector<uint64_t> boundary_;  // {y ∈ C : deg_mc(y) == k} as bits
 };
 
 }  // namespace krcore

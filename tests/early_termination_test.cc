@@ -3,6 +3,7 @@
 #include "core/early_termination.h"
 #include "core/pipeline.h"
 #include "core/search_context.h"
+#include "search_context_test_peer.h"
 #include "test_helpers.h"
 
 namespace krcore {
@@ -22,7 +23,21 @@ ComponentContext PrepareSingle(const test::GroupedSimilarity& fixture,
   return std::move(comps[0]);
 }
 
-TEST(EarlyTermination, EmptyExcludedNeverTerminates) {
+/// Runs each case once per SearchContext kernel: the dense kernel has its
+/// own word-loop implementation of the check.
+class EarlyTermination : public ::testing::TestWithParam<test::Kernel> {
+ protected:
+  test::ScopedKernel kernel_{GetParam()};
+};
+
+INSTANTIATE_TEST_SUITE_P(
+    Kernels, EarlyTermination,
+    ::testing::Values(test::Kernel::kDense, test::Kernel::kSparse),
+    [](const ::testing::TestParamInfo<test::Kernel>& info) {
+      return std::string(test::KernelName(info.param));
+    });
+
+TEST_P(EarlyTermination, EmptyExcludedNeverTerminates) {
   auto fixture = MakeGrouped(
       4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, {0, 0, 0, 0});
   auto comp = PrepareSingle(fixture, 2);
@@ -30,7 +45,7 @@ TEST(EarlyTermination, EmptyExcludedNeverTerminates) {
   EXPECT_FALSE(CanTerminateEarly(ctx));
 }
 
-TEST(EarlyTermination, ConditionOneFires) {
+TEST_P(EarlyTermination, ConditionOneFires) {
   // K5 all similar, k=2. Expand two adjacent vertices into M, shrink one
   // other vertex v: v lands in E with deg(v, M) = 2 >= k and dp_c(v) = 0 —
   // any core derived from (M, C) extends by v, so the node is prunable.
@@ -48,7 +63,7 @@ TEST(EarlyTermination, ConditionOneFires) {
   EXPECT_TRUE(CanTerminateEarly(ctx));
 }
 
-TEST(EarlyTermination, ConditionOneRespectsSimilarity) {
+TEST_P(EarlyTermination, ConditionOneRespectsSimilarity) {
   // Same shape, but the shrunk vertex is dissimilar to a candidate: K5
   // structure, vertex 2 dissimilar to vertex 4 only. After expanding {0,1}
   // and shrinking 2, 2 sits in E with deg(2,M)=2 but dp_c(2)=1 (vertex 4
@@ -80,7 +95,7 @@ TEST(EarlyTermination, ConditionOneRespectsSimilarity) {
   EXPECT_FALSE(CanTerminateEarly(ctx));
 }
 
-TEST(EarlyTermination, ConditionTwoFiresForMutuallySupportingSet) {
+TEST_P(EarlyTermination, ConditionTwoFiresForMutuallySupportingSet) {
   // K7 all similar, k=4. Expand {0,1,2}, then shrink 3 and 4 (the surviving
   // candidates {5,6} keep M at degree 4). Each excluded vertex alone has
   // deg(u, M) = 3 < 4, so condition (i) does not apply; but U = {3,4} gives
@@ -103,7 +118,7 @@ TEST(EarlyTermination, ConditionTwoFiresForMutuallySupportingSet) {
   EXPECT_TRUE(CanTerminateEarly(ctx));
 }
 
-TEST(EarlyTermination, CheckerReusableAcrossCalls) {
+TEST_P(EarlyTermination, CheckerReusableAcrossCalls) {
   std::vector<std::pair<VertexId, VertexId>> edges;
   for (VertexId u = 0; u < 5; ++u) {
     for (VertexId v = u + 1; v < 5; ++v) edges.emplace_back(u, v);

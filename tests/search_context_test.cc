@@ -1,15 +1,24 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <string>
+#include <tuple>
+#include <utility>
 
 #include "core/pipeline.h"
 #include "core/search_context.h"
+#include "search_context_test_peer.h"
 #include "test_helpers.h"
 
 namespace krcore {
 namespace {
 
+using test::Kernel;
 using test::MakeGrouped;
+
+std::string KernelParamName(const ::testing::TestParamInfo<Kernel>& info) {
+  return test::KernelName(info.param);
+}
 
 /// Prepares a single component from the grouped fixture; fails the test if
 /// preprocessing does not yield exactly one component.
@@ -101,11 +110,22 @@ TEST(VertexList, RemoveMiddleAndReinsert) {
   EXPECT_EQ(members, (std::vector<VertexId>{0, 1, 2}));
 }
 
-TEST(SearchContext, InitialStateAllCandidates) {
+/// Runs each op-sequence test once per kernel.
+class SearchContextKernel : public ::testing::TestWithParam<Kernel> {
+ protected:
+  test::ScopedKernel kernel_{GetParam()};
+};
+
+INSTANTIATE_TEST_SUITE_P(Kernels, SearchContextKernel,
+                         ::testing::Values(Kernel::kDense, Kernel::kSparse),
+                         KernelParamName);
+
+TEST_P(SearchContextKernel, InitialStateAllCandidates) {
   auto fixture = MakeGrouped(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}, {0, 2}},
                              {0, 0, 0, 0});
   auto comp = PrepareSingle(fixture, 2);
   SearchContext ctx(comp, 2, true);
+  EXPECT_EQ(ctx.dense(), GetParam() == Kernel::kDense);
   EXPECT_EQ(ctx.c_list().size(), 4u);
   EXPECT_TRUE(ctx.m_list().empty());
   EXPECT_TRUE(ctx.e_list().empty());
@@ -113,7 +133,7 @@ TEST(SearchContext, InitialStateAllCandidates) {
   CheckInvariants(ctx);
 }
 
-TEST(SearchContext, ExpandMovesToMAndPrunesDissimilar) {
+TEST_P(SearchContextKernel, ExpandMovesToMAndPrunesDissimilar) {
   // C4 where the diagonal pair (0,2) is dissimilar (see pipeline test).
   auto fixture = MakeGrouped(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}},
                              {0, 0, 0, 0});
@@ -131,7 +151,7 @@ TEST(SearchContext, ExpandMovesToMAndPrunesDissimilar) {
   EXPECT_FALSE(ctx.Expand(l0));
 }
 
-TEST(SearchContext, ExpandKeepsBranchAliveWhenSupported) {
+TEST_P(SearchContextKernel, ExpandKeepsBranchAliveWhenSupported) {
   // Two triangles sharing an edge: 0-1-2 and 1-2-3; pair (0,3) dissimilar.
   auto fixture = MakeGrouped(4, {{0, 1}, {0, 2}, {1, 2}, {1, 3}, {2, 3}},
                              {0, 0, 0, 0});
@@ -154,7 +174,7 @@ TEST(SearchContext, ExpandKeepsBranchAliveWhenSupported) {
   EXPECT_TRUE(ctx.CandidatesAllSimilarityFree());
 }
 
-TEST(SearchContext, ShrinkSendsSimilarVertexToE) {
+TEST_P(SearchContextKernel, ShrinkSendsSimilarVertexToE) {
   // K4, all similar: shrinking any vertex puts it in E; remaining triangle
   // still satisfies k=2.
   auto fixture = MakeGrouped(
@@ -168,7 +188,7 @@ TEST(SearchContext, ShrinkSendsSimilarVertexToE) {
   CheckInvariants(ctx);
 }
 
-TEST(SearchContext, ShrinkWithoutExcludedTrackingRemoves) {
+TEST_P(SearchContextKernel, ShrinkWithoutExcludedTrackingRemoves) {
   auto fixture = MakeGrouped(
       4, {{0, 1}, {0, 2}, {0, 3}, {1, 2}, {1, 3}, {2, 3}}, {0, 0, 0, 0});
   auto comp = PrepareSingle(fixture, 2);
@@ -178,7 +198,7 @@ TEST(SearchContext, ShrinkWithoutExcludedTrackingRemoves) {
   EXPECT_TRUE(ctx.e_list().empty());
 }
 
-TEST(SearchContext, StructurePeelCascades) {
+TEST_P(SearchContextKernel, StructurePeelCascades) {
   // Pentagon with a chord: 0-1-2-3-4-0 plus 1-3. Shrinking 0 drops 4 (deg 1)
   // then... 4's removal drops nothing else; remaining 1,2,3 triangle-ish:
   // deg(1)=2 (2,3), deg(2)=2 (1,3), deg(3)=2 (1,2): alive.
@@ -192,7 +212,7 @@ TEST(SearchContext, StructurePeelCascades) {
   CheckInvariants(ctx);
 }
 
-TEST(SearchContext, DeadWhenMVertexLosesSupport) {
+TEST_P(SearchContextKernel, DeadWhenMVertexLosesSupport) {
   // Triangle: expand all three, then... no shrink can occur. Instead: C4,
   // expand 0 and 1 (adjacent), then shrink 2 -> 0 or 1 drops below k=2.
   auto fixture = MakeGrouped(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}},
@@ -205,7 +225,7 @@ TEST(SearchContext, DeadWhenMVertexLosesSupport) {
   EXPECT_TRUE(ctx.dead());
 }
 
-TEST(SearchContext, RewindRestoresEverything) {
+TEST_P(SearchContextKernel, RewindRestoresEverything) {
   auto fixture = MakeGrouped(
       5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}}, {0, 0, 0, 0, 0});
   auto comp = PrepareSingle(fixture, 2);
@@ -231,7 +251,7 @@ TEST(SearchContext, RewindRestoresEverything) {
   }
 }
 
-TEST(SearchContext, RewindAfterDeadBranch) {
+TEST_P(SearchContextKernel, RewindAfterDeadBranch) {
   auto fixture = MakeGrouped(4, {{0, 1}, {1, 2}, {2, 3}, {3, 0}},
                              {0, 0, 0, 0});
   auto comp = PrepareSingle(fixture, 2);
@@ -246,7 +266,7 @@ TEST(SearchContext, RewindAfterDeadBranch) {
   EXPECT_EQ(ctx.c_list().size(), 4u);
 }
 
-TEST(SearchContext, PromotionMovesSupportedSfVertices) {
+TEST_P(SearchContextKernel, PromotionMovesSupportedSfVertices) {
   // K4: expand 0 and 1; vertices 2, 3 are similarity free with deg(u,M)=2
   // — promotion should move both into M (k=2).
   auto fixture = MakeGrouped(
@@ -263,7 +283,7 @@ TEST(SearchContext, PromotionMovesSupportedSfVertices) {
   CheckInvariants(ctx);
 }
 
-TEST(SearchContext, ConnectivityReductionDiscardsDetachedCandidates) {
+TEST_P(SearchContextKernel, ConnectivityReductionDiscardsDetachedCandidates) {
   // Two triangles, all similar, connected via a single vertex x of degree 2
   // to each side... Simplest: build one component with a cut vertex whose
   // expansion then removal disconnects. Use: triangles {0,1,2} and {3,4,5}
@@ -294,16 +314,27 @@ TEST(SearchContext, ConnectivityReductionDiscardsDetachedCandidates) {
 
 // Randomized trail torture: long random expand/shrink/rewind sequences keep
 // all counters consistent.
-class SearchContextFuzz : public ::testing::TestWithParam<uint64_t> {};
+using KernelSeed = std::tuple<Kernel, uint64_t>;
+
+std::string KernelSeedName(const ::testing::TestParamInfo<KernelSeed>& info) {
+  return std::string(test::KernelName(std::get<0>(info.param))) + "_" +
+         std::to_string(std::get<1>(info.param));
+}
+
+class SearchContextFuzz : public ::testing::TestWithParam<KernelSeed> {
+ protected:
+  test::ScopedKernel kernel_{std::get<0>(GetParam())};
+  uint64_t seed() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(SearchContextFuzz, RandomOpsKeepInvariants) {
-  auto dataset = test::MakeRandomGeo(24, 80, GetParam());
+  auto dataset = test::MakeRandomGeo(24, 80, seed());
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.5);
   PipelineOptions opts;
   opts.k = 2;
   std::vector<ComponentContext> comps;
   ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
-  Rng rng(GetParam() * 77 + 1);
+  Rng rng(seed() * 77 + 1);
   for (auto& comp : comps) {
     SearchContext ctx(comp, 2, true);
     std::vector<size_t> marks;
@@ -334,8 +365,11 @@ TEST_P(SearchContextFuzz, RandomOpsKeepInvariants) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, SearchContextFuzz,
-                         ::testing::Range<uint64_t>(0, 10));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SearchContextFuzz,
+    ::testing::Combine(::testing::Values(Kernel::kDense, Kernel::kSparse),
+                       ::testing::Range<uint64_t>(0, 10)),
+    KernelSeedName);
 
 /// Compares every piece of observable state between two contexts over the
 /// same component.
@@ -370,16 +404,20 @@ void ExpectSameState(const SearchContext& a, const SearchContext& b) {
 /// Fork equivalence: a forked context behaves exactly like the original
 /// under a shared random op sequence (including rewinds relative to
 /// per-context marks), and its own trail starts empty at the fork point.
-class SearchContextForkSweep : public ::testing::TestWithParam<uint64_t> {};
+class SearchContextForkSweep : public ::testing::TestWithParam<KernelSeed> {
+ protected:
+  test::ScopedKernel kernel_{std::get<0>(GetParam())};
+  uint64_t seed() const { return std::get<1>(GetParam()); }
+};
 
 TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
-  auto dataset = test::MakeRandomGeo(40, 160, GetParam() + 100);
+  auto dataset = test::MakeRandomGeo(40, 160, seed() + 100);
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.5);
   PipelineOptions opts;
   opts.k = 2;
   std::vector<ComponentContext> comps;
   ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
-  Rng rng(GetParam() * 131 + 7);
+  Rng rng(seed() * 131 + 7);
   for (auto& comp : comps) {
     SearchContext original(comp, 2, true);
     // Reach a non-trivial prefix state on the original alone.
@@ -449,8 +487,127 @@ TEST_P(SearchContextForkSweep, ForkBehavesIdenticallyUnderRandomOps) {
   }
 }
 
-INSTANTIATE_TEST_SUITE_P(Sweep, SearchContextForkSweep,
-                         ::testing::Range<uint64_t>(0, 6));
+INSTANTIATE_TEST_SUITE_P(
+    Sweep, SearchContextForkSweep,
+    ::testing::Combine(::testing::Values(Kernel::kDense, Kernel::kSparse),
+                       ::testing::Range<uint64_t>(0, 6)),
+    KernelSeedName);
+
+/// Builds one context per kernel over the same component.
+std::pair<SearchContext, SearchContext> MakeKernelPair(
+    const ComponentContext& comp, uint32_t k, bool track_excluded) {
+  auto make = [&](Kernel kernel) {
+    test::ScopedKernel forced(kernel);
+    return SearchContext(comp, k, track_excluded);
+  };
+  return {make(Kernel::kDense), make(Kernel::kSparse)};
+}
+
+/// Everything the search reads: the M / C / E lists in iteration order (which
+/// Choose's ties depend on) and every counter.
+void ExpectSameOrderedState(const SearchContext& dense,
+                            const SearchContext& sparse) {
+  ExpectSameState(dense, sparse);
+  EXPECT_EQ(dense.m_list().Materialize(), sparse.m_list().Materialize());
+  EXPECT_EQ(dense.c_list().Materialize(), sparse.c_list().Materialize());
+  EXPECT_EQ(dense.e_list().Materialize(), sparse.e_list().Materialize());
+  EXPECT_EQ(dense.CandidatesAllSimilarityFree(),
+            sparse.CandidatesAllSimilarityFree());
+}
+
+/// Cross-kernel random walk: the dense and the sparse kernel receive the same
+/// Expand / Shrink / PromoteSimilarityFree / RewindTo / Fork sequence and must
+/// agree at every step on dead(), the list iteration order and every counter.
+class SearchContextKernelWalk : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(SearchContextKernelWalk, KernelsAgreeStepByStep) {
+  const uint64_t seed = GetParam();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  Dataset dataset = seed % 2 == 0 ? test::MakeRandomGeo(48, 220, seed)
+                                  : test::MakeRandomKeyword(48, 220, seed);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric,
+                          seed % 2 == 0 ? 0.55 : 0.2);
+  PipelineOptions opts;
+  opts.k = 2;
+  std::vector<ComponentContext> comps;
+  ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
+  Rng rng(seed * 31 + 3);
+  size_t steps = 0;
+  for (const ComponentContext& comp : comps) {
+    const bool track_excluded = rng.NextBernoulli(0.8);
+    auto [dense, sparse] = MakeKernelPair(comp, 2, track_excluded);
+    ASSERT_TRUE(dense.dense());
+    ASSERT_FALSE(sparse.dense());
+    ExpectSameOrderedState(dense, sparse);
+    // Per-kernel marks: the sparse trail also journals counters.
+    std::vector<size_t> marks_d, marks_s;
+    for (int step = 0; step < 300; ++step) {
+      const double roll = rng.NextDouble();
+      if ((roll < 0.25 && !marks_d.empty()) || dense.c_list().empty()) {
+        if (marks_d.empty()) break;
+        dense.RewindTo(marks_d.back());
+        sparse.RewindTo(marks_s.back());
+        marks_d.pop_back();
+        marks_s.pop_back();
+      } else if (roll < 0.3) {
+        dense = dense.Fork();
+        sparse = sparse.Fork();
+        marks_d.clear();
+        marks_s.clear();
+      } else {
+        auto members = dense.c_list().Materialize();
+        VertexId u = members[rng.NextBounded(members.size())];
+        marks_d.push_back(dense.Mark());
+        marks_s.push_back(sparse.Mark());
+        bool alive_d, alive_s;
+        const double op = rng.NextDouble();
+        if (op < 0.4) {
+          alive_d = dense.Expand(u);
+          alive_s = sparse.Expand(u);
+        } else if (op < 0.8) {
+          alive_d = dense.Shrink(u);
+          alive_s = sparse.Shrink(u);
+        } else {
+          uint64_t promo_d = 0, promo_s = 0;
+          alive_d = dense.PromoteSimilarityFree(&promo_d);
+          alive_s = sparse.PromoteSimilarityFree(&promo_s);
+          EXPECT_EQ(promo_d, promo_s);
+        }
+        ASSERT_EQ(alive_d, alive_s) << "step " << step;
+        ASSERT_EQ(dense.dead(), sparse.dead()) << "step " << step;
+        if (!alive_d) {
+          // A dead branch's partial state is never read; rewind it.
+          dense.RewindTo(marks_d.back());
+          sparse.RewindTo(marks_s.back());
+          marks_d.pop_back();
+          marks_s.pop_back();
+        }
+      }
+      ExpectSameOrderedState(dense, sparse);
+      CheckInvariants(dense);
+      if (::testing::Test::HasFailure()) return;
+      ++steps;
+    }
+  }
+  EXPECT_GT(steps, 100u) << "the walk must exercise the kernels";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, SearchContextKernelWalk,
+                         ::testing::Range<uint64_t>(500, 512));
+
+TEST(SearchContext, KernelFollowsComponentSize) {
+  // A cycle is its own 2-core: one component of exactly n vertices.
+  for (VertexId n : {SearchContext::kDenseVertexLimit,
+                     SearchContext::kDenseVertexLimit + 1}) {
+    std::vector<std::pair<VertexId, VertexId>> edges;
+    for (VertexId u = 0; u < n; ++u) edges.push_back({u, (u + 1) % n});
+    auto fixture = MakeGrouped(n, edges, std::vector<uint32_t>(n, 0));
+    auto comp = PrepareSingle(fixture, 2);
+    ASSERT_EQ(comp.size(), n);
+    SearchContext ctx(comp, 2, true);
+    EXPECT_EQ(ctx.dense(), n <= SearchContext::kDenseVertexLimit) << n;
+  }
+}
 
 }  // namespace
 }  // namespace krcore
