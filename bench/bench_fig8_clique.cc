@@ -7,7 +7,6 @@
 // graph materializes a large number of cliques.
 //
 // Usage: bench_fig8_clique [--scale=] [--timeout=] [--quick] [--csv=]
-//                          [--json=BENCH_fig8.json]
 
 #include <cstdio>
 #include <vector>
@@ -79,18 +78,6 @@ int main(int argc, char** argv) {
       RunPoint(dblp, r, k, label, env, &report_b);
     }
     report_b.Finish(env);
-  }
-
-  if (!env.json_path.empty()) {
-    char command[128];
-    std::snprintf(command, sizeof(command),
-                  "bench_fig8_clique --scale=%g --timeout=%g", env.scale,
-                  env.timeout_seconds);
-    WriteJsonReport(
-        env.json_path, "bench_fig8_clique",
-        "Baseline: Clique+ vs BasicEnum on generated paper-analogue datasets "
-        "(gowalla k=5 r-sweep; dblp top-3-permille k-sweep).",
-        command, env, {&report_a, &report_b});
   }
   return 0;
 }

@@ -2,15 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <ctime>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <set>
 #include <sstream>
-#include <thread>
-
-#include "core/parallel.h"
 
 #include "datasets/generators.h"
 #include "similarity/threshold.h"
@@ -29,7 +24,6 @@ ExperimentEnv ExperimentEnv::FromOptions(const OptionParser& options) {
   env.threads = static_cast<uint32_t>(options.GetInt("threads", env.threads));
   env.seed = options.GetInt("seed", env.seed);
   env.csv_path = options.GetString("csv", "");
-  env.json_path = options.GetString("json", "");
   if (env.quick) {
     env.scale = std::min(env.scale, 0.15);
     env.timeout_seconds = std::min(env.timeout_seconds, 10.0);
@@ -97,120 +91,6 @@ void FigureReport::Finish(const ExperimentEnv& env) const {
   if (!env.csv_path.empty()) WriteCsv(env.csv_path);
 }
 
-namespace {
-
-/// Minimal JSON string escaping (quotes, backslashes, control chars).
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-}  // namespace
-
-void WriteJsonReport(const std::string& path, const std::string& bench,
-                     const std::string& description,
-                     const std::string& command, const ExperimentEnv& env,
-                     const std::vector<const FigureReport*>& figures) {
-  std::ofstream out(path);
-  if (!out) {
-    KRCORE_LOG(Warning) << "cannot open json " << path;
-    return;
-  }
-  std::time_t now = std::time(nullptr);
-  char date[16] = "unknown";
-  if (struct tm* tm = std::localtime(&now)) {
-    std::strftime(date, sizeof(date), "%Y-%m-%d", tm);
-  }
-  out << "{\n"
-      << "  \"bench\": \"" << JsonEscape(bench) << "\",\n"
-      << "  \"description\": \"" << JsonEscape(description) << "\",\n"
-      << "  \"command\": \"" << JsonEscape(command) << "\",\n"
-      << "  \"config\": {\n"
-      << "    \"scale\": " << env.scale << ",\n"
-      << "    \"timeout_seconds\": " << env.timeout_seconds << ",\n"
-      << "    \"seed\": " << env.seed << ",\n"
-      << "    \"threads\": " << env.threads << ",\n"
-      << "    \"hardware_concurrency\": "
-      << std::thread::hardware_concurrency() << ",\n"
-      << "    \"effective_threads\": "
-      << ResolveThreadCount(env.threads, std::thread::hardware_concurrency())
-      << ",\n"
-#ifdef NDEBUG
-      << "    \"build_type\": \"Release\",\n"
-#else
-      << "    \"build_type\": \"Debug\",\n"
-#endif
-      << "    \"compiler\": \"" << JsonEscape(__VERSION__) << "\"\n"
-      << "  },\n"
-      << "  \"recorded\": \"" << date << "\",\n"
-      << "  \"measurements\": [";
-  bool first = true;
-  for (const FigureReport* fig : figures) {
-    for (const auto& m : fig->measurements()) {
-      out << (first ? "\n" : ",\n");
-      first = false;
-      out << "    {\n"
-          << "      \"figure\": \"" << JsonEscape(fig->figure_id()) << "\",\n"
-          << "      \"series\": \"" << JsonEscape(m.series) << "\",\n"
-          << "      \"x\": \"" << JsonEscape(m.x_label) << "\",\n"
-          << "      \"seconds\": " << m.seconds << ",\n"
-          << "      \"timed_out\": " << (m.timed_out ? "true" : "false")
-          << ",\n"
-          << "      \"result_count\": " << m.result_count << ",\n"
-          << "      \"result_size_max\": " << m.result_size_max << ",\n"
-          << "      \"result_size_avg\": " << m.result_size_avg << ",\n"
-          << "      \"search_nodes\": " << m.stats.search_nodes << ",\n"
-          << "      \"bound_naive_prunes\": " << m.stats.bound_naive_prunes
-          << ",\n"
-          << "      \"bound_cache_hits\": " << m.stats.bound_cache_hits
-          << ",\n"
-          << "      \"bound_expensive_prunes\": "
-          << m.stats.bound_expensive_prunes << ",\n"
-          << "      \"bound_recomputes\": " << m.stats.bound_recomputes
-          << ",\n"
-          << "      \"tasks_spawned\": " << m.stats.tasks_spawned << ",\n"
-          << "      \"task_steals\": " << m.stats.task_steals << ",\n"
-          << "      \"prepare_pair_sweeps\": " << m.stats.prepare_pair_sweeps
-          << ",\n"
-          << "      \"prepare_derivations\": " << m.stats.prepare_derivations
-          << ",\n"
-          << "      \"derive_r_restrictions\": "
-          << m.stats.derive_r_restrictions << ",\n"
-          << "      \"score_filtered_pairs\": "
-          << m.stats.score_filtered_pairs << ",\n"
-          << "      \"oracle_calls\": " << m.stats.oracle_calls << "\n"
-          << "    }";
-    }
-  }
-  out << "\n  ]\n}\n";
-  std::printf("wrote %s\n", path.c_str());
-}
-
 Measurement MeasureEnum(const std::string& series, const std::string& x_label,
                         const MaximalCoresResult& result) {
   Measurement m;
@@ -259,8 +139,6 @@ const Dataset& GetDataset(const std::string& name, const ExperimentEnv& env) {
   }
   return it->second;
 }
-
-double ResolveThresholdKm(double km) { return km; }
 
 double ResolveThresholdPermille(const Dataset& dataset, double permille) {
   SimilarityOracle probe = dataset.MakeOracle(0.0);

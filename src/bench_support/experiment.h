@@ -1,7 +1,6 @@
 #ifndef KRCORE_BENCH_SUPPORT_EXPERIMENT_H_
 #define KRCORE_BENCH_SUPPORT_EXPERIMENT_H_
 
-#include <functional>
 #include <string>
 #include <vector>
 
@@ -28,8 +27,6 @@ struct ExperimentEnv {
   uint64_t seed = 1;
   /// Optional CSV output path ("" = none).
   std::string csv_path;
-  /// Optional JSON output path for WriteJsonReport ("" = none).
-  std::string json_path;
 
   static ExperimentEnv FromOptions(const OptionParser& options);
 };
@@ -77,15 +74,6 @@ class FigureReport {
   std::vector<Measurement> measurements_;
 };
 
-/// Writes the checked-in BENCH_*.json format: bench identity + config
-/// (including the measuring host's hardware concurrency, so scaling numbers
-/// are interpretable) + one record per measurement across all `figures`,
-/// with the per-tier bound counters and task-pool counters included.
-void WriteJsonReport(const std::string& path, const std::string& bench,
-                     const std::string& description,
-                     const std::string& command, const ExperimentEnv& env,
-                     const std::vector<const FigureReport*>& figures);
-
 /// Converts a MaximalCoresResult / MaximumCoreResult into a Measurement.
 Measurement MeasureEnum(const std::string& series, const std::string& x_label,
                         const MaximalCoresResult& result);
@@ -96,10 +84,9 @@ Measurement MeasureMax(const std::string& series, const std::string& x_label,
 /// (quick mode shrinks it further). Names: brightkite/gowalla/dblp/pokec.
 const Dataset& GetDataset(const std::string& name, const ExperimentEnv& env);
 
-/// Resolves the paper's r-axis conventions: kilometers for the geo datasets
-/// ("r_km") and top-permille calibration for the keyword datasets
-/// ("r_permille", Sec 8.1). The returned value feeds Dataset::MakeOracle.
-double ResolveThresholdKm(double km);
+/// Resolves the paper's keyword-dataset r axis: top-permille calibration
+/// ("r_permille", Sec 8.1). The geo datasets take kilometers directly. The
+/// returned value feeds Dataset::MakeOracle.
 double ResolveThresholdPermille(const Dataset& dataset, double permille);
 
 }  // namespace krcore

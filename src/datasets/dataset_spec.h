@@ -19,7 +19,7 @@ namespace krcore {
 /// skew UNCORRELATED with attribute similarity, so similarity filtering
 /// cannot lean on the hubs — and an update stream over it keeps touching
 /// the same few hub adjacencies, which is exactly the churn profile the
-/// ingestion coalescer exists for (bench_ingest uses this as its workload).
+/// ingestion coalescer exists for (perfbench serve-live runs on it).
 struct SkewedConfig {
   uint32_t num_vertices = 20000;
   double average_degree = 8.0;

@@ -1,9 +1,22 @@
 #include "util/options.h"
 
+#include <cerrno>
+#include <cstdio>
 #include <cstdlib>
 #include <cstring>
 
 namespace krcore {
+namespace {
+
+/// Exits with status 2 naming the flag, like a usage error.
+[[noreturn]] void RejectValue(const std::string& name,
+                              const std::string& value) {
+  std::fprintf(stderr, "invalid value for --%s: '%s'\n", name.c_str(),
+               value.c_str());
+  std::exit(2);
+}
+
+}  // namespace
 
 OptionParser::OptionParser(int argc, char** argv) {
   for (int i = 1; i < argc; ++i) {
@@ -36,13 +49,25 @@ std::string OptionParser::GetString(const std::string& name,
 
 int64_t OptionParser::GetInt(const std::string& name, int64_t def) const {
   auto it = values_.find(name);
-  return it == values_.end() ? def
-                             : std::strtoll(it->second.c_str(), nullptr, 10);
+  if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  errno = 0;
+  const long long value = std::strtoll(text, &end, 10);
+  if (end == text || *end != '\0' || errno == ERANGE) {
+    RejectValue(name, it->second);
+  }
+  return value;
 }
 
 double OptionParser::GetDouble(const std::string& name, double def) const {
   auto it = values_.find(name);
-  return it == values_.end() ? def : std::strtod(it->second.c_str(), nullptr);
+  if (it == values_.end()) return def;
+  const char* text = it->second.c_str();
+  char* end = nullptr;
+  const double value = std::strtod(text, &end);
+  if (end == text || *end != '\0') RejectValue(name, it->second);
+  return value;
 }
 
 bool OptionParser::GetBool(const std::string& name, bool def) const {

@@ -9,7 +9,10 @@ namespace krcore {
 
 /// Minimal command-line option parser used by examples and bench drivers.
 /// Accepts `--name=value`, `--name value`, and bare `--flag` (=> "true").
-/// Positional arguments are collected in order.
+/// Positional arguments are collected in order. GetInt/GetDouble accept
+/// only a value that parses in full; anything else (empty, trailing
+/// garbage, out of int64 range) prints "invalid value for --NAME: 'VALUE'"
+/// to stderr and exits with status 2.
 class OptionParser {
  public:
   OptionParser(int argc, char** argv);

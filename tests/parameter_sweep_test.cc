@@ -120,6 +120,25 @@ TEST(ParameterSweep, EnumCellsMatchColdRuns) {
           << "cell (k=" << k << ", r=" << r << ")";
     }
   }
+
+  // The per-r path must agree too: one unscored preparation at each r,
+  // every k derived from it.
+  idx = 0;
+  for (double r : grid.rs) {
+    PipelineOptions prep;
+    prep.k = grid.ks.front();
+    PreparedWorkspace base;
+    ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle.WithThreshold(r), prep,
+                                 &base)
+                    .ok());
+    SweepResult per_r = SweepPreparedWorkspace(base, grid.ks, options);
+    ASSERT_TRUE(per_r.status.ok());
+    ASSERT_EQ(per_r.cells.size(), grid.ks.size());
+    for (const SweepCellResult& cell : per_r.cells) {
+      EXPECT_EQ(cell.enum_result.cores, sweep.cells[idx++].enum_result.cores)
+          << "per-r cell (k=" << cell.k << ", r=" << r << ")";
+    }
+  }
 }
 
 TEST(ParameterSweep, ReuseOffMatchesReuseOn) {

@@ -553,124 +553,135 @@ TEST(ServerIntegrationTest, ConcurrentClientsMatchDirectLibraryCalls) {
   auto base = registry.Find("geo");
   ASSERT_NE(base, nullptr);
 
-  ServerOptions options;
-  options.queue_capacity = 32;
-  options.derive_threads = 2;
-  options.mine_threads = 2;
-  QueryServer server(&registry, options);
-  server.Start();
-  server.Pause();  // admit everything first so duplicate cells coalesce
+  // Served results must match direct calls whether or not duplicate cells
+  // share one execution.
+  for (bool coalesce : {true, false}) {
+    SCOPED_TRACE(coalesce ? "coalesce on" : "coalesce off");
+    ServerOptions options;
+    options.queue_capacity = 32;
+    options.derive_threads = 2;
+    options.mine_threads = 2;
+    options.coalesce = coalesce;
+    QueryServer server(&registry, options);
+    server.Start();
+    server.Pause();  // admit everything first so duplicate cells overlap
 
-  // Two clients, five queries each — duplicate (k,r) cells across clients.
-  auto MakeQuery = [](QueryKind kind, uint32_t k, double r,
-                      const std::string& id) {
-    QueryRequest q;
-    q.workspace = "geo";
-    q.kind = kind;
-    q.k = k;
-    q.r = r;
-    q.id = id;
-    q.timeout_seconds = 60.0;
-    return q;
-  };
-  std::vector<QueryRequest> client_a = {
-      MakeQuery(QueryKind::kEnumerate, 2, 0.5, "a1"),
-      MakeQuery(QueryKind::kEnumerate, 3, 0.4, "a2"),
-      MakeQuery(QueryKind::kMaximum, 2, 0.3, "a3"),
-      MakeQuery(QueryKind::kEnumerate, 4, 0.25, "a4"),
-      MakeQuery(QueryKind::kDerive, 2, 0.2, "a5"),
-  };
-  std::vector<QueryRequest> client_b = {
-      MakeQuery(QueryKind::kEnumerate, 3, 0.4, "b1"),   // dup of a2
-      MakeQuery(QueryKind::kMaximum, 2, 0.3, "b2"),     // dup of a3
-      MakeQuery(QueryKind::kEnumerate, 2, 0.35, "b3"),
-      MakeQuery(QueryKind::kMaximum, 3, 0.5, "b4"),
-      MakeQuery(QueryKind::kEnumerate, 3, 0.4, "b5"),   // dup of a2 again
-  };
+    // Two clients, five queries each — duplicate (k,r) cells across clients.
+    auto MakeQuery = [](QueryKind kind, uint32_t k, double r,
+                        const std::string& id) {
+      QueryRequest q;
+      q.workspace = "geo";
+      q.kind = kind;
+      q.k = k;
+      q.r = r;
+      q.id = id;
+      q.timeout_seconds = 60.0;
+      return q;
+    };
+    std::vector<QueryRequest> client_a = {
+        MakeQuery(QueryKind::kEnumerate, 2, 0.5, "a1"),
+        MakeQuery(QueryKind::kEnumerate, 3, 0.4, "a2"),
+        MakeQuery(QueryKind::kMaximum, 2, 0.3, "a3"),
+        MakeQuery(QueryKind::kEnumerate, 4, 0.25, "a4"),
+        MakeQuery(QueryKind::kDerive, 2, 0.2, "a5"),
+    };
+    std::vector<QueryRequest> client_b = {
+        MakeQuery(QueryKind::kEnumerate, 3, 0.4, "b1"),   // dup of a2
+        MakeQuery(QueryKind::kMaximum, 2, 0.3, "b2"),     // dup of a3
+        MakeQuery(QueryKind::kEnumerate, 2, 0.35, "b3"),
+        MakeQuery(QueryKind::kMaximum, 3, 0.5, "b4"),
+        MakeQuery(QueryKind::kEnumerate, 3, 0.4, "b5"),   // dup of a2 again
+    };
 
-  std::mutex results_mu;
-  std::vector<ClientResult> results;
-  auto RunClient = [&](const std::vector<QueryRequest>& queries) {
-    std::vector<std::pair<QueryRequest, std::shared_future<QueryResponse>>>
-        pending;
-    for (const auto& q : queries) pending.emplace_back(q, server.Submit(q));
-    for (auto& [q, future] : pending) {
-      QueryResponse r = future.get();
-      std::lock_guard<std::mutex> lock(results_mu);
-      results.push_back({q, std::move(r)});
-    }
-  };
-  std::thread ta(RunClient, std::ref(client_a));
-  std::thread tb(RunClient, std::ref(client_b));
-  // Let both clients admit all 10 queries, then release the workers.
-  while (server.Stats().received < 10) {
-    std::this_thread::sleep_for(std::chrono::milliseconds(1));
-  }
-  server.Resume();
-  ta.join();
-  tb.join();
-  server.Stop();
-
-  ASSERT_EQ(results.size(), 10u);
-  // Every response is bit-identical to the direct library call on the same
-  // loaded substrate: derive the cell, run the same engine preset.
-  for (const auto& [request, response] : results) {
-    SCOPED_TRACE(request.id);
-    ASSERT_TRUE(response.status.ok()) << response.status.message();
-    EXPECT_EQ(response.workspace_version, base->version);
-
-    PreparedWorkspace derived;
-    const std::vector<ComponentContext>* components = &base->components;
-    if (request.k != base->k || request.r != base->threshold) {
-      PipelineOptions pipe;
-      pipe.k = request.k;
-      ASSERT_TRUE(DeriveWorkspace(*base, request.k, request.r, pipe, &derived)
-                      .ok());
-      components = &derived.components;
-    }
-    switch (request.kind) {
-      case QueryKind::kEnumerate: {
-        MaximalCoresResult direct =
-            EnumerateMaximalCores(*components, AdvEnumOptions(request.k));
-        ASSERT_TRUE(direct.status.ok());
-        EXPECT_EQ(response.cores, direct.cores);
-        EXPECT_EQ(response.count, direct.cores.size());
-        break;
+    std::mutex results_mu;
+    std::vector<ClientResult> results;
+    auto RunClient = [&](const std::vector<QueryRequest>& queries) {
+      std::vector<std::pair<QueryRequest, std::shared_future<QueryResponse>>>
+          pending;
+      for (const auto& q : queries) pending.emplace_back(q, server.Submit(q));
+      for (auto& [q, future] : pending) {
+        QueryResponse r = future.get();
+        std::lock_guard<std::mutex> lock(results_mu);
+        results.push_back({q, std::move(r)});
       }
-      case QueryKind::kMaximum: {
-        MaximumCoreResult direct =
-            FindMaximumCore(*components, AdvMaxOptions(request.k));
-        ASSERT_TRUE(direct.status.ok());
-        if (direct.best.empty()) {
-          EXPECT_TRUE(response.cores.empty());
-        } else {
-          ASSERT_EQ(response.cores.size(), 1u);
-          EXPECT_EQ(response.cores[0], direct.best);
+    };
+    std::thread ta(RunClient, std::ref(client_a));
+    std::thread tb(RunClient, std::ref(client_b));
+    // Let both clients admit all 10 queries, then release the workers.
+    while (server.Stats().received < 10) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    server.Resume();
+    ta.join();
+    tb.join();
+    server.Stop();
+
+    ASSERT_EQ(results.size(), 10u);
+    // Every response is bit-identical to the direct library call on the same
+    // loaded substrate: derive the cell, run the same engine preset.
+    for (const auto& [request, response] : results) {
+      SCOPED_TRACE(request.id);
+      ASSERT_TRUE(response.status.ok()) << response.status.message();
+      EXPECT_EQ(response.workspace_version, base->version);
+
+      PreparedWorkspace derived;
+      const std::vector<ComponentContext>* components = &base->components;
+      if (request.k != base->k || request.r != base->threshold) {
+        PipelineOptions pipe;
+        pipe.k = request.k;
+        ASSERT_TRUE(DeriveWorkspace(*base, request.k, request.r, pipe, &derived)
+                        .ok());
+        components = &derived.components;
+      }
+      switch (request.kind) {
+        case QueryKind::kEnumerate: {
+          MaximalCoresResult direct =
+              EnumerateMaximalCores(*components, AdvEnumOptions(request.k));
+          ASSERT_TRUE(direct.status.ok());
+          EXPECT_EQ(response.cores, direct.cores);
+          EXPECT_EQ(response.count, direct.cores.size());
+          break;
         }
-        EXPECT_EQ(response.count, direct.best.size());
-        break;
-      }
-      case QueryKind::kDerive: {
-        uint64_t vertices = 0;
-        for (const auto& c : *components) vertices += c.size();
-        EXPECT_EQ(response.count, vertices);
-        EXPECT_EQ(response.num_components, components->size());
-        break;
+        case QueryKind::kMaximum: {
+          MaximumCoreResult direct =
+              FindMaximumCore(*components, AdvMaxOptions(request.k));
+          ASSERT_TRUE(direct.status.ok());
+          if (direct.best.empty()) {
+            EXPECT_TRUE(response.cores.empty());
+          } else {
+            ASSERT_EQ(response.cores.size(), 1u);
+            EXPECT_EQ(response.cores[0], direct.best);
+          }
+          EXPECT_EQ(response.count, direct.best.size());
+          break;
+        }
+        case QueryKind::kDerive: {
+          uint64_t vertices = 0;
+          for (const auto& c : *components) vertices += c.size();
+          EXPECT_EQ(response.count, vertices);
+          EXPECT_EQ(response.num_components, components->size());
+          break;
+        }
       }
     }
-  }
 
-  // The duplicate cells were admitted while paused, so they must have
-  // coalesced: b1/b5 onto a2's job and b2 onto a3's (in some leader order).
-  ServerStatsSnapshot stats = server.Stats();
-  EXPECT_GT(stats.coalesce_hits, 0u);
-  EXPECT_EQ(stats.coalesce_hits + stats.admitted, 10u);
-  EXPECT_EQ(stats.completed_ok, 10u);
-  uint64_t coalesced_responses = 0;
-  for (const auto& r : results) {
-    if (r.response.coalesced) ++coalesced_responses;
+    // The duplicate cells were admitted while paused, so with coalescing on
+    // they must have coalesced: b1/b5 onto a2's job and b2 onto a3's (in
+    // some leader order). With it off, every request runs its own job.
+    ServerStatsSnapshot stats = server.Stats();
+    if (coalesce) {
+      EXPECT_GT(stats.coalesce_hits, 0u);
+    } else {
+      EXPECT_EQ(stats.coalesce_hits, 0u);
+    }
+    EXPECT_EQ(stats.coalesce_hits + stats.admitted, 10u);
+    EXPECT_EQ(stats.completed_ok, 10u);
+    uint64_t coalesced_responses = 0;
+    for (const auto& r : results) {
+      if (r.response.coalesced) ++coalesced_responses;
+    }
+    EXPECT_EQ(coalesced_responses, stats.coalesce_hits);
   }
-  EXPECT_EQ(coalesced_responses, stats.coalesce_hits);
 }
 
 TEST(ServerIntegrationTest, DeadlineExpiredRequestFailsWhileOthersComplete) {

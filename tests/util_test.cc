@@ -2,6 +2,7 @@
 
 #include <cmath>
 #include <set>
+#include <vector>
 
 #include "util/logging.h"
 #include "util/options.h"
@@ -182,14 +183,56 @@ TEST(Deadline, PastDeadlineExpires) {
 
 TEST(Options, ParsesFormsAndDefaults) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "2.5", "pos1",
-                        "--flag"};
-  OptionParser p(6, const_cast<char**>(argv));
+                        "--flag", "--gamma=-3", "--delta=1e-3"};
+  OptionParser p(8, const_cast<char**>(argv));
   EXPECT_EQ(p.GetInt("alpha", 0), 3);
   EXPECT_DOUBLE_EQ(p.GetDouble("beta", 0.0), 2.5);
+  EXPECT_EQ(p.GetInt("gamma", 0), -3);
+  EXPECT_DOUBLE_EQ(p.GetDouble("delta", 0.0), 1e-3);
   EXPECT_TRUE(p.GetBool("flag"));
   EXPECT_EQ(p.GetString("missing", "dflt"), "dflt");
   ASSERT_EQ(p.positional().size(), 1u);
   EXPECT_EQ(p.positional()[0], "pos1");
+}
+
+/// Parses `args` as if they followed the program name on a command line.
+OptionParser Parse(std::vector<const char*> args) {
+  args.insert(args.begin(), "prog");
+  return OptionParser(static_cast<int>(args.size()),
+                      const_cast<char**>(args.data()));
+}
+
+TEST(OptionsDeathTest, RejectsTrailingGarbage) {
+  OptionParser p = Parse({"--k=5x", "--r=6abc"});
+  EXPECT_EXIT(p.GetInt("k", 0), ::testing::ExitedWithCode(2),
+              "invalid value for --k: '5x'");
+  EXPECT_EXIT(p.GetDouble("r", 0.0), ::testing::ExitedWithCode(2),
+              "invalid value for --r: '6abc'");
+}
+
+TEST(OptionsDeathTest, RejectsEmptyValues) {
+  OptionParser p = Parse({"--k=", "--r="});
+  EXPECT_EXIT(p.GetInt("k", 0), ::testing::ExitedWithCode(2),
+              "invalid value for --k: ''");
+  EXPECT_EXIT(p.GetDouble("r", 0.0), ::testing::ExitedWithCode(2),
+              "invalid value for --r: ''");
+}
+
+TEST(OptionsDeathTest, RejectsNonNumericValues) {
+  // A bare --seed stores "true", which is no number either.
+  OptionParser p = Parse({"--threads=abc", "--scale=fast", "--seed"});
+  EXPECT_EXIT(p.GetInt("threads", 1), ::testing::ExitedWithCode(2),
+              "invalid value for --threads: 'abc'");
+  EXPECT_EXIT(p.GetDouble("scale", 1.0), ::testing::ExitedWithCode(2),
+              "invalid value for --scale: 'fast'");
+  EXPECT_EXIT(p.GetInt("seed", 1), ::testing::ExitedWithCode(2),
+              "invalid value for --seed: 'true'");
+}
+
+TEST(OptionsDeathTest, RejectsIntegersOutOfRange) {
+  OptionParser p = Parse({"--seed=99999999999999999999"});
+  EXPECT_EXIT(p.GetInt("seed", 1), ::testing::ExitedWithCode(2),
+              "invalid value for --seed: '99999999999999999999'");
 }
 
 }  // namespace

@@ -3,6 +3,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
+#include <limits>
 #include <set>
 #include <utility>
 #include <vector>
@@ -587,6 +589,151 @@ TEST_F(UpdateRollback, RolledBackBatchesAccumulateAcrossFaults) {
   EXPECT_EQ(updater.cumulative().rolled_back_batches, 3u);
   EXPECT_EQ(test::DiffWorkspaces(before, ws), "");
   EXPECT_EQ(ws.version, before.version);
+}
+
+// --- DiffWorkspaces: the comparator behind the equivalence tests ---------
+
+/// Rebuilds `c`'s score-annotated dissimilarity index pair by pair. Each
+/// active pair {u, v} (u < v) passes through `edit(u, &v, &score)`, which
+/// may move its far endpoint or change its score; reserve pairs are copied.
+template <typename Edit>
+DissimilarityIndex RebuildScoredIndex(const ComponentContext& c,
+                                      uint32_t bitset_min_degree, Edit edit) {
+  DissimilarityIndex::Builder builder(c.size());
+  builder.AnnotateScores();
+  for (VertexId u = 0; u < c.size(); ++u) {
+    auto row = c.dissimilar[u];
+    auto scores = c.dissimilar.row_scores(u);
+    for (size_t i = 0; i < row.size(); ++i) {
+      if (row[i] < u) continue;
+      VertexId v = row[i];
+      double score = scores[i];
+      edit(u, &v, &score);
+      builder.AddScoredPair(u, v, score);
+    }
+    auto reserve = c.dissimilar.reserve_row(u);
+    auto reserve_scores = c.dissimilar.reserve_scores(u);
+    for (size_t i = 0; i < reserve.size(); ++i) {
+      if (reserve[i] > u) {
+        builder.AddReservePair(u, reserve[i], reserve_scores[i]);
+      }
+    }
+  }
+  return builder.Build(bitset_min_degree);
+}
+
+/// Component `c`'s structure edges {u, v} with u < v.
+std::vector<std::pair<VertexId, VertexId>> ComponentEdges(
+    const ComponentContext& c) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId u = 0; u < c.size(); ++u) {
+    for (VertexId v : c.graph.neighbors(u)) {
+      if (u < v) edges.emplace_back(u, v);
+    }
+  }
+  return edges;
+}
+
+/// Every equivalence test above trusts DiffWorkspaces to see a difference.
+/// Perturb one field of a prepared, scored workspace at a time and check
+/// that the diff is non-empty and names that field.
+TEST(DiffWorkspaces, NamesEachPerturbedField) {
+  auto dataset = test::MakeRandomGeo(140, 900, 17);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.35);
+  PipelineOptions prep;
+  prep.k = 3;
+  prep.score_cover = 0.25;
+  PreparedWorkspace ws;
+  ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, prep, &ws).ok());
+  ASSERT_TRUE(ws.scored);
+  ASSERT_FALSE(ws.components.empty());
+  const ComponentContext& c0 = ws.components[0];
+
+  // The rebuild itself is faithful, so each case below changes one thing.
+  {
+    PreparedWorkspace copy = ws;
+    copy.components[0].dissimilar = RebuildScoredIndex(
+        c0, ws.bitset_min_degree, [](VertexId, VertexId*, double*) {});
+    ASSERT_EQ(test::DiffWorkspaces(ws, copy), "");
+  }
+  {
+    PreparedWorkspace copy = ws;
+    ++copy.version;
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy), "version differs (0 vs 1)");
+  }
+  {
+    PreparedWorkspace copy = ws;
+    std::vector<VertexId> parents(c0.to_parent.begin(), c0.to_parent.end());
+    ++parents.back();
+    copy.components[0].to_parent = std::move(parents);
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy), "component 0: to_parent differs");
+  }
+
+  // Adjacency: drop one edge, then move it instead (same edge count).
+  std::vector<std::pair<VertexId, VertexId>> edges = ComponentEdges(c0);
+  ASSERT_FALSE(edges.empty());
+  {
+    PreparedWorkspace copy = ws;
+    std::vector<std::pair<VertexId, VertexId>> fewer(edges.begin() + 1,
+                                                     edges.end());
+    copy.components[0].graph = MakeGraph(c0.size(), fewer);
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy),
+              "component 0: edge count differs");
+  }
+  {
+    // edges[0] = {0, v}; move it to {0, w} for some w not adjacent to 0.
+    ASSERT_EQ(edges[0].first, 0u);
+    auto row = c0.graph.neighbors(0);
+    VertexId w = 1;
+    while (w < c0.size() && std::binary_search(row.begin(), row.end(), w)) {
+      ++w;
+    }
+    ASSERT_LT(w, c0.size()) << "vertex 0 is adjacent to every vertex";
+    PreparedWorkspace copy = ws;
+    std::vector<std::pair<VertexId, VertexId>> moved = edges;
+    moved[0].second = w;
+    copy.components[0].graph = MakeGraph(c0.size(), moved);
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy),
+              "component 0 vertex 0: adjacency differs");
+  }
+
+  // Dissimilarity: move one active pair {u, v} to {u, w}, then flip its
+  // stored score by one ULP. u is the first row holding a pair v > u.
+  VertexId u = 0;
+  while (u < c0.size() &&
+         (c0.dissimilar[u].empty() || c0.dissimilar[u].back() < u)) {
+    ++u;
+  }
+  ASSERT_LT(u, c0.size()) << "component 0 has no dissimilar pair";
+  const VertexId v = c0.dissimilar[u].back();
+  const auto reserve = c0.dissimilar.reserve_row(u);
+  VertexId w = u + 1;
+  while (w < c0.size() && (c0.dissimilar.Dissimilar(u, w) ||
+                           std::ranges::find(reserve, w) != reserve.end())) {
+    ++w;
+  }
+  ASSERT_LT(w, c0.size()) << "row " << u << " has no free slot above it";
+  const std::string at = "component 0 vertex " + std::to_string(u);
+  {
+    PreparedWorkspace copy = ws;
+    copy.components[0].dissimilar = RebuildScoredIndex(
+        c0, ws.bitset_min_degree, [&](VertexId a, VertexId* b, double*) {
+          if (a == u && *b == v) *b = w;
+        });
+    ASSERT_EQ(copy.components[0].dissimilar.bitset_rows(),
+              c0.dissimilar.bitset_rows());
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy), at + ": dissimilar row differs");
+  }
+  {
+    PreparedWorkspace copy = ws;
+    copy.components[0].dissimilar = RebuildScoredIndex(
+        c0, ws.bitset_min_degree, [&](VertexId a, VertexId* b, double* s) {
+          if (a == u && *b == v) {
+            *s = std::nextafter(*s, std::numeric_limits<double>::infinity());
+          }
+        });
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy), at + ": row scores differ");
+  }
 }
 
 }  // namespace

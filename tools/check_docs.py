@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run by the CI docs-check job.
 
-Three passes over README.md and docs/*.md:
+Four passes over README.md and docs/*.md:
 
 1. Relative markdown links resolve to files that exist.
 2. Every --flag used in a documented command line for one of this repo's
@@ -9,6 +9,9 @@ Three passes over README.md and docs/*.md:
 3. Every flag parsed by examples/krcore_cli.cpp and
    examples/krcore_server.cpp is mentioned (as ``--flag``) somewhere in
    the documentation, so new flags cannot land undocumented.
+4. Every ``bench_*`` program a document names has a ``bench/<name>.cc``
+   source, and every ``BENCH_*.json`` file it names exists at the repo
+   root, so prose cannot outlive a deleted harness or baseline.
 
 Exit status is non-zero iff any check fails; findings are printed one per
 line as ``file: message``.
@@ -35,7 +38,7 @@ FLAG_SOURCES = {
     "snapshot_tool": ["tools/snapshot_tool.cc"],
 }
 # Bench binaries parse their own flags plus the shared experiment
-# harness flags (--scale/--seed/--threads/--timeout/--quick/--csv/--json).
+# harness flags (--scale/--seed/--threads/--timeout/--quick/--csv).
 BENCH_COMMON = ["src/bench_support/experiment.cc"]
 
 # Binaries whose full flag surface must appear in the docs (pass 3).
@@ -46,6 +49,8 @@ PARSE_RE = re.compile(
 )
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--([A-Za-z][A-Za-z0-9_]*)")
+BENCH_PROGRAM_RE = re.compile(r"\b(bench_[A-Za-z0-9_]+)")
+BENCH_JSON_RE = re.compile(r"\b(BENCH_[A-Za-z0-9_]+\.json)")
 
 
 def parsed_flags(rel_paths):
@@ -77,6 +82,20 @@ def check_links(doc, text, problems):
         path = target.split("#", 1)[0]
         if path and not os.path.exists(os.path.join(base, path)):
             problems.append(f"{doc}: broken link -> {target}")
+
+
+def check_bench_names(doc, text, problems):
+    for name in sorted(set(BENCH_PROGRAM_RE.findall(text))):
+        # src/bench_support is the harnesses' shared library, not a program.
+        if os.path.isdir(os.path.join(REPO, "src", name)):
+            continue
+        if not os.path.exists(os.path.join(REPO, "bench", name + ".cc")):
+            problems.append(f"{doc}: names {name}, but bench/{name}.cc "
+                            f"does not exist")
+    for name in sorted(set(BENCH_JSON_RE.findall(text))):
+        if not os.path.exists(os.path.join(REPO, name)):
+            problems.append(f"{doc}: names {name}, which is not at the "
+                            f"repo root")
 
 
 def command_lines(text):
@@ -136,6 +155,7 @@ def main():
         documented_flags.update(FLAG_RE.findall(text))
         check_links(doc, text, problems)
         check_documented_commands(doc, text, table, problems)
+        check_bench_names(doc, text, problems)
 
     for binary in MUST_DOCUMENT:
         for flag in sorted(table[binary]):
