@@ -1,9 +1,9 @@
 #include "core/dissimilarity_index.h"
 
 #include <algorithm>
+#include <functional>
 #include <utility>
 
-#include "similarity/similarity_oracle.h"
 #include "util/logging.h"
 
 namespace krcore {
@@ -182,50 +182,6 @@ uint64_t DissimilarityIndex::AppendRemappedPairs(
   return appended;
 }
 
-uint64_t DissimilarityIndex::AppendRestrictedPairs(
-    std::span<const VertexId> rows, std::span<const VertexId> new_id,
-    double new_serve, bool is_distance, Builder* builder,
-    uint64_t* score_tests) const {
-  KRCORE_DCHECK(new_id.size() >= n_);
-  KRCORE_DCHECK(has_scores())
-      << "threshold restriction needs a score-annotated index";
-  builder->AnnotateScores();
-  uint64_t appended = 0;
-  for (VertexId u : rows) {
-    KRCORE_DCHECK(u < n_);
-    const VertexId nu = new_id[u];
-    if (nu == kInvalidVertex) continue;
-    const auto active = (*this)[u];
-    const auto act_scores = row_scores(u);
-    for (size_t i = 0; i < active.size(); ++i) {
-      const VertexId v = active[i];
-      if (v <= u) continue;
-      const VertexId nv = new_id[v];
-      if (nv == kInvalidVertex) continue;
-      // Dissimilar at the (looser) old serve threshold stays dissimilar at
-      // any stricter one — no score test needed.
-      builder->AddScoredPair(nu, nv, act_scores[i]);
-      ++appended;
-    }
-    const auto res = reserve_row(u);
-    const auto res_scores = reserve_scores(u);
-    for (size_t i = 0; i < res.size(); ++i) {
-      const VertexId v = res[i];
-      if (v <= u) continue;
-      const VertexId nv = new_id[v];
-      if (nv == kInvalidVertex) continue;
-      if (score_tests != nullptr) ++*score_tests;
-      if (!ScoreSimilarUnder(res_scores[i], new_serve, is_distance)) {
-        builder->AddScoredPair(nu, nv, res_scores[i]);
-      } else {
-        builder->AddReservePair(nu, nv, res_scores[i]);
-      }
-      ++appended;
-    }
-  }
-  return appended;
-}
-
 bool DissimilarityIndex::LookupScore(VertexId u, VertexId v,
                                      double* score) const {
   KRCORE_DCHECK(u < n_ && v < n_);
@@ -297,28 +253,20 @@ uint64_t DissimilarityIndex::Builder::MemoryBytes() const {
 
 DissimilarityIndex DissimilarityIndex::Builder::Build(
     uint32_t bitset_min_degree) {
-  DissimilarityIndex index;
-  index.n_ = n_;
-  index.annotated_empty_ = scored_ && pairs_.empty();
-
-  index.offsets_.assign(static_cast<size_t>(n_) + 1, 0);
-  index.active_end_.assign(n_, 0);
+  std::vector<uint64_t> offsets(static_cast<size_t>(n_) + 1, 0);
+  std::vector<uint64_t> active_end(n_, 0);
   for (VertexId u = 0; u < n_; ++u) {
-    index.active_end_[u] = index.offsets_[u] + active_counts_[u];
-    index.offsets_[u + 1] =
-        index.active_end_[u] + reserve_counts_[u];
+    active_end[u] = offsets[u] + active_counts_[u];
+    offsets[u + 1] = active_end[u] + reserve_counts_[u];
   }
-  index.ids_.resize(index.offsets_.back());
-  if (scored_) index.scores_.resize(index.offsets_.back());
+  std::vector<VertexId> ids(offsets.back());
+  std::vector<double> scores(scored_ ? offsets.back() : 0);
 
   // Fill both directions, then sort each segment (pairs may arrive in any
   // order, e.g. tile-major from the blocked pipeline builder). Active
-  // entries land at the row start, reserve entries after active_end_.
-  std::vector<uint64_t> active_cursor(n_), reserve_cursor(n_);
-  for (VertexId u = 0; u < n_; ++u) {
-    active_cursor[u] = index.offsets_[u];
-    reserve_cursor[u] = index.active_end_[u];
-  }
+  // entries land at the row start, reserve entries after active_end.
+  std::vector<uint64_t> active_cursor(offsets.begin(), offsets.end() - 1);
+  std::vector<uint64_t> reserve_cursor = active_end;
   for (size_t p = 0; p < pairs_.size(); ++p) {
     const uint64_t packed = pairs_[p];
     const VertexId a = static_cast<VertexId>(packed >> 32);
@@ -326,16 +274,11 @@ DissimilarityIndex DissimilarityIndex::Builder::Build(
     const bool res = scored_ && reserve_[p] != 0;
     uint64_t& ca = res ? reserve_cursor[a] : active_cursor[a];
     uint64_t& cb = res ? reserve_cursor[b] : active_cursor[b];
-    if (res) {
-      ++index.num_reserve_pairs_;
-    } else {
-      ++index.num_pairs_;
-    }
-    index.ids_[ca] = b;
-    index.ids_[cb] = a;
+    ids[ca] = b;
+    ids[cb] = a;
     if (scored_) {
-      index.scores_[ca] = scores_[p];
-      index.scores_[cb] = scores_[p];
+      scores[ca] = scores_[p];
+      scores[cb] = scores_[p];
     }
     ++ca;
     ++cb;
@@ -350,35 +293,85 @@ DissimilarityIndex DissimilarityIndex::Builder::Build(
   std::vector<std::pair<VertexId, double>> scratch;
   auto sort_segment = [&](uint64_t begin, uint64_t end) {
     if (!scored_) {
-      std::sort(index.ids_.begin() + begin, index.ids_.begin() + end);
+      std::sort(ids.begin() + begin, ids.begin() + end);
       return;
     }
     scratch.clear();
     for (uint64_t i = begin; i < end; ++i) {
-      scratch.emplace_back(index.ids_[i], index.scores_[i]);
+      scratch.emplace_back(ids[i], scores[i]);
     }
     std::sort(scratch.begin(), scratch.end(),
               [](const auto& x, const auto& y) { return x.first < y.first; });
     for (uint64_t i = begin; i < end; ++i) {
-      index.ids_[i] = scratch[i - begin].first;
-      index.scores_[i] = scratch[i - begin].second;
+      ids[i] = scratch[i - begin].first;
+      scores[i] = scratch[i - begin].second;
     }
   };
   for (VertexId u = 0; u < n_; ++u) {
-    sort_segment(index.offsets_[u], index.active_end_[u]);
-    sort_segment(index.active_end_[u], index.offsets_[u + 1]);
-    KRCORE_DCHECK(std::adjacent_find(index.ids_.begin() + index.offsets_[u],
-                                     index.ids_.begin() +
-                                         index.active_end_[u]) ==
-                  index.ids_.begin() + index.active_end_[u])
-        << "duplicate active dissimilar pair involving vertex " << u;
-    KRCORE_DCHECK(std::adjacent_find(
-                      index.ids_.begin() + index.active_end_[u],
-                      index.ids_.begin() + index.offsets_[u + 1]) ==
-                  index.ids_.begin() + index.offsets_[u + 1])
-        << "duplicate reserve pair involving vertex " << u;
+    sort_segment(offsets[u], active_end[u]);
+    sort_segment(active_end[u], offsets[u + 1]);
   }
+  return FromRows(n_, std::move(offsets), std::move(active_end),
+                  std::move(ids), std::move(scores), scored_,
+                  bitset_min_degree);
+}
+
+DissimilarityIndex DissimilarityIndex::FromRows(
+    VertexId n, std::vector<uint64_t> offsets,
+    std::vector<uint64_t> active_end, std::vector<VertexId> ids,
+    std::vector<double> scores, bool scored, uint32_t bitset_min_degree) {
+  KRCORE_DCHECK(offsets.size() == static_cast<size_t>(n) + 1);
+  KRCORE_DCHECK(active_end.size() == n);
+  KRCORE_DCHECK(offsets.back() == ids.size());
+  KRCORE_DCHECK(scores.size() == (scored ? ids.size() : 0));
+  DissimilarityIndex index;
+  index.n_ = n;
+  index.annotated_empty_ = scored && ids.empty();
+  uint64_t active_entries = 0;
+  for (VertexId u = 0; u < n; ++u) active_entries += active_end[u] - offsets[u];
+  index.num_pairs_ = active_entries / 2;
+  index.num_reserve_pairs_ = (ids.size() - active_entries) / 2;
+  index.offsets_ = std::move(offsets);
+  index.active_end_ = std::move(active_end);
+  index.ids_ = std::move(ids);
+  index.scores_ = std::move(scores);
   index.RebindOwned();
+
+#ifndef NDEBUG
+  // Every entry strictly ascending within its segment (no duplicates), and
+  // mirrored in the partner's row: same segment, same score.
+  const auto mirrored = [&](std::span<const VertexId> seg,
+                            std::span<const double> seg_scores, VertexId u,
+                            double score) {
+    auto it = std::lower_bound(seg.begin(), seg.end(), u);
+    if (it == seg.end() || *it != u) return false;
+    return !scored || seg_scores[static_cast<size_t>(it - seg.begin())] == score;
+  };
+  for (VertexId u = 0; u < n; ++u) {
+    const auto active = index[u];
+    const auto reserve = index.reserve_row(u);
+    KRCORE_DCHECK(std::adjacent_find(active.begin(), active.end(),
+                                     std::greater_equal<>()) == active.end())
+        << "active row " << u << " is not strictly ascending";
+    KRCORE_DCHECK(std::adjacent_find(reserve.begin(), reserve.end(),
+                                     std::greater_equal<>()) == reserve.end())
+        << "reserve row " << u << " is not strictly ascending";
+    for (size_t i = 0; i < active.size(); ++i) {
+      KRCORE_DCHECK(active[i] < n && active[i] != u &&
+                    mirrored(index[active[i]], index.row_scores(active[i]), u,
+                             scored ? index.row_scores(u)[i] : 0.0))
+          << "active pair {" << u << ", " << active[i] << "} is not mirrored";
+    }
+    for (size_t i = 0; i < reserve.size(); ++i) {
+      KRCORE_DCHECK(reserve[i] < n && reserve[i] != u &&
+                    mirrored(index.reserve_row(reserve[i]),
+                             index.reserve_scores(reserve[i]), u,
+                             index.reserve_scores(u)[i]))
+          << "reserve pair {" << u << ", " << reserve[i]
+          << "} is not mirrored";
+    }
+  }
+#endif
 
   BitsetArena arena = ComputeBitsets(index, bitset_min_degree);
   if (arena.rows > 0) {

@@ -49,13 +49,13 @@ namespace krcore {
 ///    threshold, silently breaking the derived == cold invariant the whole
 ///    reuse layer is contracted on.
 ///
-/// Storage is owned-or-borrowed, like Graph: Builder::Build produces an
-/// owning index (vectors), while BorrowedView wraps externally-owned CSR
-/// arrays — the spans an mmapped snapshot hands out, whose lifetime the
-/// holder of the mapping (PreparedWorkspace::backing) carries. The hybrid
-/// bitsets live in a shared BitsetArena behind a shared_ptr so that copies
-/// of a lazily-validated borrowed index all observe the arena the one
-/// first-touch validation pass fills in.
+/// Storage is owned-or-borrowed, like Graph: Builder::Build and FromRows
+/// produce an owning index (vectors), while BorrowedView wraps externally-
+/// owned CSR arrays — the spans an mmapped snapshot hands out, whose
+/// lifetime the holder of the mapping (PreparedWorkspace::backing) carries.
+/// The hybrid bitsets live in a shared BitsetArena behind a shared_ptr so
+/// that copies of a lazily-validated borrowed index all observe the arena
+/// the one first-touch validation pass fills in.
 ///
 /// Instances are immutable once built; all reads are const and thread-safe.
 class DissimilarityIndex {
@@ -98,6 +98,18 @@ class DissimilarityIndex {
       std::span<const double> scores, uint64_t num_pairs,
       uint64_t num_reserve_pairs, bool scored,
       std::shared_ptr<const BitsetArena> arena);
+
+  /// Adopts fully formed owned CSR arrays without copying: each row's active
+  /// and reserve segments id-sorted, every pair stored in both endpoint rows
+  /// (same segment, same score), `scores` parallel to `ids` when `scored`
+  /// and empty otherwise. Counts the pairs and builds the bitsets; Debug
+  /// builds check sortedness and symmetry. Builder::Build ends here, and
+  /// workspace derivation writes its rows directly and hands them over.
+  static DissimilarityIndex FromRows(VertexId n, std::vector<uint64_t> offsets,
+                                     std::vector<uint64_t> active_end,
+                                     std::vector<VertexId> ids,
+                                     std::vector<double> scores, bool scored,
+                                     uint32_t bitset_min_degree);
 
   /// Builds the hybrid-bitset arena for `index`'s active rows: a row is hot
   /// when its active degree is >= bitset_min_degree and degree * 64 >= n.
@@ -232,10 +244,10 @@ class DissimilarityIndex {
     std::vector<uint8_t> reserve_;          // parallel segment flag
   };
 
-  /// Row maintenance primitive shared by workspace derivation and the
-  /// incremental edge-update engine: streams every stored pair {u, v} whose
-  /// endpoints both survive a re-keying (new_id[x] != kInvalidVertex) into
-  /// `builder` under the new ids, and returns how many pairs were appended.
+  /// Row maintenance primitive of the incremental edge-update engine:
+  /// streams every stored pair {u, v} whose endpoints both survive a
+  /// re-keying (new_id[x] != kInvalidVertex) into `builder` under the new
+  /// ids, and returns how many pairs were appended.
   /// `rows` lists the surviving source ids — every pair is emitted from its
   /// smaller endpoint's row, so `rows` must contain ALL survivors, and only
   /// those rows are scanned (a split into many sub-components stays
@@ -251,22 +263,6 @@ class DissimilarityIndex {
   uint64_t AppendRemappedPairs(std::span<const VertexId> rows,
                                std::span<const VertexId> new_id,
                                Builder* builder) const;
-
-  /// Threshold-restricting variant for a score-annotated index: re-keys the
-  /// surviving pairs like AppendRemappedPairs but re-classifies them for a
-  /// *stricter* serving threshold `new_serve` (same metric direction as the
-  /// index was built under). Active pairs stay active with no score test —
-  /// dissimilarity is monotone under tightening. Reserve pairs are score-
-  /// tested: dissimilar at new_serve goes active, the rest stays reserve
-  /// (the cover threshold is unchanged). `score_tests`, when non-null, is
-  /// incremented once per reserve pair consulted — the score_filtered_pairs
-  /// accounting of the derivation layer. Returns the pairs appended.
-  /// Requires has_scores().
-  uint64_t AppendRestrictedPairs(std::span<const VertexId> rows,
-                                 std::span<const VertexId> new_id,
-                                 double new_serve, bool is_distance,
-                                 Builder* builder,
-                                 uint64_t* score_tests) const;
 
   /// Score of the stored pair {u, v} searched in u's full row (both
   /// segments); returns false when the pair is not stored or the index is

@@ -69,12 +69,25 @@ ComponentContext BuildComponent(const Graph& similar_only,
 
 }  // namespace
 
-bool ComponentOrderBefore(const ComponentContext& a,
-                          const ComponentContext& b) {
-  if (a.graph.max_degree() != b.graph.max_degree()) {
-    return a.graph.max_degree() > b.graph.max_degree();
+void SortComponents(bool order_by_max_degree,
+                    std::vector<ComponentContext>* components) {
+  const auto min_parent_before = [](const ComponentContext& a,
+                                    const ComponentContext& b) {
+    return a.to_parent.front() < b.to_parent.front();
+  };
+  if (!order_by_max_degree) {
+    std::sort(components->begin(), components->end(), min_parent_before);
+    return;
   }
-  return a.to_parent.front() < b.to_parent.front();
+  // Search the component with the highest-degree vertex first: the maximum
+  // search seeds its incumbent from a large core quickly.
+  std::sort(components->begin(), components->end(),
+            [&](const ComponentContext& a, const ComponentContext& b) {
+              if (a.graph.max_degree() != b.graph.max_degree()) {
+                return a.graph.max_degree() > b.graph.max_degree();
+              }
+              return min_parent_before(a, b);
+            });
 }
 
 Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
@@ -173,11 +186,7 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
         "preprocessing budget expired during the pairwise similarity sweep");
   }
 
-  if (options.order_by_max_degree) {
-    // Search the component with the highest-degree vertex first: the
-    // maximum search seeds its incumbent from a large core quickly.
-    std::sort(out->begin(), out->end(), ComponentOrderBefore);
-  }
+  SortComponents(options.order_by_max_degree, out);
 
   if (report != nullptr) {
     *report = PreprocessReport{};
@@ -237,65 +246,277 @@ Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
 
 namespace {
 
-/// Restricts one cached component (or a threshold-filtered rebuild of it:
-/// `structure` is the component's structure graph with the edges that turn
-/// dissimilar at the derived r already dropped) to the k-core survivors
-/// `keep`: induced structure graph, parent ids composed through the cache,
-/// and dissimilarity rows copied (not re-evaluated) from the cached index.
-/// With `restrict_r` set the rows are re-classified for the stricter
-/// serving threshold `r` (reserve pairs score-filtered); otherwise they are
-/// restricted verbatim. `score_tests` accumulates consulted scores.
-void DeriveComponent(const ComponentContext& base, const Graph& structure,
-                     const std::vector<VertexId>& keep,
-                     std::vector<VertexId>* remap, uint32_t bitset_min_degree,
-                     bool restrict_r, double r, bool is_distance,
-                     uint64_t* score_tests, ComponentContext* out) {
-  auto induced = BuildInducedSubgraph(structure, keep);
-  out->graph = std::move(induced.graph);
-  std::vector<VertexId> to_parent(keep.size());
-  for (size_t i = 0; i < keep.size(); ++i) {
-    to_parent[i] = base.to_parent[induced.to_parent[i]];
-    (*remap)[induced.to_parent[i]] = static_cast<VertexId>(i);
-  }
-  out->to_parent = std::move(to_parent);
-  DissimilarityIndex::Builder builder(static_cast<VertexId>(keep.size()));
-  if (restrict_r) {
-    base.dissimilar.AppendRestrictedPairs(induced.to_parent, *remap, r,
-                                          is_distance, &builder, score_tests);
-  } else {
-    base.dissimilar.AppendRemappedPairs(induced.to_parent, *remap, &builder);
-  }
-  out->dissimilar = builder.Build(bitset_min_degree);
-  // Reset only the slots this component touched so the scratch is reusable.
-  for (VertexId v : induced.to_parent) (*remap)[v] = kInvalidVertex;
+/// Scratch of one DeriveWorkspace call, reused across its base components.
+/// Never shared between calls: the server and the sweep derive
+/// concurrently from one base.
+struct DeriveScratch {
+  std::vector<EdgeId> offsets;      // r-filtered structure CSR, base ids
+  std::vector<VertexId> neighbors;
+  std::vector<uint32_t> degree;     // filtered degree, then core degree
+  std::vector<VertexId> label;      // output component of each base vertex
+  std::vector<VertexId> remap;      // base local id -> derived local id
+  std::vector<VertexId> stack;      // peel queue, then DFS stack
+  std::vector<VertexId> start;      // per output component: members offset
+  std::vector<VertexId> members;    // survivors grouped by label, ascending
+  std::vector<VertexId> promoted;   // one row's reserve entries turned active
+  std::vector<double> promoted_scores;
+  std::vector<VertexId> kept;       // one row's remaining reserve entries
+  std::vector<double> kept_scores;
+};
+
+constexpr VertexId kPeeled = kInvalidVertex;
+constexpr VertexId kUnlabeled = kInvalidVertex - 1;
+
+template <typename T>
+void GrowTo(std::vector<T>* v, size_t n) {
+  if (v->size() < n) v->resize(n);
 }
 
-/// The r-dimension edge filter: the base component's structure graph with
-/// every edge whose stored score is dissimilar at the stricter `r` removed.
-/// Structure edges are similar at the base threshold, so any of them that a
-/// stricter r rejects is a reserve pair of the cached index — the filter is
-/// a pure lookup, zero oracle calls.
-Graph FilterStructureEdges(const ComponentContext& comp, double r,
-                           bool is_distance, std::vector<char>* drop_scratch) {
-  const VertexId n = comp.size();
-  GraphBuilder builder(n);
-  std::vector<char>& drop = *drop_scratch;
-  for (VertexId u = 0; u < n; ++u) {
-    const auto reserve = comp.dissimilar.reserve_row(u);
-    const auto scores = comp.dissimilar.reserve_scores(u);
-    for (size_t i = 0; i < reserve.size(); ++i) {
-      if (reserve[i] > u && !ScoreSimilarUnder(scores[i], r, is_distance)) {
-        drop[reserve[i]] = 1;
+/// Writes the dissimilarity rows of output component `c` (base vertices
+/// `verts`, ascending) and adopts them as an index. Each row's active
+/// segment is the surviving base active entries merged with the reserve
+/// entries dissimilar at `r` (`restrict_r` only); the reserve segment holds
+/// the rest. A count pass sizes every array exactly; the write pass then
+/// compacts branch-free: every entry is written, and the cursor advances
+/// only when its endpoint landed in `c`. A row's loop stops once its count
+/// is written, so no write lands past it. The remap is monotone, so the
+/// copied rows stay sorted.
+template <bool kScored>
+DissimilarityIndex WriteDissimilarRows(const DissimilarityIndex& base,
+                                       std::span<const VertexId> verts,
+                                       VertexId c, bool restrict_r, double r,
+                                       bool is_distance,
+                                       uint32_t bitset_min_degree,
+                                       DeriveScratch* s,
+                                       uint64_t* score_tests) {
+  const VertexId* label = s->label.data();
+  const VertexId* remap = s->remap.data();
+  const auto turns_dissimilar = [&](double score) {
+    return restrict_r && !ScoreSimilarUnder(score, r, is_distance);
+  };
+  const VertexId nc = static_cast<VertexId>(verts.size());
+  std::vector<uint64_t> offsets(static_cast<size_t>(nc) + 1);
+  std::vector<uint64_t> active_end(nc);
+  uint64_t total = 0;
+  uint64_t tests = 0;
+  for (VertexId i = 0; i < nc; ++i) {
+    const VertexId u = verts[i];
+    offsets[i] = total;
+    for (VertexId v : base[u]) total += label[v] == c;
+    uint64_t kept = 0;
+    if constexpr (kScored) {
+      const auto reserve = base.reserve_row(u);
+      const auto reserve_scores = base.reserve_scores(u);
+      for (size_t j = 0; j < reserve.size(); ++j) {
+        const bool in = label[reserve[j]] == c;
+        const bool dis = turns_dissimilar(reserve_scores[j]);
+        total += in & dis;
+        kept += in & !dis;
+        tests += restrict_r & in & (reserve[j] > u);
       }
     }
-    for (VertexId v : comp.graph.neighbors(u)) {
-      if (v > u && !drop[v]) builder.AddEdge(u, v);
+    active_end[i] = total;
+    total += kept;
+  }
+  offsets[nc] = total;
+  *score_tests += tests;
+
+  std::vector<VertexId> ids(total);
+  std::vector<double> scores(kScored ? total : 0);
+  for (VertexId i = 0; i < nc; ++i) {
+    const VertexId u = verts[i];
+    const auto active = base[u];
+    [[maybe_unused]] const auto active_scores = base.row_scores(u);
+    // Split the reserve row: entries turning dissimilar at r join the
+    // active merge below (base ids, for the merge order); the rest follow
+    // the active segment (already remapped).
+    size_t np = 0, nk = 0;
+    if constexpr (kScored) {
+      const auto reserve = base.reserve_row(u);
+      const auto reserve_scores = base.reserve_scores(u);
+      GrowTo(&s->promoted, reserve.size());
+      GrowTo(&s->promoted_scores, reserve.size());
+      GrowTo(&s->kept, reserve.size());
+      GrowTo(&s->kept_scores, reserve.size());
+      for (size_t j = 0; j < reserve.size(); ++j) {
+        const VertexId v = reserve[j];
+        const bool in = label[v] == c;
+        const bool dis = turns_dissimilar(reserve_scores[j]);
+        s->promoted[np] = v;
+        s->promoted_scores[np] = reserve_scores[j];
+        np += in & dis;
+        s->kept[nk] = remap[v];
+        s->kept_scores[nk] = reserve_scores[j];
+        nk += in & !dis;
+      }
     }
-    for (size_t i = 0; i < reserve.size(); ++i) {
-      if (reserve[i] > u) drop[reserve[i]] = 0;
+    uint64_t cur = offsets[i];
+    size_t a = 0, p = 0;
+    while (cur < active_end[i]) {
+      if (p < np && (a == active.size() || s->promoted[p] < active[a])) {
+        ids[cur] = remap[s->promoted[p]];
+        if constexpr (kScored) scores[cur] = s->promoted_scores[p];
+        ++cur;
+        ++p;
+      } else {
+        KRCORE_DCHECK(a < active.size());
+        const VertexId v = active[a];
+        ids[cur] = remap[v];
+        if constexpr (kScored) scores[cur] = active_scores[a];
+        cur += label[v] == c;
+        ++a;
+      }
+    }
+    KRCORE_DCHECK(p == np);
+    if constexpr (kScored) {
+      std::copy_n(s->kept.data(), nk, ids.begin() + cur);
+      std::copy_n(s->kept_scores.data(), nk, scores.begin() + cur);
     }
   }
-  return builder.Build();
+  return DissimilarityIndex::FromRows(
+      nc, std::move(offsets), std::move(active_end), std::move(ids),
+      std::move(scores), kScored, bitset_min_degree);
+}
+
+/// Derives one base component in a single pass and appends its output
+/// components to `out`: (1) filter the structure rows at r by merging each
+/// with its id-sorted reserve row, (2) queue-peel the k-core on the
+/// filtered degrees, (3) label the survivors' connected components by DFS
+/// and number each one's vertices in ascending base id — hence ascending
+/// parent id, a monotone remap — and (4) write both CSRs sequentially.
+void DeriveOneComponent(const ComponentContext& comp, uint32_t k,
+                        bool restrict_r, double r, bool is_distance,
+                        uint32_t bitset_min_degree, DeriveScratch* s,
+                        std::vector<ComponentContext>* out,
+                        uint64_t* score_tests) {
+  const VertexId n = comp.size();
+  const DissimilarityIndex& dis = comp.dissimilar;
+
+  // 1. Filter. Structure edges are similar at the base threshold, so one
+  // that a stricter r rejects is a reserve pair with its score stored.
+  std::span<const EdgeId> offsets = comp.graph.offsets();
+  std::span<const VertexId> nbrs = comp.graph.neighbor_array();
+  if (restrict_r) {
+    s->offsets.resize(static_cast<size_t>(n) + 1);
+    GrowTo(&s->neighbors, nbrs.size());
+    EdgeId cur = 0;
+    for (VertexId u = 0; u < n; ++u) {
+      s->offsets[u] = cur;
+      const auto reserve = dis.reserve_row(u);
+      const auto scores = dis.reserve_scores(u);
+      const auto adj = comp.graph.neighbors(u);
+      // Branch-free merge: keep a neighbor unless it meets a reserve entry
+      // that is dissimilar at r; advance the smaller side (both on a tie).
+      size_t i = 0, j = 0;
+      while (i < adj.size() && j < reserve.size()) {
+        const VertexId w = adj[i], x = reserve[j];
+        const bool similar = ScoreSimilarUnder(scores[j], r, is_distance);
+        s->neighbors[cur] = w;
+        cur += (w < x) | ((w == x) & similar);
+        i += w <= x;
+        j += x <= w;
+      }
+      for (; i < adj.size(); ++i) s->neighbors[cur++] = adj[i];
+    }
+    s->offsets[n] = cur;
+    offsets = s->offsets;
+    nbrs = std::span<const VertexId>(s->neighbors.data(), cur);
+  }
+  const auto row = [&](VertexId u) {
+    return nbrs.subspan(offsets[u], offsets[u + 1] - offsets[u]);
+  };
+
+  // 2. Peel. A vertex is queued once, when its degree first drops below k;
+  // afterwards every survivor's degree counts exactly its surviving
+  // neighbors, which is its output structure degree.
+  s->degree.resize(n);
+  s->label.assign(n, kUnlabeled);
+  s->stack.clear();
+  for (VertexId u = 0; u < n; ++u) {
+    s->degree[u] = static_cast<uint32_t>(offsets[u + 1] - offsets[u]);
+    if (s->degree[u] < k) {
+      s->label[u] = kPeeled;
+      s->stack.push_back(u);
+    }
+  }
+  while (!s->stack.empty()) {
+    const VertexId u = s->stack.back();
+    s->stack.pop_back();
+    for (VertexId w : row(u)) {
+      if (s->label[w] != kPeeled && --s->degree[w] < k) {
+        s->label[w] = kPeeled;
+        s->stack.push_back(w);
+      }
+    }
+  }
+
+  // 3. Split. Labels follow ascending minimum base id.
+  VertexId num_out = 0;
+  for (VertexId root = 0; root < n; ++root) {
+    if (s->label[root] != kUnlabeled) continue;
+    s->label[root] = num_out;
+    s->stack.push_back(root);
+    while (!s->stack.empty()) {
+      const VertexId u = s->stack.back();
+      s->stack.pop_back();
+      for (VertexId w : row(u)) {
+        if (s->label[w] == kUnlabeled) {
+          s->label[w] = num_out;
+          s->stack.push_back(w);
+        }
+      }
+    }
+    ++num_out;
+  }
+  if (num_out == 0) return;
+  s->start.assign(static_cast<size_t>(num_out) + 1, 0);
+  s->remap.resize(n);
+  for (VertexId u = 0; u < n; ++u) {
+    const VertexId c = s->label[u];
+    if (c == kPeeled) continue;
+    s->remap[u] = s->start[c + 1]++;
+  }
+  for (VertexId c = 0; c < num_out; ++c) s->start[c + 1] += s->start[c];
+  s->members.resize(s->start[num_out]);
+  for (VertexId u = 0; u < n; ++u) {
+    const VertexId c = s->label[u];
+    if (c != kPeeled) s->members[s->start[c] + s->remap[u]] = u;
+  }
+
+  // 4. Write. A survivor's core degree is its output row length, so the
+  // structure rows compact branch-free like the dissimilarity rows.
+  for (VertexId c = 0; c < num_out; ++c) {
+    const auto verts = std::span<const VertexId>(s->members)
+                           .subspan(s->start[c], s->start[c + 1] - s->start[c]);
+    const VertexId nc = static_cast<VertexId>(verts.size());
+    ComponentContext derived;
+    std::vector<VertexId> to_parent(nc);
+    std::vector<EdgeId> graph_offsets(static_cast<size_t>(nc) + 1);
+    graph_offsets[0] = 0;
+    for (VertexId i = 0; i < nc; ++i) {
+      to_parent[i] = comp.to_parent[verts[i]];
+      graph_offsets[i + 1] = graph_offsets[i] + s->degree[verts[i]];
+    }
+    std::vector<VertexId> graph_nbrs(graph_offsets[nc]);
+    for (VertexId i = 0; i < nc; ++i) {
+      const VertexId* w = row(verts[i]).data();
+      for (EdgeId cur = graph_offsets[i]; cur < graph_offsets[i + 1]; ++w) {
+        graph_nbrs[cur] = s->remap[*w];
+        cur += s->label[*w] == c;
+      }
+    }
+    derived.graph = Graph(std::move(graph_offsets), std::move(graph_nbrs));
+    derived.to_parent = std::move(to_parent);
+    derived.dissimilar =
+        dis.has_scores()
+            ? WriteDissimilarRows<true>(dis, verts, c, restrict_r, r,
+                                        is_distance, bitset_min_degree, s,
+                                        score_tests)
+            : WriteDissimilarRows<false>(dis, verts, c, restrict_r, r,
+                                         is_distance, bitset_min_degree, s,
+                                         score_tests);
+    out->push_back(std::move(derived));
+  }
 }
 
 }  // namespace
@@ -332,7 +553,7 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
   out->version = base.version;
 
   uint64_t score_tests = 0;
-  std::vector<char> drop_scratch;
+  DeriveScratch scratch;
   for (const auto& comp : base.components) {
     if (Status s = Failpoints::Inject("pipeline/derive_component"); !s.ok()) {
       out->components.clear();
@@ -349,33 +570,11 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
       out->components.clear();
       return s;
     }
-    const Graph* structure = &comp.graph;
-    Graph filtered;
-    if (restrict_r) {
-      drop_scratch.assign(comp.size(), 0);
-      filtered =
-          FilterStructureEdges(comp, r, base.is_distance, &drop_scratch);
-      structure = &filtered;
-    }
-    std::vector<VertexId> core = KCoreVertices(*structure, k);
-    if (core.empty()) continue;
-    auto locals = ComponentsOfSubset(*structure, core);
-    std::vector<VertexId> remap(comp.size(), kInvalidVertex);
-    for (const auto& keep : locals) {
-      ComponentContext derived;
-      DeriveComponent(comp, *structure, keep, &remap, base.bitset_min_degree,
-                      restrict_r, r, base.is_distance, &score_tests,
-                      &derived);
-      out->components.push_back(std::move(derived));
-    }
+    DeriveOneComponent(comp, k, restrict_r, r, base.is_distance,
+                       base.bitset_min_degree, &scratch, &out->components,
+                       &score_tests);
   }
-
-  if (options.order_by_max_degree) {
-    // The canonical order (not a stable sort over derivation order), so a
-    // derived workspace's component order matches a fresh preparation's.
-    std::sort(out->components.begin(), out->components.end(),
-              ComponentOrderBefore);
-  }
+  SortComponents(options.order_by_max_degree, &out->components);
 
   if (report != nullptr) {
     *report = PreprocessReport{};

@@ -83,15 +83,16 @@ struct ComponentContext {
   }
 };
 
-/// The deterministic component order every preparation path produces when
-/// order_by_max_degree is set: max structure degree descending, ties by
-/// ascending minimum parent id (to_parent is sorted, and component min ids
-/// are distinct, so this is a strict weak ordering equal to the historical
-/// stable_sort over discovery order). Shared by PrepareComponents,
-/// DeriveWorkspace and the incremental update engine so the maintained
-/// order stays byte-identical to a fresh preparation by construction.
-bool ComponentOrderBefore(const ComponentContext& a,
-                          const ComponentContext& b);
+/// Puts `components` in the canonical order every preparation path
+/// produces. With order_by_max_degree: max structure degree descending,
+/// ties by ascending minimum parent id. Without it: ascending minimum
+/// parent id, the discovery order of a cold preparation. Component min ids
+/// are distinct (to_parent is sorted), so both are strict orders. Shared by
+/// PrepareComponents, DeriveWorkspace and the incremental update engine, so
+/// derived and maintained orders equal a fresh preparation's by
+/// construction.
+void SortComponents(bool order_by_max_degree,
+                    std::vector<ComponentContext>* components);
 
 struct PipelineOptions {
   uint32_t k = 1;
@@ -236,23 +237,33 @@ Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
 /// interval) from `base` purely structurally, with zero similarity-oracle
 /// calls — this is what collapses a (k,r) grid sweep to one pair sweep.
 ///
-///  - k dimension (k-core nesting, Sec 4.1): per cached component, re-peel
-///    the k-core, split into components, restrict the cached rows.
-///  - r dimension (dissimilar-pair monotonicity): structure edges whose
-///    stored score turns dissimilar at the stricter `r` are dropped before
-///    the peel, active rows are kept wholesale (dissimilarity is monotone
-///    under tightening), and reserve pairs are score-filtered into the
-///    derived rows. Exact by construction: every pair the stricter cell
-///    needs is covered by the base's score annotation.
+/// Derivation only removes vertices and reclassifies stored pairs: the
+/// k'-core of the filtered graph nests inside the cached k-core (Sec 4.1),
+/// and a pair dissimilar at the base threshold stays dissimilar at any
+/// stricter r. So each cached component is derived in one pass that writes
+/// both output CSRs directly, with no edge list, pair buffer or sort:
 ///
-/// Components are re-sorted with the same max-degree-first rule
-/// PrepareComponents applies, so a derived workspace is structurally
-/// identical to a cold preparation at (k, r) — mining it returns byte-
-/// identical results. `report` (optional) accounts the derived substrate
-/// (pairs_evaluated stays 0; score_filtered_pairs counts consulted
-/// scores). Fails with InvalidArgument when k < base.k or r is outside the
-/// base's serving interval (including any r != threshold on an unscored
-/// base).
+///  1. filter: drop each structure edge whose stored (reserve) score is
+///     dissimilar at `r`, by merging the row with its id-sorted reserve row;
+///  2. peel: queue-peel the k-core on the filtered degrees;
+///  3. split: label the survivors' components by DFS and number each one's
+///     vertices in ascending parent id, so the remap is monotone and every
+///     copied row stays sorted;
+///  4. write: copy the structure rows and the dissimilarity rows into
+///     exactly sized arrays. A row's active segment is its surviving active
+///     entries merged with the reserve entries dissimilar at `r`; the
+///     reserve segment keeps the rest, scores carried verbatim.
+///
+/// Components are then ordered by SortComponents, so a derived workspace is
+/// identical to a cold preparation at (k, r) with the base's score_cover —
+/// reserve rows and scores included — and mines byte-identically. Scratch
+/// is local to the call, so concurrent derivations from one base are safe.
+/// `report` (optional) accounts the derived substrate: pairs_evaluated
+/// stays 0, and score_filtered_pairs counts the base reserve pairs whose
+/// endpoints land in one derived component (each unordered pair once; 0
+/// when r is the base threshold). Fails with InvalidArgument when k <
+/// base.k or r is outside the base's serving interval (including any r !=
+/// threshold on an unscored base).
 Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
                        const PipelineOptions& options, PreparedWorkspace* out,
                        PreprocessReport* report = nullptr);

@@ -618,16 +618,8 @@ Status WorkspaceUpdater::ApplyEdgeUpdates(std::span<const EdgeUpdate> updates,
       }
     }
     for (auto& ctx : rebuilt) next.push_back(std::move(ctx));
-    // The exact order every preparation path produces; without the
-    // max-degree rule, discovery order is ascending minimum parent id.
-    if (options.order_by_max_degree) {
-      std::sort(next.begin(), next.end(), ComponentOrderBefore);
-    } else {
-      std::sort(next.begin(), next.end(),
-                [](const ComponentContext& a, const ComponentContext& b) {
-                  return a.to_parent.front() < b.to_parent.front();
-                });
-    }
+    // The exact order every preparation path produces.
+    SortComponents(options.order_by_max_degree, &next);
     ws_->components = std::move(next);
     // Incremental comp_of_ refresh: the re-sort renumbers every component,
     // so all present entries are rewritten (O(core), not O(n)); only

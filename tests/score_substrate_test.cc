@@ -9,6 +9,7 @@
 #include <cstdio>
 #include <limits>
 #include <string>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -107,19 +108,36 @@ TEST(ScoredIndex, SegmentsKeepMiningSemantics) {
   EXPECT_DOUBLE_EQ(score, 0.1);
   EXPECT_FALSE(index.LookupScore(1, 2, &score));
 
-  // Restriction to a stricter similarity threshold that activates the
-  // reserve pair (similarity direction: dissimilar means score < r).
-  std::vector<VertexId> rows = {0, 1, 2, 3};
-  std::vector<VertexId> identity = {0, 1, 2, 3};
-  DissimilarityIndex::Builder restricted(4);
-  uint64_t tests = 0;
-  index.AppendRestrictedPairs(rows, identity, /*new_serve=*/0.7,
-                              /*is_distance=*/false, &restricted, &tests);
-  EXPECT_EQ(tests, 1u);
-  DissimilarityIndex tightened = restricted.Build();
-  EXPECT_EQ(tightened.num_pairs(), 3u);
-  EXPECT_EQ(tightened.num_reserve_pairs(), 0u);
-  EXPECT_TRUE(tightened.Dissimilar(0, 2));
+  // Deriving at a stricter similarity threshold activates the reserve pair
+  // (similarity direction: dissimilar means score < r). Serve 0.5 < 0.6 <
+  // cover 0.8, so {0,2} is similar at serve; the structure edge {0,2} turns
+  // dissimilar at r = 0.7 and is dropped, the other three keep 0-3-1-2
+  // connected.
+  PreparedWorkspace ws;
+  ws.k = 1;
+  ws.threshold = 0.5;
+  ws.score_cover = 0.8;
+  ws.scored = true;
+  ComponentContext comp;
+  comp.graph = MakeGraph(4, {{0, 2}, {0, 3}, {1, 2}, {1, 3}});
+  comp.to_parent = std::vector<VertexId>{0, 1, 2, 3};
+  comp.dissimilar = std::move(index);
+  ws.components.push_back(std::move(comp));
+  PreparedWorkspace derived;
+  PreprocessReport report;
+  ASSERT_TRUE(
+      DeriveWorkspace(ws, 1, /*r=*/0.7, PipelineOptions{}, &derived, &report)
+          .ok());
+  EXPECT_EQ(report.score_filtered_pairs, 1u);
+  ASSERT_EQ(derived.components.size(), 1u);
+  const ComponentContext& tight = derived.components[0];
+  EXPECT_EQ(tight.graph.num_edges(), 3u);
+  EXPECT_FALSE(tight.graph.HasEdge(0, 2));
+  EXPECT_EQ(tight.dissimilar.num_pairs(), 3u);
+  EXPECT_EQ(tight.dissimilar.num_reserve_pairs(), 0u);
+  EXPECT_TRUE(tight.dissimilar.Dissimilar(0, 2));
+  ASSERT_TRUE(tight.dissimilar.LookupScore(2, 0, &score));
+  EXPECT_DOUBLE_EQ(score, 0.6);
 }
 
 TEST(ScoredIndex, UnscoredBuilderIsUnchanged) {
@@ -156,12 +174,42 @@ TEST(PrepareWorkspace, RejectsCoverLooserThanServe) {
       PrepareWorkspace(dataset.graph, oracle, opts, &ws).IsInvalidArgument());
 }
 
+/// Brute reference for PreprocessReport::score_filtered_pairs: the base
+/// reserve pairs whose endpoints land in one derived component, each
+/// unordered pair once.
+uint64_t BruteScoreFilteredPairs(const PreparedWorkspace& base,
+                                 const PreparedWorkspace& derived) {
+  std::unordered_map<VertexId, size_t> component_of;
+  for (size_t c = 0; c < derived.components.size(); ++c) {
+    for (VertexId p : derived.components[c].to_parent) component_of[p] = c;
+  }
+  uint64_t pairs = 0;
+  for (const ComponentContext& comp : base.components) {
+    for (VertexId u = 0; u < comp.size(); ++u) {
+      for (VertexId v : comp.dissimilar.reserve_row(u)) {
+        if (v < u) continue;
+        auto cu = component_of.find(comp.to_parent[u]);
+        auto cv = component_of.find(comp.to_parent[v]);
+        if (cu != component_of.end() && cv != component_of.end() &&
+            cu->second == cv->second) {
+          ++pairs;
+        }
+      }
+    }
+  }
+  return pairs;
+}
+
 /// The tentpole invariant, randomized: a base prepared once at (k_min,
 /// loosest r, cover = strictest r) derives every grid cell bit-identically
-/// to a cold preparation at that cell, and mines byte-identically — with
-/// zero oracle calls in the derivation.
+/// to a cold preparation at that cell with the same cover — reserve rows
+/// and stored scores included — and mines byte-identically, with zero
+/// oracle calls in the derivation. Every grid holds the r == serve and the
+/// r == cover cell, since the base is prepared at its loosest and
+/// strictest r.
 void RunDeriveGridEquivalence(Dataset dataset, std::vector<uint32_t> ks,
-                              std::vector<double> rs) {
+                              std::vector<double> rs,
+                              uint64_t* score_filtered = nullptr) {
   const bool is_distance = IsDistanceMetric(dataset.metric);
   const double r_serve = LoosestThreshold(rs, is_distance);
   const double r_cover = StrictestThreshold(rs, is_distance);
@@ -183,6 +231,7 @@ void RunDeriveGridEquivalence(Dataset dataset, std::vector<uint32_t> ks,
       SimilarityOracle cell_oracle = oracle.WithThreshold(r);
       PipelineOptions cold_opts;
       cold_opts.k = k;
+      cold_opts.score_cover = r_cover;
       PreparedWorkspace cold;
       ASSERT_TRUE(
           PrepareWorkspace(dataset.graph, cell_oracle, cold_opts, &cold).ok())
@@ -198,8 +247,20 @@ void RunDeriveGridEquivalence(Dataset dataset, std::vector<uint32_t> ks,
       EXPECT_EQ(report.pairs_evaluated, 0u)
           << where << ": derivation must never consult the oracle";
       ExpectSameSubstrate(derived.components, cold.components,
-                          /*check_annotation=*/false, where);
+                          /*check_annotation=*/true, where);
+      EXPECT_EQ(test::DiffWorkspaces(derived, cold), "") << where;
       EXPECT_TRUE(derived.Serves(k, r)) << where;
+      if (r == r_serve) {
+        EXPECT_EQ(report.score_filtered_pairs, 0u)
+            << where << ": the base threshold needs no score test";
+      } else {
+        EXPECT_EQ(report.score_filtered_pairs,
+                  BruteScoreFilteredPairs(base, derived))
+            << where;
+        if (score_filtered != nullptr) {
+          *score_filtered += report.score_filtered_pairs;
+        }
+      }
 
       auto mined_derived =
           EnumerateMaximalCores(derived.components, AdvEnumOptions(k));
@@ -222,8 +283,10 @@ void RunDeriveGridEquivalence(Dataset dataset, std::vector<uint32_t> ks,
 
 TEST(DeriveWorkspaceR, RandomGridsMatchColdPreparationGeo) {
   // Distance metric: loosest = largest radius.
+  uint64_t score_filtered = 0;
   RunDeriveGridEquivalence(test::MakeRandomGeo(150, 950, 19), {2, 3, 4},
-                           {0.25, 0.32, 0.4});
+                           {0.25, 0.32, 0.4}, &score_filtered);
+  EXPECT_GT(score_filtered, 0u) << "no cell exercised the score filter";
 }
 
 TEST(DeriveWorkspaceR, RandomGridsMatchColdPreparationKeyword) {
@@ -265,11 +328,153 @@ TEST(DeriveWorkspaceR, ChainedDerivationStaysExact) {
   SimilarityOracle leaf_oracle = oracle.WithThreshold(0.26);
   PipelineOptions cold_opts;
   cold_opts.k = 4;
+  cold_opts.score_cover = 0.25;
   PreparedWorkspace cold;
   ASSERT_TRUE(
       PrepareWorkspace(dataset.graph, leaf_oracle, cold_opts, &cold).ok());
   ExpectSameSubstrate(leaf.components, cold.components,
-                      /*check_annotation=*/false, "chained leaf");
+                      /*check_annotation=*/true, "chained leaf");
+  EXPECT_EQ(test::DiffWorkspaces(leaf, cold), "");
+}
+
+/// Two 5-cliques 1.0 apart on a line, joined only through a hub vertex
+/// halfway between them (degree 2). Clique members sit 0.05 apart, so a
+/// strict cover stores reserve pairs inside each clique too.
+Dataset TwoCliquesThroughHub() {
+  std::vector<GeoPoint> points;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId clique = 0; clique < 2; ++clique) {
+    const VertexId first = clique * 5;
+    for (VertexId i = 0; i < 5; ++i) {
+      points.push_back({clique * 1.0 + i * 0.05, 0.0});
+      for (VertexId j = 0; j < i; ++j) edges.emplace_back(first + j, first + i);
+    }
+  }
+  points.push_back({0.55, 0.0});  // the hub, vertex 10
+  edges.emplace_back(4, 10);
+  edges.emplace_back(5, 10);
+  Dataset d;
+  d.name = "two_cliques_through_hub";
+  d.graph = MakeGraph(11, edges);
+  d.attributes = AttributeTable::ForGeo(std::move(points));
+  d.metric = Metric::kEuclideanDistance;
+  return d;
+}
+
+/// Boundary cells, each diffed field by field (annotation included)
+/// against a cold preparation with the same cover: r == serve, r == cover,
+/// a k that peels every vertex, and two cells where the base's single
+/// component splits in two (once by the k-core peel, once by the r filter).
+TEST(DeriveWorkspaceR, BoundaryCellsMatchColdPreparation) {
+  Dataset dataset = TwoCliquesThroughHub();
+  const double serve = 2.0, cover = 0.15;
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, serve);
+  PipelineOptions opts;
+  opts.k = 2;
+  opts.score_cover = cover;
+  PreparedWorkspace base;
+  ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, opts, &base).ok());
+  ASSERT_EQ(base.components.size(), 1u);
+  ASSERT_EQ(base.components[0].size(), 11u);
+  ASSERT_GT(base.components[0].dissimilar.num_reserve_pairs(), 0u);
+
+  struct Cell {
+    uint32_t k;
+    double r;
+    size_t components;
+  };
+  const Cell cells[] = {
+      {2, serve, 1},  // r == serve: nothing filtered, nothing peeled
+      {3, serve, 2},  // the hub has degree 2: the peel splits the cliques
+      {2, 0.4, 2},    // the hub's edges (length 0.45) turn dissimilar
+      {2, cover, 2},  // r == cover
+      {5, 0.4, 0},    // every vertex has degree <= 4: empty, still OK
+  };
+  for (const Cell& cell : cells) {
+    const std::string where = "cell (k=" + std::to_string(cell.k) +
+                              ", r=" + std::to_string(cell.r) + ")";
+    PipelineOptions cold_opts;
+    cold_opts.k = cell.k;
+    cold_opts.score_cover = cover;
+    PreparedWorkspace cold;
+    ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle.WithThreshold(cell.r),
+                                 cold_opts, &cold)
+                    .ok())
+        << where;
+    PreparedWorkspace derived;
+    ASSERT_TRUE(
+        DeriveWorkspace(base, cell.k, cell.r, PipelineOptions{}, &derived)
+            .ok())
+        << where;
+    EXPECT_EQ(derived.components.size(), cell.components) << where;
+    EXPECT_EQ(test::DiffWorkspaces(derived, cold), "") << where;
+  }
+}
+
+/// Three random-geo clusters 10 apart with interleaved vertex ids (vertex
+/// u joins cluster u % 3) and rising edge density, so the max-degree order
+/// of their components is not their minimum-id order.
+Dataset InterleavedClusters(uint64_t seed) {
+  constexpr VertexId kClusters = 3, kPerCluster = 60;
+  Rng rng(seed);
+  std::vector<GeoPoint> points(kClusters * kPerCluster);
+  for (VertexId u = 0; u < points.size(); ++u) {
+    points[u] = {10.0 * (u % kClusters) + rng.NextDouble(), rng.NextDouble()};
+  }
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  for (VertexId c = 0; c < kClusters; ++c) {
+    for (uint32_t e = 0; e < 150 * (c + 1); ++e) {
+      const VertexId u = c + kClusters * rng.NextBounded(kPerCluster);
+      const VertexId v = c + kClusters * rng.NextBounded(kPerCluster);
+      if (u != v) edges.emplace_back(u, v);
+    }
+  }
+  Dataset d;
+  d.name = "interleaved_clusters";
+  d.graph = MakeGraph(static_cast<VertexId>(points.size()), edges);
+  d.attributes = AttributeTable::ForGeo(std::move(points));
+  d.metric = Metric::kEuclideanDistance;
+  return d;
+}
+
+/// Without the max-degree rule a cold preparation lists components by
+/// ascending minimum parent id; a derived workspace must too, whatever
+/// order its base was in.
+TEST(DeriveWorkspaceR, UnorderedDerivationKeepsColdComponentOrder) {
+  auto dataset = InterleavedClusters(83);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.4);
+  PipelineOptions unordered;
+  unordered.order_by_max_degree = false;
+  for (bool base_ordered : {true, false}) {
+    PipelineOptions base_opts;
+    base_opts.k = 2;
+    base_opts.score_cover = 0.2;
+    base_opts.order_by_max_degree = base_ordered;
+    PreparedWorkspace base;
+    ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, base_opts, &base).ok());
+    size_t multi_component_cells = 0;
+    for (uint32_t k : {2u, 3u, 4u}) {
+      for (double r : {0.4, 0.3, 0.2}) {
+        const std::string where =
+            "base ordered " + std::to_string(base_ordered) + ", cell (k=" +
+            std::to_string(k) + ", r=" + std::to_string(r) + ")";
+        PipelineOptions cold_opts = unordered;
+        cold_opts.k = k;
+        cold_opts.score_cover = 0.2;
+        PreparedWorkspace cold;
+        ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle.WithThreshold(r),
+                                     cold_opts, &cold)
+                        .ok())
+            << where;
+        PreparedWorkspace derived;
+        ASSERT_TRUE(DeriveWorkspace(base, k, r, unordered, &derived).ok())
+            << where;
+        EXPECT_EQ(test::DiffWorkspaces(derived, cold), "") << where;
+        multi_component_cells += cold.components.size() > 1;
+      }
+    }
+    EXPECT_GT(multi_component_cells, 0u) << "the order was never exercised";
+  }
 }
 
 TEST(DeriveWorkspaceR, OutOfIntervalAndUnscoredAreRejected) {

@@ -6,6 +6,7 @@
 #include <cstring>
 #include <fstream>
 #include <string>
+#include <thread>
 #include <utility>
 #include <vector>
 
@@ -192,6 +193,49 @@ TEST(SnapshotV4, LazyServesIdenticallyToEagerAndCold) {
     EXPECT_EQ(s_eager.cells[i].enum_result.cores,
               s_lazy.cells[i].enum_result.cores)
         << "cell " << i;
+  }
+}
+
+/// Concurrent derivations from one lazily loaded base (not pre-validated):
+/// four threads race the first-touch EnsureValid of every component and
+/// each derives a distinct cell. Each result must equal a sequential
+/// derivation from the in-memory base. Runs under TSan in CI.
+TEST(SnapshotV4, ConcurrentDerivationsFromOneLazyBase) {
+  Dataset dataset = TwoClusterGeo(80, 600, 29);
+  PreparedWorkspace ws = ScoredFixture(dataset, 2, 0.4, 0.2);
+  ASSERT_GE(ws.components.size(), 2u);
+  TempFile file("v4_concurrent_derive.krws");
+  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
+  PreparedWorkspace lazy;
+  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), Lazy(), &lazy, nullptr).ok());
+
+  struct Cell {
+    uint32_t k;
+    double r;
+  };
+  const std::vector<Cell> cells = {{2, 0.4}, {3, 0.35}, {2, 0.3}, {3, 0.25}};
+  std::vector<PreparedWorkspace> derived(cells.size());
+  std::vector<Status> statuses(cells.size());
+  std::vector<std::thread> threads;
+  for (size_t i = 0; i < cells.size(); ++i) {
+    threads.emplace_back([&, i] {
+      statuses[i] = DeriveWorkspace(lazy, cells[i].k, cells[i].r,
+                                    PipelineOptions{}, &derived[i]);
+    });
+  }
+  for (std::thread& t : threads) t.join();
+
+  for (size_t i = 0; i < cells.size(); ++i) {
+    const std::string where = "cell (k=" + std::to_string(cells[i].k) +
+                              ", r=" + std::to_string(cells[i].r) + ")";
+    ASSERT_TRUE(statuses[i].ok()) << where << ": " << statuses[i].ToString();
+    PreparedWorkspace sequential;
+    ASSERT_TRUE(DeriveWorkspace(ws, cells[i].k, cells[i].r, PipelineOptions{},
+                                &sequential)
+                    .ok())
+        << where;
+    EXPECT_FALSE(sequential.components.empty()) << where;
+    EXPECT_EQ(test::DiffWorkspaces(derived[i], sequential), "") << where;
   }
 }
 
