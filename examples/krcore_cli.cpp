@@ -233,7 +233,7 @@ int main(int argc, char** argv) {
         "                    r between the two, not just --r\n"
         "  --snapshot_in=F   load a workspace instead of a graph; --k >= the\n"
         "                    saved k is served by k-core derivation, and a\n"
-        "                    score-annotated (v3) snapshot serves any --r in\n"
+        "                    score-annotated snapshot serves any --r in\n"
         "                    its covered range by score filtering\n"
         "  --sweep=KS[xRS]   mine every (k,r) cell, e.g. 3,4,5x10,25 —\n"
         "                    ONE pair sweep total (score-annotated base at\n"
@@ -401,7 +401,7 @@ int main(int argc, char** argv) {
       if (!ParseSweepSpec(options.GetString("sweep", ""), &ks, &rs)) {
         return Fail("bad --sweep spec (want k1,k2[xr1,r2]); see --help");
       }
-      // A score-annotated (v3) snapshot serves any r between its serving
+      // A score-annotated snapshot serves any r between its serving
       // threshold and its cover; without annotation only the baked-in r.
       if (rs.empty()) rs = {ws.threshold};
       SweepResult result =
@@ -599,7 +599,7 @@ int main(int argc, char** argv) {
     // header tags each section with the graph version it was mined at, so
     // consumers can split the stream and tell stale sections from the
     // final state.
-    auto WriteSectionHeader = [&](uint64_t version) {
+    auto WriteVersionHeader = [&](uint64_t version) {
       std::string line = "# version " + std::to_string(version) + "\n";
       if (out_path.empty()) {
         std::fputs(line.c_str(), sink);
@@ -609,7 +609,7 @@ int main(int argc, char** argv) {
     };
     // Latch the first failing re-mine (fail-fast semantics like the
     // single-query path) instead of letting a clean final batch mask it.
-    WriteSectionHeader(ws.version);
+    WriteVersionHeader(ws.version);
     int exit_code = MineComponents(ws.components, k);  // version 0 baseline
     for (size_t b = 0; b < batches.size(); ++b) {
       UpdateReport report;
@@ -618,7 +618,7 @@ int main(int argc, char** argv) {
       std::fprintf(stderr, "batch %zu (version %llu): %s\n", b + 1,
                    (unsigned long long)ws.version,
                    report.ToString().c_str());
-      WriteSectionHeader(ws.version);
+      WriteVersionHeader(ws.version);
       int batch_code = MineComponents(ws.components, k);
       if (exit_code == 0) exit_code = batch_code;
     }
@@ -638,7 +638,7 @@ int main(int argc, char** argv) {
   // --- Batched (k,r) grid over the raw graph. With --snapshot_out the
   // score-annotated base workspace — prepared once at the grid's loosest r
   // with scores covering its strictest, at the smallest k — is persisted
-  // first, then the whole grid is served from it. The saved v3 snapshot
+  // first, then the whole grid is served from it. The saved snapshot
   // keeps serving every (k' >= k_min, r inside the grid's r range) later.
   if (options.Has("sweep")) {
     SweepGrid grid;

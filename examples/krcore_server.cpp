@@ -66,11 +66,10 @@ int main(int argc, char** argv) {
         "newline-delimited stdin/stdout (docs/SERVER.md has the protocol).\n"
         "  --snapshots=SPECS  workspaces to load and register, as\n"
         "                     comma-separated name=path snapshot specs\n"
-        "  --load_mode=MODE   lazy (default) mmaps v4 snapshots and defers\n"
-        "                     per-component validation to first touch for\n"
-        "                     near-instant cold start; eager validates\n"
-        "                     everything up front (v1-v3 files are always\n"
-        "                     eager)\n"
+        "  --load_mode=MODE   lazy (default) defers per-component\n"
+        "                     validation to first touch for near-instant\n"
+        "                     cold start; eager validates everything up\n"
+        "                     front\n"
         "  --queue=N          admission bound: at most N queries in flight;\n"
         "                     further ones are rejected with\n"
         "                     RESOURCE_EXHAUSTED (default 64)\n"

@@ -22,11 +22,9 @@ namespace krcore {
 /// never invalidates a query that is already mining the old substrate.
 class WorkspaceRegistry {
  public:
-  /// How AddFromSnapshot materializes a v4 snapshot: kEager validates the
-  /// whole file before registering (v3 semantics); kLazy mmaps it and
-  /// defers per-component validation to first touch, making cold-start
-  /// O(components) instead of O(substrate). v1-v3 files always load
-  /// eagerly under either mode.
+  /// How AddFromSnapshot validates a snapshot: kEager validates the whole
+  /// file before registering; kLazy defers per-component validation to
+  /// first touch, making cold-start O(components) instead of O(substrate).
   enum class SnapshotLoadMode { kEager, kLazy };
 
   /// One row of List(): the serving identity of a registered workspace,

@@ -23,7 +23,7 @@ namespace {
 constexpr uint32_t kMetaSection = 1;
 constexpr uint32_t kComponentSection = 2;
 
-// Meta flag bits (v3+).
+// Meta flag bits.
 constexpr uint32_t kFlagScored = 1u << 0;
 constexpr uint32_t kFlagDistance = 1u << 1;
 
@@ -46,7 +46,7 @@ uint64_t Fnv1a64(const uint8_t* data, size_t len) {
   return Fnv1a64(reinterpret_cast<const char*>(data), len);
 }
 
-/// Append-only little-endian payload buffer for one section.
+/// Append-only little-endian buffer for the meta, table and tail.
 class PayloadWriter {
  public:
   void PutU32(uint32_t v) { PutRaw(&v, sizeof(v)); }
@@ -62,36 +62,34 @@ class PayloadWriter {
   std::string bytes_;
 };
 
-/// Sequential little-endian reader over one section's payload; every Get
-/// checks the remaining length so a short payload reads as failure, not as
-/// out-of-bounds access.
-class PayloadReader {
- public:
-  explicit PayloadReader(const std::string& bytes) : bytes_(bytes) {}
+uint64_t ReadU64(const uint8_t* p) {
+  uint64_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
-  bool GetU32(uint32_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetU64(uint64_t* v) { return GetRaw(v, sizeof(*v)); }
-  bool GetDouble(double* v) { return GetRaw(v, sizeof(*v)); }
-  bool exhausted() const { return pos_ == bytes_.size(); }
+uint32_t ReadU32(const uint8_t* p) {
+  uint32_t v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
- private:
-  bool GetRaw(void* p, size_t n) {
-    if (bytes_.size() - pos_ < n) return false;
-    std::memcpy(p, bytes_.data() + pos_, n);
-    pos_ += n;
-    return true;
-  }
-  const std::string& bytes_;
-  size_t pos_ = 0;
-};
+double ReadF64(const uint8_t* p) {
+  double v;
+  std::memcpy(&v, p, sizeof(v));
+  return v;
+}
 
 Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("corrupt workspace snapshot: " + what);
 }
 
-/// The meta field set shared by every format version (v4 stores the exact
-/// v3 payload). Parsing and semantic checking are split so InspectSnapshot
-/// can report what a damaged file *says* without judging it.
+/// The 44-byte meta payload: k u32, threshold f64, bitset_min_degree u32,
+/// graph version u64, flags u32, score_cover f64, num_components u64.
+/// Parsing and semantic checking are split so InspectSnapshot can report
+/// what a damaged file *says* without judging it.
+constexpr uint64_t kMetaSize = 44;
+
 struct MetaFields {
   uint32_t k = 0;
   double threshold = 0.0;
@@ -104,25 +102,18 @@ struct MetaFields {
   bool is_distance = false;
 };
 
-bool ReadMetaFields(const std::string& payload, uint32_t file_version,
-                    MetaFields* m) {
-  PayloadReader r(payload);
-  bool ok = r.GetU32(&m->k) && r.GetDouble(&m->threshold) &&
-            r.GetU32(&m->bitset_min_degree);
-  // v1 predates the graph version; v3 added the annotation identity.
-  // Pre-v3 files load as unscored workspaces serving their exact threshold
-  // only.
-  m->version = 0;
-  if (file_version >= 2) ok = ok && r.GetU64(&m->version);
-  m->flags = 0;
-  m->score_cover = m->threshold;
-  if (file_version >= 3) {
-    ok = ok && r.GetU32(&m->flags) && r.GetDouble(&m->score_cover);
-  }
-  ok = ok && r.GetU64(&m->num_components) && r.exhausted();
+bool ReadMetaFields(const uint8_t* p, uint64_t size, MetaFields* m) {
+  if (size != kMetaSize) return false;
+  m->k = ReadU32(p);
+  m->threshold = ReadF64(p + 4);
+  m->bitset_min_degree = ReadU32(p + 12);
+  m->version = ReadU64(p + 16);
+  m->flags = ReadU32(p + 24);
+  m->score_cover = ReadF64(p + 28);
+  m->num_components = ReadU64(p + 36);
   m->scored = (m->flags & kFlagScored) != 0;
   m->is_distance = (m->flags & kFlagDistance) != 0;
-  return ok;
+  return true;
 }
 
 Status CheckMetaFields(const MetaFields& m) {
@@ -170,292 +161,6 @@ std::string MetaPayloadBytes(const PreparedWorkspace& ws) {
   meta.PutDouble(ws.scored ? ws.score_cover : ws.threshold);
   meta.PutU64(ws.components.size());
   return meta.bytes();
-}
-
-Status WriteSection(std::ofstream& out, uint32_t tag,
-                    const std::string& payload) {
-  uint64_t size = payload.size();
-  uint64_t checksum = Fnv1a64(payload.data(), payload.size());
-  if (Failpoints::ShouldFail("snapshot/write_section")) {
-    // Simulate a mid-section kill: leave exactly the torn prefix a real
-    // crash would have left (envelope + half the payload, no checksum), so
-    // the atomicity contract is exercised against genuinely corrupt bytes.
-    out.write(reinterpret_cast<const char*>(&tag), sizeof(tag));
-    out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-    out.write(payload.data(),
-              static_cast<std::streamsize>(payload.size() / 2));
-    out.flush();
-    return Status::Internal(
-        "injected fault at failpoint 'snapshot/write_section' (section tag " +
-        std::to_string(tag) + ")");
-  }
-  out.write(reinterpret_cast<const char*>(&tag), sizeof(tag));
-  out.write(reinterpret_cast<const char*>(&size), sizeof(size));
-  out.write(payload.data(), static_cast<std::streamsize>(payload.size()));
-  out.write(reinterpret_cast<const char*>(&checksum), sizeof(checksum));
-  if (!out.good()) {
-    return Status::Internal("short write in snapshot section (tag " +
-                            std::to_string(tag) + ")");
-  }
-  return Status::OK();
-}
-
-std::string ComponentPayload(const ComponentContext& ctx, bool scored) {
-  PayloadWriter w;
-  const VertexId n = ctx.size();
-  w.PutU32(n);
-  w.PutU64(ctx.graph.num_edges());
-  for (VertexId u = 0; u < n; ++u) {
-    for (VertexId v : ctx.graph.neighbors(u)) w.PutU32(v);
-  }
-  // Adjacency offsets are implied by per-row degrees; store the degrees so
-  // the CSR can be rebuilt without a second pass over the neighbor array.
-  for (VertexId u = 0; u < n; ++u) w.PutU32(ctx.graph.degree(u));
-  for (VertexId u = 0; u < n; ++u) w.PutU32(ctx.to_parent[u]);
-  // Dissimilar pairs, upper triangle only, in (row, id) order — sorted and
-  // unique by construction, which the loader re-checks. Annotated
-  // workspaces store (u, v, score) triples, active block then reserve
-  // block; unannotated ones store the v2 (u, v) pair block.
-  w.PutU64(ctx.num_dissimilar_pairs());
-  for (VertexId u = 0; u < n; ++u) {
-    const auto row = ctx.dissimilar[u];
-    const auto scores = ctx.dissimilar.row_scores(u);
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i] <= u) continue;
-      w.PutU32(u);
-      w.PutU32(row[i]);
-      if (scored) w.PutDouble(scores[i]);
-    }
-  }
-  if (scored) {
-    w.PutU64(ctx.dissimilar.num_reserve_pairs());
-    for (VertexId u = 0; u < n; ++u) {
-      const auto row = ctx.dissimilar.reserve_row(u);
-      const auto scores = ctx.dissimilar.reserve_scores(u);
-      for (size_t i = 0; i < row.size(); ++i) {
-        if (row[i] <= u) continue;
-        w.PutU32(u);
-        w.PutU32(row[i]);
-        w.PutDouble(scores[i]);
-      }
-    }
-  }
-  return w.bytes();
-}
-
-/// Reads one section envelope. `remaining` is the byte count left in the
-/// file, so an absurd payload_size in a corrupt header fails before any
-/// allocation of that size is attempted.
-Status ReadSection(std::ifstream& in, uint64_t* remaining, uint32_t* tag,
-                   std::string* payload) {
-  KRCORE_FAILPOINT("snapshot/read_section");
-  uint64_t size = 0;
-  uint64_t checksum = 0;
-  if (*remaining < sizeof(*tag) + sizeof(size)) {
-    return Corrupt("truncated section header");
-  }
-  in.read(reinterpret_cast<char*>(tag), sizeof(*tag));
-  in.read(reinterpret_cast<char*>(&size), sizeof(size));
-  *remaining -= sizeof(*tag) + sizeof(size);
-  if (!in.good()) return Corrupt("truncated section header");
-  if (size > *remaining) return Corrupt("section overruns the file");
-  payload->resize(size);
-  in.read(payload->data(), static_cast<std::streamsize>(size));
-  *remaining -= size;
-  if (*remaining < sizeof(checksum)) return Corrupt("truncated checksum");
-  in.read(reinterpret_cast<char*>(&checksum), sizeof(checksum));
-  *remaining -= sizeof(checksum);
-  if (!in.good()) return Corrupt("truncated section payload");
-  if (Fnv1a64(payload->data(), payload->size()) != checksum) {
-    return Corrupt("section checksum mismatch");
-  }
-  return Status::OK();
-}
-
-Status ParseComponent(const std::string& payload, uint32_t bitset_min_degree,
-                      bool scored, double threshold, double score_cover,
-                      bool is_distance, ComponentContext* ctx) {
-  PayloadReader r(payload);
-  uint32_t n = 0;
-  uint64_t num_edges = 0;
-  if (!r.GetU32(&n) || !r.GetU64(&num_edges)) {
-    return Corrupt("short component header");
-  }
-  // The fixed-size payload must account exactly for the arrays it declares;
-  // this also bounds every allocation below by the (already checksummed)
-  // payload size. Checked divide-first so a hostile count cannot overflow
-  // the expected-size arithmetic and sneak past as a tiny value.
-  if (num_edges > payload.size() / 8 || n > payload.size() / 4) {
-    return Corrupt("declared counts exceed the payload");
-  }
-  const uint64_t directed = 2 * num_edges;
-  uint64_t expected = 4 + 8 + 4 * directed + 4 * uint64_t{n} * 2 + 8;
-  if (payload.size() < expected) return Corrupt("short component payload");
-
-  std::vector<VertexId> neighbors(directed);
-  for (uint64_t i = 0; i < directed; ++i) {
-    if (!r.GetU32(&neighbors[i])) return Corrupt("short neighbor array");
-    if (neighbors[i] >= n) return Corrupt("neighbor id out of range");
-  }
-  std::vector<EdgeId> offsets(uint64_t{n} + 1, 0);
-  for (uint32_t u = 0; u < n; ++u) {
-    uint32_t deg = 0;
-    if (!r.GetU32(&deg)) return Corrupt("short degree array");
-    offsets[u + 1] = offsets[u] + deg;
-  }
-  if (offsets[n] != directed) return Corrupt("degree sum != edge count");
-  for (uint32_t u = 0; u < n; ++u) {
-    for (EdgeId i = offsets[u]; i + 1 < offsets[u + 1]; ++i) {
-      if (neighbors[i] >= neighbors[i + 1]) {
-        return Corrupt("adjacency row not strictly sorted");
-      }
-    }
-    for (EdgeId i = offsets[u]; i < offsets[u + 1]; ++i) {
-      if (neighbors[i] == u) return Corrupt("self loop");
-    }
-  }
-  std::vector<VertexId> to_parent(n);
-  for (uint32_t u = 0; u < n; ++u) {
-    if (!r.GetU32(&to_parent[u])) return Corrupt("short to_parent");
-  }
-  // Every writer emits to_parent sorted (members are collected ascending),
-  // and the incremental updater composes old-local maps through
-  // lower_bound over it — an unsorted map would silently misroute cached
-  // rows, so reject it here like any other structural breakage.
-  for (uint32_t u = 1; u < n; ++u) {
-    if (to_parent[u] <= to_parent[u - 1]) {
-      return Corrupt("to_parent not strictly ascending");
-    }
-  }
-
-  uint64_t num_pairs = 0;
-  if (!r.GetU64(&num_pairs)) return Corrupt("short pair count");
-  // Divide-first bounds before any size equality: a hostile pair count near
-  // 2^61 would wrap `expected + entry * num_pairs` back into range and pass
-  // the equality check with a tiny payload. Annotated entries are 16 bytes
-  // ((u, v, score)); plain ones 8.
-  const uint64_t entry_bytes = scored ? 16 : 8;
-  if (num_pairs > (payload.size() - expected) / entry_bytes) {
-    return Corrupt("declared pair count exceeds the payload");
-  }
-  if (!scored) {
-    if (payload.size() != expected + 8 * num_pairs) {
-      return Corrupt("component payload size mismatch");
-    }
-  } else if (payload.size() < expected + 16 * num_pairs + 8) {
-    // The reserve count field must still follow the active block.
-    return Corrupt("component payload size mismatch");
-  }
-  DissimilarityIndex::Builder builder(n);
-  if (scored) builder.AnnotateScores();
-  // Active block: each pair must genuinely be dissimilar at the serving
-  // threshold, or a crafted file could inject pairs the mining hot path
-  // would honor but no preparation could have produced.
-  std::vector<uint64_t> active_keys;
-  if (scored) active_keys.reserve(static_cast<size_t>(num_pairs));
-  uint64_t prev = 0;
-  for (uint64_t i = 0; i < num_pairs; ++i) {
-    uint32_t a = 0, b = 0;
-    double score = 0.0;
-    if (!r.GetU32(&a) || !r.GetU32(&b)) return Corrupt("short pair array");
-    if (scored && !r.GetDouble(&score)) return Corrupt("short pair array");
-    if (a >= b || b >= n) return Corrupt("dissimilar pair out of range");
-    uint64_t packed = (uint64_t{a} << 32) | b;
-    if (i > 0 && packed <= prev) {
-      return Corrupt("dissimilar pairs not sorted unique");
-    }
-    prev = packed;
-    if (scored) {
-      if (!std::isfinite(score)) return Corrupt("non-finite pair score");
-      if (ScoreSimilarUnder(score, threshold, is_distance)) {
-        return Corrupt("active pair score similar at the serving threshold");
-      }
-      active_keys.push_back(packed);
-      builder.AddScoredPair(a, b, score);
-    } else {
-      builder.AddPair(a, b);
-    }
-  }
-  if (scored) {
-    uint64_t num_reserve = 0;
-    if (!r.GetU64(&num_reserve)) return Corrupt("short pair count");
-    const uint64_t expected_active = expected + 16 * num_pairs + 8;
-    if (num_reserve > (payload.size() - expected_active) / 16) {
-      return Corrupt("declared pair count exceeds the payload");
-    }
-    if (payload.size() != expected_active + 16 * num_reserve) {
-      return Corrupt("component payload size mismatch");
-    }
-    prev = 0;
-    for (uint64_t i = 0; i < num_reserve; ++i) {
-      uint32_t a = 0, b = 0;
-      double score = 0.0;
-      if (!r.GetU32(&a) || !r.GetU32(&b) || !r.GetDouble(&score)) {
-        return Corrupt("short pair array");
-      }
-      if (a >= b || b >= n) return Corrupt("dissimilar pair out of range");
-      uint64_t packed = (uint64_t{a} << 32) | b;
-      if (i > 0 && packed <= prev) {
-        return Corrupt("reserve pairs not sorted unique");
-      }
-      prev = packed;
-      if (!std::isfinite(score)) return Corrupt("non-finite pair score");
-      // Reserve pairs sit strictly between the two thresholds: similar at
-      // serve, dissimilar at cover.
-      if (!ScoreSimilarUnder(score, threshold, is_distance) ||
-          ScoreSimilarUnder(score, score_cover, is_distance)) {
-        return Corrupt("reserve pair score outside the serve..cover band");
-      }
-      if (std::binary_search(active_keys.begin(), active_keys.end(),
-                             packed)) {
-        return Corrupt("pair listed in both active and reserve blocks");
-      }
-      builder.AddReservePair(a, b, score);
-    }
-  }
-  if (!r.exhausted()) return Corrupt("trailing bytes in component");
-
-  // All invariants the Graph constructor CHECKs are now established, so the
-  // construction below cannot abort. Edge symmetry is verified afterwards
-  // via the binary-search probe the built graph provides — every directed
-  // entry must have its reverse, or a row listing a partner that does not
-  // list it back would slip through.
-  ctx->graph = Graph(std::move(offsets), std::move(neighbors));
-  for (VertexId u = 0; u < ctx->graph.num_vertices(); ++u) {
-    for (VertexId v : ctx->graph.neighbors(u)) {
-      if (!ctx->graph.HasEdge(v, u)) {
-        return Corrupt("asymmetric adjacency");
-      }
-    }
-  }
-  ctx->to_parent = std::move(to_parent);
-  ctx->dissimilar = builder.Build(bitset_min_degree);
-  return Status::OK();
-}
-
-/// Streams the full v3 (sectioned) snapshot body into an already-open
-/// `out`. Every write is checked as it lands, so the first bad byte reports
-/// which section died instead of a single opaque failure at the end.
-Status WriteSnapshotStream(const PreparedWorkspace& ws, std::ofstream& out,
-                           const std::string& tmp_path) {
-  out.write(kSnapshotMagic, sizeof(kSnapshotMagic));
-  uint32_t version = kSnapshotVersionSectioned;
-  out.write(reinterpret_cast<const char*>(&version), sizeof(version));
-  if (!out.good()) {
-    return Status::Internal("short write in snapshot header: " + tmp_path);
-  }
-  Status s = WriteSection(out, kMetaSection, MetaPayloadBytes(ws));
-  if (!s.ok()) return s;
-  for (const auto& ctx : ws.components) {
-    s = WriteSection(out, kComponentSection, ComponentPayload(ctx, ws.scored));
-    if (!s.ok()) return s;
-  }
-  KRCORE_FAILPOINT("snapshot/flush");
-  out.flush();
-  if (!out.good()) {
-    return Status::Internal("snapshot flush failed: " + tmp_path);
-  }
-  return Status::OK();
 }
 
 constexpr uint64_t Align64(uint64_t x) { return (x + 63) & ~uint64_t{63}; }
@@ -525,10 +230,9 @@ std::string ComponentBlobV4(const ComponentContext& ctx, bool scored) {
   return blob;
 }
 
-/// Streams the full v4 (zero-copy) snapshot body: header, component blobs,
-/// meta payload, section table, tail. Component blobs reuse the sectioned
-/// writer's `snapshot/write_section` failpoint (tag 2; the meta fires tag
-/// 1) so the crash-atomicity tests exercise both layouts identically.
+/// Streams the full snapshot body: header, component blobs, meta payload,
+/// section table, tail. The `snapshot/write_section` failpoint fires per
+/// component blob (section tag 2) and on the meta (tag 1).
 Status WriteSnapshotStreamV4(const PreparedWorkspace& ws, std::ofstream& out,
                              const std::string& tmp_path) {
   char header[kV4HeaderSize] = {};
@@ -638,31 +342,16 @@ struct V4FileView {
   std::vector<V4Entry> entries;
 };
 
-uint64_t ReadU64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-uint32_t ReadU32(const uint8_t* p) {
-  uint32_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
-
-/// The O(components) structural validation every v4 load (lazy or eager)
-/// and InspectSnapshot runs: header padding, tail cross-validation, meta
-/// and table checksums, blob tiling and per-entry count/layout accounting.
+/// The O(components) structural validation every load (lazy or eager) and
+/// InspectSnapshot runs after OpenSnapshot has checked the magic and
+/// version: header padding, tail cross-validation, meta and table
+/// checksums, blob tiling and per-entry count/layout accounting.
 /// Deliberately never dereferences a blob byte — a lazy load must stay
 /// proportional to the component count, and InspectSnapshot must walk files
 /// whose blobs are corrupt.
 Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
   if (size < kV4HeaderSize + kV4TailSize) {
     return Corrupt("file shorter than the v4 footer");
-  }
-  if (std::memcmp(base, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0 ||
-      ReadU32(base + 8) != kSnapshotVersion) {
-    return Corrupt("v4 header mismatch");
   }
   // The header pad is the one region no checksum covers; requiring it zero
   // keeps "every byte of a v4 file is validated" literally true.
@@ -697,14 +386,11 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
       v->meta_checksum) {
     return Corrupt("section checksum mismatch");
   }
-  const std::string meta_payload(
-      reinterpret_cast<const char*>(base + v->meta_offset),
-      static_cast<size_t>(v->meta_size));
-  if (!ReadMetaFields(meta_payload, kSnapshotVersion, &v->meta)) {
+  if (!ReadMetaFields(base + v->meta_offset, v->meta_size, &v->meta)) {
     return Corrupt("malformed meta section");
   }
-  // Divide-first, like the v3 component-count bound: a hostile count can
-  // never push the size arithmetic past 64 bits.
+  // Divide-first: a hostile count can never push the size arithmetic past
+  // 64 bits.
   const uint64_t table_bytes = size - kV4TailSize - v->table_offset;
   if (v->meta.num_components > table_bytes / kV4TableEntrySize) {
     return Corrupt("declared component count exceeds the file");
@@ -792,10 +478,10 @@ struct V4ComponentCheck {
   std::shared_ptr<DissimilarityIndex::BitsetArena> arena;
 };
 
-/// The per-component battery a v3 load runs in ParseComponent, re-expressed
-/// over the mapped arrays: blob checksum, CSR integrity, adjacency
-/// symmetry, sorted to_parent, two-segment dissimilarity invariants with
-/// score classification, mirror consistency, and footer count agreement.
+/// The per-component battery, run over the mapped arrays: blob checksum,
+/// CSR integrity, adjacency symmetry, sorted to_parent, two-segment
+/// dissimilarity invariants with score classification, mirror consistency,
+/// and footer count agreement.
 /// Ends by filling the shared bitset arena (the one mutation, ordered
 /// before every reader by the call_once in EnsureValid).
 Status RunV4ComponentCheck(const V4ComponentCheck& c) {
@@ -945,13 +631,75 @@ Status RunV4ComponentCheck(const V4ComponentCheck& c) {
   return Status::OK();
 }
 
-/// Maps (or read-falls-back) a v4 file, runs the O(components) structural
-/// pass, and hands out borrowed component views whose arrays point straight
-/// into the mapping. Eager mode then forces every deferred check now.
-Status LoadV4(const std::string& path, bool lazy, PreparedWorkspace* out,
-              SnapshotLoadInfo* info) {
+/// Maps (or read-falls-back) `path` and checks the magic and version every
+/// reader shares, with the exact error texts callers match on.
+Status OpenSnapshot(const std::string& path,
+                    std::shared_ptr<const SnapshotMapping>* mapping) {
+  Status s = SnapshotMapping::Open(path, mapping);
+  if (!s.ok()) return s;
+  const uint8_t* base = (*mapping)->data();
+  if ((*mapping)->size() < sizeof(kSnapshotMagic) + sizeof(uint32_t)) {
+    return Corrupt("file shorter than the header");
+  }
+  if (std::memcmp(base, kSnapshotMagic, sizeof(kSnapshotMagic)) != 0) {
+    return Status::InvalidArgument(
+        "not a krcore workspace snapshot (bad magic): " + path);
+  }
+  const uint32_t version = ReadU32(base + sizeof(kSnapshotMagic));
+  if (version != kSnapshotVersion) {
+    return Status::InvalidArgument(
+        "unsupported snapshot version " + std::to_string(version) +
+        " (this build reads version " + std::to_string(kSnapshotVersion) +
+        ")");
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
+Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
+                             const std::string& path) {
+  // A lazily-loaded source must prove itself before its rows are copied
+  // out: the writer reads every byte, and laundering a corrupt mapped file
+  // into a fresh checksummed snapshot would defeat first-touch validation.
+  if (Status s = ws.EnsureAllValid(); !s.ok()) return s;
+  // Crash atomicity: stream into a sibling temp file with every write
+  // checked, close it, then rename into place (atomic on POSIX). A failure
+  // at any byte — short write, failed flush/close, injected fault — leaves
+  // whatever previously lived at `path` untouched and loadable; the torn
+  // temp file is removed.
+  const std::string tmp_path = path + ".tmp";
+  Status s;
+  {
+    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
+    if (!out) return Status::NotFound("cannot open for write: " + tmp_path);
+    s = WriteSnapshotStreamV4(ws, out, tmp_path);
+    if (s.ok()) {
+      out.close();
+      if (out.fail()) {
+        s = Status::Internal("snapshot close failed: " + tmp_path);
+      }
+    }
+  }
+  if (s.ok()) s = Failpoints::Inject("snapshot/rename");
+  if (s.ok() && std::rename(tmp_path.c_str(), path.c_str()) != 0) {
+    s = Status::Internal("cannot rename " + tmp_path + " into place at " +
+                         path);
+  }
+  if (!s.ok()) std::remove(tmp_path.c_str());
+  return s;
+}
+
+// Runs the O(components) structural pass, then hands out borrowed component
+// views whose arrays point straight into the mapping. Eager mode forces
+// every deferred check before returning.
+Status LoadWorkspaceSnapshot(const std::string& path,
+                             const SnapshotLoadOptions& options,
+                             PreparedWorkspace* out, SnapshotLoadInfo* info) {
+  *out = PreparedWorkspace{};
+  if (info != nullptr) *info = SnapshotLoadInfo{};
   std::shared_ptr<const SnapshotMapping> mapping;
-  Status s = SnapshotMapping::Open(path, &mapping);
+  Status s = OpenSnapshot(path, &mapping);
   if (!s.ok()) return s;
   KRCORE_FAILPOINT("snapshot/read_section");
   V4FileView v;
@@ -1019,225 +767,14 @@ Status LoadV4(const std::string& path, bool lazy, PreparedWorkspace* out,
   if (info != nullptr) {
     info->format_version = kSnapshotVersion;
     info->mapped = out->backing->mapped();
-    info->lazy = lazy;
+    info->lazy = options.lazy;
   }
-  if (!lazy) {
+  if (!options.lazy) {
     s = out->EnsureAllValid();
     if (!s.ok()) {
       *out = PreparedWorkspace{};
       return s;
     }
-  }
-  return Status::OK();
-}
-
-/// Tolerant v1-v3 walker for InspectSnapshot: records every section's
-/// envelope and checksum verdict, parsing meta and component geometry only
-/// as far as the bytes allow. Corrupt payloads degrade to checksum_ok ==
-/// false with zeroed geometry instead of failing the walk.
-Status InspectSectioned(const std::string& bytes, uint32_t version,
-                        SnapshotInfo* out) {
-  uint64_t pos = sizeof(kSnapshotMagic) + sizeof(uint32_t);
-  while (pos < bytes.size()) {
-    if (bytes.size() - pos < 12) return Corrupt("truncated section header");
-    uint32_t tag = 0;
-    uint64_t psize = 0;
-    std::memcpy(&tag, bytes.data() + pos, 4);
-    std::memcpy(&psize, bytes.data() + pos + 4, 8);
-    pos += 12;
-    if (bytes.size() - pos < 8 || psize > bytes.size() - pos - 8) {
-      return Corrupt("section overruns the file");
-    }
-    uint64_t stored = 0;
-    std::memcpy(&stored, bytes.data() + pos + psize, 8);
-    SnapshotSectionInfo sec;
-    sec.kind = tag == kMetaSection      ? "meta"
-               : tag == kComponentSection ? "component"
-                                          : "unknown";
-    sec.offset = pos;
-    sec.size = psize;
-    sec.checksum = stored;
-    sec.checksum_ok =
-        Fnv1a64(bytes.data() + pos, static_cast<size_t>(psize)) == stored;
-    const std::string payload = bytes.substr(static_cast<size_t>(pos),
-                                             static_cast<size_t>(psize));
-    if (tag == kMetaSection) {
-      MetaFields m;
-      if (ReadMetaFields(payload, version, &m)) {
-        out->k = m.k;
-        out->threshold = m.threshold;
-        out->score_cover = m.score_cover;
-        out->scored = m.scored;
-        out->is_distance = m.is_distance;
-        out->bitset_min_degree = m.bitset_min_degree;
-        out->graph_version = m.version;
-        out->num_components = m.num_components;
-      }
-    } else if (tag == kComponentSection && psize >= 12) {
-      uint32_t n = 0;
-      uint64_t num_edges = 0;
-      std::memcpy(&n, payload.data(), 4);
-      std::memcpy(&num_edges, payload.data() + 4, 8);
-      if (num_edges <= psize / 8 && n <= psize / 4) {
-        sec.n = n;
-        sec.num_edges = num_edges;
-        const uint64_t pair_count_at = 12 + 8 * num_edges + 8 * uint64_t{n};
-        if (psize >= pair_count_at + 8) {
-          std::memcpy(&sec.num_pairs, payload.data() + pair_count_at, 8);
-          const uint64_t entry_bytes = out->scored ? 16 : 8;
-          const uint64_t reserve_at =
-              pair_count_at + 8 + entry_bytes * sec.num_pairs;
-          if (out->scored && sec.num_pairs <= psize / entry_bytes &&
-              psize >= reserve_at + 8) {
-            std::memcpy(&sec.num_reserve_pairs, payload.data() + reserve_at,
-                        8);
-          }
-        }
-      }
-    }
-    out->sections.push_back(std::move(sec));
-    pos += psize + 8;
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
-Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
-                             const std::string& path,
-                             uint32_t format_version) {
-  if (format_version != kSnapshotVersion &&
-      format_version != kSnapshotVersionSectioned) {
-    return Status::InvalidArgument(
-        "unsupported snapshot write version " +
-        std::to_string(format_version) + " (writers emit " +
-        std::to_string(kSnapshotVersionSectioned) + " or " +
-        std::to_string(kSnapshotVersion) + ")");
-  }
-  // A lazily-loaded source must prove itself before its rows are copied
-  // out: the writer reads every byte, and laundering a corrupt mapped file
-  // into a fresh checksummed snapshot would defeat first-touch validation.
-  if (Status s = ws.EnsureAllValid(); !s.ok()) return s;
-  // Crash atomicity: stream into a sibling temp file with every write
-  // checked, close it, then rename into place (atomic on POSIX). A failure
-  // at any byte — short write, failed flush/close, injected fault — leaves
-  // whatever previously lived at `path` untouched and loadable; the torn
-  // temp file is removed.
-  const std::string tmp_path = path + ".tmp";
-  Status s;
-  {
-    std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
-    if (!out) return Status::NotFound("cannot open for write: " + tmp_path);
-    s = format_version == kSnapshotVersion
-            ? WriteSnapshotStreamV4(ws, out, tmp_path)
-            : WriteSnapshotStream(ws, out, tmp_path);
-    if (s.ok()) {
-      out.close();
-      if (out.fail()) {
-        s = Status::Internal("snapshot close failed: " + tmp_path);
-      }
-    }
-  }
-  if (s.ok()) s = Failpoints::Inject("snapshot/rename");
-  if (s.ok() && std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    s = Status::Internal("cannot rename " + tmp_path + " into place at " +
-                         path);
-  }
-  if (!s.ok()) std::remove(tmp_path.c_str());
-  return s;
-}
-
-Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
-                             const std::string& path) {
-  return SaveWorkspaceSnapshot(ws, path, kSnapshotVersion);
-}
-
-Status LoadWorkspaceSnapshot(const std::string& path,
-                             const SnapshotLoadOptions& options,
-                             PreparedWorkspace* out, SnapshotLoadInfo* info) {
-  *out = PreparedWorkspace{};
-  out->components.clear();
-  if (info != nullptr) *info = SnapshotLoadInfo{};
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::NotFound("cannot open for read: " + path);
-  uint64_t remaining = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-
-  char magic[sizeof(kSnapshotMagic)];
-  uint32_t version = 0;
-  if (remaining < sizeof(magic) + sizeof(version)) {
-    return Corrupt("file shorter than the header");
-  }
-  in.read(magic, sizeof(magic));
-  if (!in.good() || std::memcmp(magic, kSnapshotMagic, sizeof(magic)) != 0) {
-    return Status::InvalidArgument(
-        "not a krcore workspace snapshot (bad magic): " + path);
-  }
-  in.read(reinterpret_cast<char*>(&version), sizeof(version));
-  remaining -= sizeof(magic) + sizeof(version);
-  if (!in.good()) return Corrupt("file shorter than the header");
-  if (version < 1 || version > kSnapshotVersion) {
-    return Status::InvalidArgument(
-        "unsupported snapshot version " + std::to_string(version) +
-        " (this build reads versions 1.." + std::to_string(kSnapshotVersion) +
-        ")");
-  }
-  if (version == kSnapshotVersion) {
-    in.close();
-    return LoadV4(path, options.lazy, out, info);
-  }
-
-  uint32_t tag = 0;
-  std::string payload;
-  Status s = ReadSection(in, &remaining, &tag, &payload);
-  if (!s.ok()) return s;
-  if (tag != kMetaSection) return Corrupt("first section is not meta");
-  MetaFields meta;
-  if (!ReadMetaFields(payload, version, &meta)) {
-    return Corrupt("malformed meta section");
-  }
-  s = CheckMetaFields(meta);
-  if (!s.ok()) return s;
-  ApplyMeta(meta, out);
-  const uint64_t num_components = meta.num_components;
-  // Every component section needs at least its 20-byte envelope, so a
-  // hostile count larger than the remaining bytes could ever hold is
-  // rejected here instead of spinning through that many failing reads.
-  if (num_components > remaining / 20) {
-    *out = PreparedWorkspace{};
-    return Corrupt("declared component count exceeds the file");
-  }
-
-  out->components.reserve(
-      static_cast<size_t>(std::min<uint64_t>(num_components, 1 << 20)));
-  for (uint64_t i = 0; i < num_components; ++i) {
-    s = ReadSection(in, &remaining, &tag, &payload);
-    if (!s.ok()) {
-      *out = PreparedWorkspace{};
-      return s;
-    }
-    if (tag != kComponentSection) {
-      *out = PreparedWorkspace{};
-      return Corrupt("unexpected section tag");
-    }
-    ComponentContext ctx;
-    s = ParseComponent(payload, out->bitset_min_degree, out->scored,
-                       out->threshold, out->score_cover, out->is_distance,
-                       &ctx);
-    if (!s.ok()) {
-      *out = PreparedWorkspace{};
-      return s;
-    }
-    out->components.push_back(std::move(ctx));
-  }
-  if (remaining != 0) {
-    *out = PreparedWorkspace{};
-    return Corrupt("trailing bytes after the last section");
-  }
-  if (info != nullptr) {
-    info->format_version = version;
-    info->mapped = false;
-    info->lazy = false;
   }
   return Status::OK();
 }
@@ -1248,42 +785,16 @@ Status LoadWorkspaceSnapshot(const std::string& path, PreparedWorkspace* out) {
 
 Status InspectSnapshot(const std::string& path, SnapshotInfo* out) {
   *out = SnapshotInfo{};
-  std::ifstream in(path, std::ios::binary | std::ios::ate);
-  if (!in) return Status::NotFound("cannot open for read: " + path);
-  const uint64_t size = static_cast<uint64_t>(in.tellg());
-  in.seekg(0);
-  std::string bytes(static_cast<size_t>(size), '\0');
-  in.read(bytes.data(), static_cast<std::streamsize>(size));
-  if (!in.good() && size > 0) {
-    return Status::Internal("read failed on snapshot: " + path);
-  }
-
-  if (size < sizeof(kSnapshotMagic) + sizeof(uint32_t)) {
-    return Corrupt("file shorter than the header");
-  }
-  if (std::memcmp(bytes.data(), kSnapshotMagic, sizeof(kSnapshotMagic)) !=
-      0) {
-    return Status::InvalidArgument(
-        "not a krcore workspace snapshot (bad magic): " + path);
-  }
-  uint32_t version = 0;
-  std::memcpy(&version, bytes.data() + sizeof(kSnapshotMagic),
-              sizeof(version));
-  if (version < 1 || version > kSnapshotVersion) {
-    return Status::InvalidArgument(
-        "unsupported snapshot version " + std::to_string(version) +
-        " (this build reads versions 1.." + std::to_string(kSnapshotVersion) +
-        ")");
-  }
-  out->format_version = version;
+  std::shared_ptr<const SnapshotMapping> mapping;
+  Status s = OpenSnapshot(path, &mapping);
+  if (!s.ok()) return s;
+  const uint8_t* base = mapping->data();
+  const uint64_t size = mapping->size();
+  out->format_version = kSnapshotVersion;
   out->file_size = size;
-  if (version < kSnapshotVersion) {
-    return InspectSectioned(bytes, version, out);
-  }
 
-  const uint8_t* base = reinterpret_cast<const uint8_t*>(bytes.data());
   V4FileView v;
-  Status s = ParseV4File(base, size, &v);
+  s = ParseV4File(base, size, &v);
   if (!s.ok()) return s;
   out->k = v.meta.k;
   out->threshold = v.meta.threshold;

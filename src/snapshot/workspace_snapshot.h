@@ -17,26 +17,15 @@ namespace krcore {
 /// search: load, optionally DeriveWorkspace, mine — no oracle, no O(n^2)
 /// pair sweep, not even the attribute table.
 ///
-/// Two on-disk layouts exist (little-endian, the only byte order the
-/// engine targets):
-///
-/// v1-v3 (sectioned, parse-on-load):
-///   magic   "KRWSNAP1"                        8 bytes
-///   version u32
-///   sections, each:
-///     tag          u32   (1 = meta, 2 = component)
-///     payload_size u64
-///     payload      payload_size bytes
-///     checksum     u64   FNV-1a 64 over the payload
-///
-/// v4 (zero-copy, mmap-served; full byte-level spec in
-/// docs/SNAPSHOT_FORMAT.md):
+/// On-disk layout (little-endian, the only byte order the engine targets;
+/// full byte-level spec in docs/SNAPSHOT_FORMAT.md):
 ///   header   64 bytes: magic "KRWSNAP1", version u32 = 4, zero padding
 ///   blobs    one per component, 64-byte aligned, 64-byte-aligned arrays
 ///            inside (graph offsets/neighbors, to_parent, dissimilarity
 ///            offsets/active_end/ids/scores) — the exact in-memory CSR
 ///            layout, so a loaded file is served by pointing spans at it
-///   meta     the v3 meta field set (44 bytes)
+///   meta     44 bytes: k, threshold, bitset_min_degree, graph version,
+///            flags (scored / distance), score_cover, component count
 ///   table    one 64-byte entry per component: blob offset/size, FNV-1a 64
 ///            checksum, and the counts (n, max_degree, edges, pairs,
 ///            reserve pairs) mining needs before touching the blob
@@ -48,80 +37,56 @@ namespace krcore {
 /// dissimilar pairs, and for annotated files: finite scores classified on
 /// the correct side of the serve and cover thresholds, no pair listed in
 /// both segments) is re-validated on load, so a corrupt or truncated file
-/// yields a clean Status error — never UB: wrong magic, unknown version,
-/// short reads, and checksum mismatches each produce a distinct
+/// yields a clean Status error — never UB: wrong magic, a version other
+/// than 4, short files, and checksum mismatches each produce a distinct
 /// InvalidArgument message. All declared counts are range-checked against
-/// the (already size-bounded) payload *before* any arithmetic that could
-/// wrap, so hostile headers cannot smuggle an overflowed size past the
-/// validators. Under a v4 *lazy* load the per-component checks (blob
-/// checksum + structure) are deferred to first touch — see
-/// SnapshotLoadOptions — while the header, meta, table and tail are always
-/// verified up front.
+/// the file size *before* any arithmetic that could wrap, so hostile
+/// headers cannot smuggle an overflowed size past the validators. Under a
+/// *lazy* load the per-component checks (blob checksum + structure) are
+/// deferred to first touch — see SnapshotLoadOptions — while the header,
+/// meta, table and tail are always verified up front.
 ///
-/// Format history:
-///   v1  original layout (no graph version in meta).
-///   v2  meta gained the graph version.
-///   v3  score-annotated substrate: meta gained score_cover and the
-///       scored / is_distance flags; annotated component sections store
-///       (u, v, score) triples in two blocks — active (dissimilar at the
-///       serving threshold) then reserve (dissimilar only at the cover).
-///   v4  zero-copy layout: on-disk bytes are the in-memory CSR arrays
-///       (64-byte aligned), per-component checksums live in a footer
-///       section table, loads can mmap the file and validate each
-///       component on first touch.
-/// Writers emit v4 by default (v3 on request, for downgrades). Loads
-/// accept v1..v4; v1-v3 files (and any file under the eager default) are
-/// fully validated at load time, and pre-v3 files load as unscored
-/// workspaces that serve their exact threshold only.
+/// Version 4 is the only format this build reads or writes; earlier
+/// sectioned versions (1-3) are rejected with "unsupported snapshot
+/// version".
 ///
 /// Round trips are lossless: the loaded workspace's components are
 /// structurally identical to the saved ones (the dissimilarity bitset
 /// acceleration is rebuilt deterministically from the stored rows and the
 /// stored bitset_min_degree), so mining results match fresh preprocessing
 /// byte for byte — and a loaded annotated workspace derives every (k, r)
-/// cell of its serving interval exactly like the original. v3 <-> v4
-/// conversion (load + save at the other version) is lossless in both
-/// directions, including scored reserve segments.
+/// cell of its serving interval exactly like the original. Save → load →
+/// save reproduces the file byte for byte, reserve segments included.
 
 inline constexpr char kSnapshotMagic[8] = {'K', 'R', 'W', 'S',
                                            'N', 'A', 'P', '1'};
 inline constexpr uint32_t kSnapshotVersion = 4;
-/// The last sectioned (pre-mmap) format version; still writable on request.
-inline constexpr uint32_t kSnapshotVersionSectioned = 3;
 
-/// Serializes `ws` to `path` in the default (v4) format, crash-atomically:
-/// the snapshot is streamed into `path + ".tmp"` with every write checked,
-/// then renamed into place. A failure at any byte (short write, failed
-/// flush/close or rename, or an injected `snapshot/*` failpoint) removes
-/// the torn temp file and leaves whatever previously lived at `path`
-/// untouched and loadable. Fails with NotFound when the temp file cannot
-/// be opened; Internal errors name the section tag that died mid-write.
-/// A workspace with pending lazy validation is validated first (the writer
-/// reads every row), so a corrupt mapped source cannot be laundered into a
-/// fresh file.
+/// Serializes `ws` to `path`, crash-atomically: the snapshot is streamed
+/// into `path + ".tmp"` with every write checked, then renamed into place.
+/// A failure at any byte (short write, failed flush/close or rename, or an
+/// injected `snapshot/*` failpoint) removes the torn temp file and leaves
+/// whatever previously lived at `path` untouched and loadable. Fails with
+/// NotFound when the temp file cannot be opened; Internal errors name the
+/// section tag that died mid-write. A workspace with pending lazy
+/// validation is validated first (the writer reads every row), so a
+/// corrupt mapped source cannot be laundered into a fresh file.
 Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
                              const std::string& path);
 
-/// Format-pinning overload: `format_version` is 4 (default layout) or 3
-/// (the sectioned layout, for downgrades / round-trip conversion).
-Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
-                             const std::string& path,
-                             uint32_t format_version);
-
-/// How LoadWorkspaceSnapshot materializes a v4 file.
+/// How LoadWorkspaceSnapshot validates a file. Either way the file is
+/// mmapped and components are handed out as borrowed views into it.
 struct SnapshotLoadOptions {
-  /// false (default): validate everything at load time — exactly v3's
-  /// integrity semantics, for any format version.
-  /// true: v4 files are mmapped and handed out as borrowed views with
-  /// per-component first-touch validation; load time becomes O(components)
-  /// instead of O(substrate). v1-v3 files ignore this flag (always eager).
+  /// false (default): validate every component before returning.
+  /// true: defer each component's validation to its first touch; load time
+  /// becomes O(components) instead of O(substrate).
   bool lazy = false;
 };
 
 /// What a load actually did (observability for registries and tools).
 struct SnapshotLoadInfo {
   uint32_t format_version = 0;
-  /// True when the workspace serves from an mmap (v4 + mmap success).
+  /// True when the workspace serves from an mmap (false: heap fallback).
   bool mapped = false;
   /// True when per-component validation was deferred to first touch.
   bool lazy = false;
@@ -139,28 +104,28 @@ Status LoadWorkspaceSnapshot(const std::string& path,
                              PreparedWorkspace* out,
                              SnapshotLoadInfo* info = nullptr);
 
-/// One section (v1-v3) or region (v4) of a snapshot file, as reported by
-/// InspectSnapshot. `kind` is "meta", "component" or "table".
+/// One region of a snapshot file, as reported by InspectSnapshot. `kind` is
+/// "meta", "component" or "table".
 struct SnapshotSectionInfo {
   std::string kind;
-  uint64_t offset = 0;    // payload/blob byte offset in the file
-  uint64_t size = 0;      // payload/blob byte count
+  uint64_t offset = 0;    // region byte offset in the file
+  uint64_t size = 0;      // region byte count
   uint64_t checksum = 0;  // stored FNV-1a 64
   bool checksum_ok = false;
-  // Component geometry (v4 footer entries; parsed headers for v1-v3).
+  // Component geometry, as the section table declares it.
   uint64_t n = 0;
   uint64_t num_edges = 0;
   uint64_t num_pairs = 0;
   uint64_t num_reserve_pairs = 0;
-  uint32_t max_degree = 0;  // v4 only (the table stores it; v1-v3 derive)
+  uint32_t max_degree = 0;
 };
 
 /// Debugging surface for torn-file reports: everything the headers, meta
-/// and checksums of a v1-v4 file say, without requiring the file to pass
-/// full structural validation. Checksums are recomputed and compared, so a
-/// bit-flipped section shows up as checksum_ok == false instead of an
-/// error. Fails only when the file is too broken to walk (bad magic,
-/// unsupported version, truncated envelopes/footer).
+/// and checksums of a file say, without requiring the file to pass full
+/// structural validation. Component checksums are recomputed and compared,
+/// so a bit-flipped blob shows up as checksum_ok == false instead of an
+/// error. Fails when the header, meta, table or tail is damaged (bad magic,
+/// unsupported version, truncation, meta or table checksum mismatch).
 struct SnapshotInfo {
   uint32_t format_version = 0;
   uint64_t file_size = 0;

@@ -589,7 +589,7 @@ TEST(ParameterSweepScores, ConcurrentGridMatchesSequential) {
   }
 }
 
-/// Snapshot round trip of a score-annotated workspace: v3 preserves the
+/// Snapshot round trip of a score-annotated workspace: the file preserves the
 /// annotation bit-for-bit, and a loaded workspace derives the same grid.
 TEST(ScoredSnapshot, RoundTripPreservesAnnotationAndDerivation) {
   auto dataset = test::MakeRandomGeo(140, 900, 61);

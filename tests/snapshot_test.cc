@@ -8,6 +8,7 @@
 #include <cstring>
 #include <fstream>
 #include <limits>
+#include <optional>
 #include <string>
 #include <utility>
 #include <vector>
@@ -147,17 +148,42 @@ TEST(Snapshot, WrongMagicIsRejected) {
 }
 
 TEST(Snapshot, UnsupportedVersionIsRejected) {
+  // Version 4 is the only format this build reads: the retired sectioned
+  // versions 1-3 and any later version fail with one clean error under an
+  // eager load, a lazy load and InspectSnapshot, leaving the output empty.
   auto dataset = test::MakeRandomGeo(40, 150, 3);
   PreparedWorkspace ws = PrepareFixture(dataset, 2, 0.4);
   TempFile file("version.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
-  std::string bytes = ReadAll(file.path());
-  bytes[8] = char(0xEE);  // version u32 follows the 8-byte magic
-  WriteAll(file.path(), bytes);
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("version"), std::string::npos);
+  const std::string good = ReadAll(file.path());
+  for (uint32_t version : {1u, 2u, 3u, 5u, 0xEEu}) {
+    SCOPED_TRACE("version " + std::to_string(version));
+    std::string bytes = good;
+    // The version u32 follows the 8-byte magic.
+    std::memcpy(bytes.data() + 8, &version, sizeof(version));
+    WriteAll(file.path(), bytes);
+    std::string expect = "unsupported snapshot version ";
+    expect += std::to_string(version) + " (this build reads version 4)";
+    for (bool lazy : {false, true}) {
+      SnapshotLoadOptions options;
+      options.lazy = lazy;
+      PreparedWorkspace loaded;
+      loaded.k = 99;
+      Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
+      EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+      EXPECT_NE(s.message().find(expect), std::string::npos) << s.ToString();
+      EXPECT_EQ(loaded.k, 0u);
+      EXPECT_TRUE(loaded.components.empty());
+    }
+    SnapshotInfo info;
+    info.k = 99;
+    Status s = InspectSnapshot(file.path(), &info);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find(expect), std::string::npos) << s.ToString();
+    EXPECT_EQ(info.format_version, 0u);
+    EXPECT_EQ(info.k, 0u);
+    EXPECT_TRUE(info.sections.empty());
+  }
 }
 
 TEST(Snapshot, TruncationAnywhereIsCleanError) {
@@ -167,8 +193,8 @@ TEST(Snapshot, TruncationAnywhereIsCleanError) {
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   const std::string bytes = ReadAll(file.path());
   ASSERT_GT(bytes.size(), 64u);
-  // Cut at a spread of prefix lengths covering the header, the meta
-  // section, and mid-component payloads. Every cut must fail cleanly (and
+  // Cut at a spread of prefix lengths covering the header, mid-component
+  // blobs, and the meta/table/tail footer. Every cut must fail cleanly (and
   // never crash — the ASan CI job leans on this test).
   for (size_t len : {size_t{0}, size_t{4}, size_t{11}, size_t{16},
                      size_t{30}, bytes.size() / 4, bytes.size() / 2,
@@ -189,7 +215,7 @@ TEST(Snapshot, BitFlipFailsChecksum) {
   const std::string bytes = ReadAll(file.path());
   // Flip one byte inside every 64-byte window past the version field: each
   // flip must be caught (checksum mismatch) or rejected by a structural
-  // check; which one depends on whether it hits a payload or an envelope.
+  // check; which one depends on whether it hits a blob or the footer.
   for (size_t pos = 13; pos < bytes.size(); pos += 64) {
     std::string mutated = bytes;
     mutated[pos] = static_cast<char>(mutated[pos] ^ 0x40);
@@ -199,135 +225,6 @@ TEST(Snapshot, BitFlipFailsChecksum) {
     EXPECT_FALSE(s.ok()) << "flipped byte at " << pos;
     EXPECT_TRUE(loaded.components.empty()) << "flipped byte at " << pos;
   }
-}
-
-// --- Hand-crafted hostile-file helpers (checksums valid, payloads evil). --
-
-void PutU32(std::string* s, uint32_t v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-void PutU64(std::string* s, uint64_t v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-uint64_t Fnv(const std::string& s) {
-  uint64_t h = 1469598103934665603ull;
-  for (char c : s) {
-    h ^= static_cast<unsigned char>(c);
-    h *= 1099511628211ull;
-  }
-  return h;
-}
-void PutSection(std::string* out, uint32_t tag, const std::string& payload) {
-  PutU32(out, tag);
-  PutU64(out, payload.size());
-  out->append(payload);
-  PutU64(out, Fnv(payload));
-}
-
-void PutDouble(std::string* s, double v) {
-  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
-}
-
-/// A syntactically valid v3 meta section for `num_components` components
-/// (unscored: flags 0, cover == threshold).
-std::string MetaPayload(uint64_t num_components, uint32_t k = 2) {
-  std::string meta;
-  PutU32(&meta, k);
-  PutDouble(&meta, 1.0);  // threshold
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, 0);       // graph version
-  PutU32(&meta, 0);       // flags: unscored
-  PutDouble(&meta, 1.0);  // score cover == threshold
-  PutU64(&meta, num_components);
-  return meta;
-}
-
-/// Pre-v3 meta layouts, for the format-compatibility tests: v2 carries the
-/// graph version, v1 predates it. Both have no annotation identity.
-std::string MetaPayloadV2(uint64_t num_components, uint32_t k,
-                          double threshold, uint64_t graph_version) {
-  std::string meta;
-  PutU32(&meta, k);
-  PutDouble(&meta, threshold);
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, graph_version);
-  PutU64(&meta, num_components);
-  return meta;
-}
-std::string MetaPayloadV1(uint64_t num_components, uint32_t k,
-                          double threshold) {
-  std::string meta;
-  PutU32(&meta, k);
-  PutDouble(&meta, threshold);
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, num_components);
-  return meta;
-}
-
-std::string FileWithSections(
-    const std::vector<std::pair<uint32_t, std::string>>& sections,
-    uint32_t file_version = kSnapshotVersionSectioned) {
-  std::string bytes(kSnapshotMagic, sizeof(kSnapshotMagic));
-  PutU32(&bytes, file_version);
-  for (const auto& [tag, payload] : sections) {
-    PutSection(&bytes, tag, payload);
-  }
-  return bytes;
-}
-
-/// A v1/v2-style component payload: unscored (u, v) pair block. Layout is
-/// identical to what pre-v3 writers emitted.
-std::string PlainComponentPayload(
-    uint32_t n, const std::vector<std::pair<uint32_t, uint32_t>>& edges,
-    const std::vector<std::pair<uint32_t, uint32_t>>& pairs) {
-  std::vector<std::vector<uint32_t>> adj(n);
-  for (auto [u, v] : edges) {
-    adj[u].push_back(v);
-    adj[v].push_back(u);
-  }
-  for (auto& row : adj) std::sort(row.begin(), row.end());
-  std::string comp;
-  PutU32(&comp, n);
-  PutU64(&comp, edges.size());
-  for (const auto& row : adj) {
-    for (uint32_t v : row) PutU32(&comp, v);
-  }
-  for (const auto& row : adj) PutU32(&comp, static_cast<uint32_t>(row.size()));
-  for (uint32_t u = 0; u < n; ++u) PutU32(&comp, u);  // to_parent: identity
-  PutU64(&comp, pairs.size());
-  for (auto [a, b] : pairs) {
-    PutU32(&comp, a);
-    PutU32(&comp, b);
-  }
-  return comp;
-}
-
-TEST(Snapshot, AsymmetricAdjacencyIsRejected) {
-  // Hand-crafted component with valid envelope checksums whose adjacency
-  // violates the symmetry invariant only in the direction the loader must
-  // probe explicitly: rows {0: [], 1: [0], 2: [0]} — every row is sorted,
-  // in-range, and self-loop free, so only the reverse-edge probe can catch
-  // it.
-  std::string comp;
-  PutU32(&comp, 3);  // n
-  PutU64(&comp, 1);  // num_edges => 2 directed entries
-  PutU32(&comp, 0);  // row 1: [0]
-  PutU32(&comp, 0);  // row 2: [0]
-  PutU32(&comp, 0);  // degrees: 0, 1, 1
-  PutU32(&comp, 1);
-  PutU32(&comp, 1);
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);  // to_parent
-  PutU64(&comp, 0);                                   // no dissimilar pairs
-
-  std::string bytes = FileWithSections({{1, MetaPayload(1)}, {2, comp}});
-
-  TempFile file("asym.krws");
-  WriteAll(file.path(), bytes);
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("asymmetric"), std::string::npos)
-      << s.ToString();
 }
 
 TEST(Snapshot, GraphVersionRoundTrips) {
@@ -341,166 +238,268 @@ TEST(Snapshot, GraphVersionRoundTrips) {
   EXPECT_EQ(loaded.version, 41u);
 }
 
-TEST(Snapshot, OverflowCraftedPairCountIsRejected) {
-  // A component whose declared pair count is 2^61: 8 * num_pairs wraps to 0
-  // modulo 2^64, so the naive `payload.size() == expected + 8 * num_pairs`
-  // equality holds for a payload with no pair bytes at all. The divide-first
-  // bound must reject it before that arithmetic runs.
-  std::string comp;
-  PutU32(&comp, 3);  // n, isolated vertices
-  PutU64(&comp, 0);  // num_edges
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, 0);  // degrees
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);  // to_parent
-  PutU64(&comp, uint64_t{1} << 61);                   // hostile pair count
+// --- Hand-built hostile files: every checksum valid, the content evil. ----
 
-  TempFile file("pair_overflow.krws");
-  WriteAll(file.path(), FileWithSections({{1, MetaPayload(1)}, {2, comp}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("pair count exceeds"), std::string::npos)
-      << s.ToString();
-  EXPECT_TRUE(loaded.components.empty());
+constexpr uint64_t Align64(uint64_t x) { return (x + 63) & ~uint64_t{63}; }
+
+template <typename T>
+void Put(std::string* s, T v) {
+  s->append(reinterpret_cast<const char*>(&v), sizeof(v));
+}
+
+uint64_t Fnv(const std::string& s) {
+  uint64_t h = 1469598103934665603ull;
+  for (char c : s) {
+    h ^= static_cast<unsigned char>(c);
+    h *= 1099511628211ull;
+  }
+  return h;
+}
+
+/// The 44-byte meta payload, graph version 0.
+std::string MetaBytes(uint64_t num_components, uint32_t k, double threshold,
+                      uint32_t flags, double cover) {
+  std::string meta;
+  Put<uint32_t>(&meta, k);
+  Put<double>(&meta, threshold);
+  Put<uint32_t>(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
+  Put<uint64_t>(&meta, 0);  // graph version
+  Put<uint32_t>(&meta, flags);
+  Put<double>(&meta, cover);
+  Put<uint64_t>(&meta, num_components);
+  return meta;
+}
+
+/// Unscored meta: flags 0, cover == threshold.
+std::string UnscoredMeta(uint64_t num_components, uint32_t k = 2) {
+  return MetaBytes(num_components, k, 1.0, 0, 1.0);
+}
+
+/// Scored similarity-metric meta: serve r=0.5, cover r=0.8.
+std::string ScoredMeta(uint64_t num_components, double threshold = 0.5,
+                       double cover = 0.8, uint32_t flags = 1) {
+  return MetaBytes(num_components, 2, threshold, flags, cover);
+}
+
+/// One dissimilarity-row entry: the partner and, in scored files, its score.
+struct Entry {
+  uint32_t v = 0;
+  double score = 0.0;
+};
+
+/// A component given by its in-memory rows (local ids, identity to_parent).
+/// The builder derives the section-table counts from the rows unless a
+/// hostile case pins one.
+struct HandComponent {
+  std::vector<std::vector<uint32_t>> adjacency;
+  std::vector<std::vector<Entry>> active;   // one row per vertex
+  std::vector<std::vector<Entry>> reserve;  // one row per vertex
+  std::optional<uint32_t> table_max_degree;
+  std::optional<uint64_t> table_num_pairs;
+  std::optional<uint64_t> table_num_reserve;
+};
+
+/// The triangle 0-1-2 with empty dissimilarity rows.
+HandComponent Triangle() {
+  HandComponent c;
+  c.adjacency = {{1, 2}, {0, 2}, {0, 1}};
+  c.active.resize(3);
+  c.reserve.resize(3);
+  return c;
+}
+
+/// The triangle with active pair {0,1} and reserve pair {1,2}.
+HandComponent ScoredTriangle(double active_score, double reserve_score) {
+  HandComponent c = Triangle();
+  c.active[0] = {{1, active_score}};
+  c.active[1] = {{0, active_score}};
+  c.reserve[1] = {{2, reserve_score}};
+  c.reserve[2] = {{1, reserve_score}};
+  return c;
+}
+
+/// Serializes a complete v4 file: the 64-byte header, one blob per
+/// component with every array 64-byte aligned, the meta, the section table
+/// and the 56-byte tail, with valid FNV-1a checksums throughout.
+std::string HandBuiltFile(const std::string& meta,
+                          const std::vector<HandComponent>& comps,
+                          bool scored) {
+  std::string file(kSnapshotMagic, sizeof(kSnapshotMagic));
+  Put<uint32_t>(&file, kSnapshotVersion);
+  file.resize(64, '\0');
+  std::string table;
+  for (const HandComponent& c : comps) {
+    const uint32_t n = static_cast<uint32_t>(c.adjacency.size());
+    std::vector<uint64_t> graph_offsets = {0};
+    std::vector<uint64_t> d_offsets = {0};
+    std::vector<uint64_t> d_active_end;
+    std::vector<uint32_t> neighbors, to_parent, ids;
+    std::vector<double> scores;
+    uint32_t max_degree = 0;
+    uint64_t num_pairs = 0, num_reserve = 0;
+    uint32_t u = 0;
+    auto append_row = [&](const std::vector<Entry>& row, uint64_t* forward) {
+      for (const Entry& e : row) {
+        ids.push_back(e.v);
+        scores.push_back(e.score);
+        if (e.v > u) ++*forward;
+      }
+    };
+    for (u = 0; u < n; ++u) {
+      const auto& row = c.adjacency[u];
+      neighbors.insert(neighbors.end(), row.begin(), row.end());
+      graph_offsets.push_back(neighbors.size());
+      max_degree = std::max(max_degree, static_cast<uint32_t>(row.size()));
+      to_parent.push_back(u);
+      append_row(c.active[u], &num_pairs);
+      d_active_end.push_back(ids.size());
+      append_row(c.reserve[u], &num_reserve);
+      d_offsets.push_back(ids.size());
+    }
+    std::string blob;
+    auto put_array = [&blob](const auto& values) {
+      if (!values.empty()) {
+        blob.append(reinterpret_cast<const char*>(values.data()),
+                    values.size() * sizeof(values[0]));
+      }
+      blob.resize(Align64(blob.size()), '\0');
+    };
+    put_array(graph_offsets);
+    put_array(neighbors);
+    put_array(to_parent);
+    put_array(d_offsets);
+    put_array(d_active_end);
+    put_array(ids);
+    if (scored) put_array(scores);
+
+    Put<uint64_t>(&table, file.size());
+    Put<uint64_t>(&table, blob.size());
+    Put<uint64_t>(&table, Fnv(blob));
+    Put<uint32_t>(&table, n);
+    Put<uint32_t>(&table, c.table_max_degree.value_or(max_degree));
+    Put<uint64_t>(&table, neighbors.size() / 2);
+    Put<uint64_t>(&table, c.table_num_pairs.value_or(num_pairs));
+    Put<uint64_t>(&table, c.table_num_reserve.value_or(num_reserve));
+    Put<uint64_t>(&table, 0);  // reserved
+    file += blob;
+  }
+  const uint64_t meta_offset = file.size();
+  file += meta;
+  const uint64_t table_offset = file.size();
+  file += table;
+  Put<uint64_t>(&file, meta_offset);
+  Put<uint64_t>(&file, meta.size());
+  Put<uint64_t>(&file, Fnv(meta));
+  Put<uint64_t>(&file, table_offset);
+  Put<uint64_t>(&file, Fnv(table));
+  Put<uint64_t>(&file, table_offset + table.size() + 56);
+  file.append("KR4FOOTR", 8);
+  return file;
+}
+
+/// A file-level defect: eager and lazy loads both fail with `expect`
+/// before any component is handed out, and reset the output.
+void ExpectFileRejected(const std::string& bytes, const std::string& expect) {
+  TempFile file("hostile.krws");
+  WriteAll(file.path(), bytes);
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy load" : "eager load");
+    SnapshotLoadOptions options;
+    options.lazy = lazy;
+    PreparedWorkspace loaded;
+    loaded.k = 99;
+    Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
+    EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+    EXPECT_NE(s.message().find(expect), std::string::npos) << s.ToString();
+    EXPECT_EQ(loaded.k, 0u) << "output must be reset, not half-filled";
+    EXPECT_TRUE(loaded.components.empty());
+  }
+}
+
+/// A component-level defect: an eager load fails with `expect`; a lazy
+/// load succeeds, and the component's first EnsureValid returns the eager
+/// load's exact text.
+void ExpectComponentRejected(const std::string& bytes,
+                             const std::string& expect) {
+  TempFile file("hostile.krws");
+  WriteAll(file.path(), bytes);
+  PreparedWorkspace eager;
+  Status s = LoadWorkspaceSnapshot(file.path(), &eager);
+  EXPECT_TRUE(s.IsInvalidArgument()) << s.ToString();
+  EXPECT_NE(s.message().find(expect), std::string::npos) << s.ToString();
+  EXPECT_TRUE(eager.components.empty());
+
+  SnapshotLoadOptions options;
+  options.lazy = true;
+  PreparedWorkspace lazy;
+  Status lazy_load = LoadWorkspaceSnapshot(file.path(), options, &lazy);
+  ASSERT_TRUE(lazy_load.ok()) << lazy_load.ToString();
+  ASSERT_EQ(lazy.components.size(), 1u);
+  EXPECT_EQ(lazy.components[0].EnsureValid().message(), s.message());
+}
+
+TEST(Snapshot, HandBuiltFileLoads) {
+  // The builder itself must produce files the loader accepts, or the
+  // rejections below would prove nothing.
+  const HandComponent comp = ScoredTriangle(0.3, 0.6);
+  TempFile file("hand_built.krws");
+  WriteAll(file.path(), HandBuiltFile(ScoredMeta(1), {comp}, true));
+  for (bool lazy : {false, true}) {
+    SnapshotLoadOptions options;
+    options.lazy = lazy;
+    PreparedWorkspace loaded;
+    Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_TRUE(loaded.EnsureAllValid().ok());
+    EXPECT_TRUE(loaded.scored);
+    ASSERT_EQ(loaded.components.size(), 1u);
+    EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 1u);
+    EXPECT_EQ(loaded.components[0].dissimilar.num_reserve_pairs(), 1u);
+  }
+}
+
+TEST(Snapshot, AsymmetricAdjacencyIsRejected) {
+  // Rows {0: [], 1: [0], 2: [0]}: every row is sorted, in-range and
+  // self-loop free, so only the reverse-edge probe can catch it.
+  HandComponent c;
+  c.adjacency = {{}, {0}, {0}};
+  c.active.resize(3);
+  c.reserve.resize(3);
+  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  ExpectComponentRejected(bytes, "asymmetric adjacency");
+}
+
+TEST(Snapshot, OverflowCraftedPairCountIsRejected) {
+  // A table entry declaring 2^61 pairs: 2 * 4 * num_pairs wraps modulo
+  // 2^64, so naive layout arithmetic could match a blob with no pair bytes
+  // at all. The divide-first bound must reject it before that arithmetic.
+  HandComponent c;
+  c.adjacency = {{}, {}, {}};
+  c.active.resize(3);
+  c.reserve.resize(3);
+  c.table_num_pairs = uint64_t{1} << 61;
+  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  ExpectFileRejected(bytes, "declared counts exceed the payload");
 }
 
 TEST(Snapshot, KZeroMetaIsRejected) {
   // No writer produces k = 0 (PrepareWorkspace rejects it), and the
   // prepared-components mining overloads downstream of a load never
   // re-validate k — the loader is the ingress that must close the hole.
-  TempFile file("kzero.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, MetaPayload(0, /*k=*/0)}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("k must be a positive"), std::string::npos)
-      << s.ToString();
-  EXPECT_EQ(loaded.k, 0u) << "output must be reset, not half-filled";
+  const std::string bytes = HandBuiltFile(UnscoredMeta(0, /*k=*/0), {}, false);
+  ExpectFileRejected(bytes, "k must be a positive");
 }
 
 TEST(Snapshot, HostileComponentCountIsRejectedUpFront) {
-  // num_components near 2^63 cannot possibly fit in the file; the loader
-  // must fail from the header bound, not by attempting that many section
-  // reads (or a huge reserve).
-  TempFile file("comp_overflow.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, MetaPayload(uint64_t{1} << 62)}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("component count exceeds"), std::string::npos)
-      << s.ToString();
+  // num_components = 2^62 cannot possibly fit in the file; the loader must
+  // fail from the table bound, not by walking (or reserving) that many
+  // entries.
+  const uint64_t hostile = uint64_t{1} << 62;
+  const std::string bytes = HandBuiltFile(UnscoredMeta(hostile), {}, false);
+  ExpectFileRejected(bytes, "component count exceeds the file");
 }
-
-// --- Format history: v1 and v2 files must keep loading (as unscored,
-// single-r workspaces), and saving them re-emits v3. ------------------------
-
-TEST(Snapshot, V2FileLoadsAsSingleThresholdWorkspaceAndResavesAsV3) {
-  // A 4-cycle with the two diagonals dissimilar — a valid 2-core substrate
-  // in the exact byte layout version-2 builds wrote.
-  std::string comp = PlainComponentPayload(
-      4, {{0, 1}, {1, 2}, {2, 3}, {0, 3}}, {{0, 2}, {1, 3}});
-  TempFile file("v2.krws");
-  WriteAll(file.path(),
-           FileWithSections(
-               {{1, MetaPayloadV2(1, /*k=*/2, /*threshold=*/1.0,
-                                  /*graph_version=*/7)},
-                {2, comp}},
-               /*file_version=*/2));
-  PreparedWorkspace loaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
-  EXPECT_EQ(loaded.k, 2u);
-  EXPECT_EQ(loaded.version, 7u);
-  EXPECT_FALSE(loaded.scored);
-  EXPECT_DOUBLE_EQ(loaded.score_cover, loaded.threshold)
-      << "pre-v3 files serve their exact threshold only";
-  ASSERT_EQ(loaded.components.size(), 1u);
-  EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 2u);
-  EXPECT_FALSE(loaded.components[0].dissimilar.has_scores());
-
-  // Deriving at any other threshold must be rejected cleanly.
-  PipelineOptions pipe;
-  PreparedWorkspace derived;
-  EXPECT_TRUE(
-      DeriveWorkspace(loaded, 2, 0.5, pipe, &derived).IsInvalidArgument());
-
-  // Re-saving writes the current version; the round trip stays lossless.
-  TempFile resaved("v2_resaved.krws");
-  ASSERT_TRUE(SaveWorkspaceSnapshot(loaded, resaved.path()).ok());
-  std::string bytes = ReadAll(resaved.path());
-  uint32_t written_version = 0;
-  std::memcpy(&written_version, bytes.data() + 8, sizeof(written_version));
-  EXPECT_EQ(written_version, kSnapshotVersion);
-  PreparedWorkspace reloaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(resaved.path(), &reloaded).ok());
-  EXPECT_EQ(reloaded.version, 7u);
-  ExpectComponentsEqual(loaded.components, reloaded.components);
-}
-
-TEST(Snapshot, V1FileLoadsWithGraphVersionZero) {
-  std::string comp = PlainComponentPayload(
-      3, {{0, 1}, {1, 2}, {0, 2}}, {});
-  TempFile file("v1.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, MetaPayloadV1(1, /*k=*/2,
-                                               /*threshold=*/0.25)},
-                             {2, comp}},
-                            /*file_version=*/1));
-  PreparedWorkspace loaded;
-  ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
-  EXPECT_EQ(loaded.k, 2u);
-  EXPECT_EQ(loaded.version, 0u) << "v1 predates the graph version";
-  EXPECT_FALSE(loaded.scored);
-  EXPECT_DOUBLE_EQ(loaded.threshold, 0.25);
-  ASSERT_EQ(loaded.components.size(), 1u);
-}
-
-// --- Hostile v3 score annotations: every classification invariant the
-// derivation layer relies on is enforced at the ingress. --------------------
-
-namespace hostile_v3 {
-
-/// Meta for a scored similarity-metric workspace: serve r=0.5, cover r=0.8.
-std::string ScoredMeta(uint64_t num_components, double threshold = 0.5,
-                       double cover = 0.8, uint32_t flags = 1) {
-  std::string meta;
-  PutU32(&meta, 2);  // k
-  PutDouble(&meta, threshold);
-  PutU32(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
-  PutU64(&meta, 0);  // graph version
-  PutU32(&meta, flags);
-  PutDouble(&meta, cover);
-  PutU64(&meta, num_components);
-  return meta;
-}
-
-/// A triangle component with one active and one reserve (u,v,score) entry,
-/// scores supplied by the test.
-std::string ScoredComponent(double active_score, double reserve_score) {
-  std::string comp;
-  PutU32(&comp, 3);  // n
-  PutU64(&comp, 3);  // triangle
-  // adjacency rows: 0:[1,2] 1:[0,2] 2:[0,1]
-  const uint32_t adjacency[] = {1, 2, 0, 2, 0, 1};
-  for (uint32_t v : adjacency) PutU32(&comp, v);
-  for (int i = 0; i < 3; ++i) PutU32(&comp, 2);       // degrees
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);  // to_parent
-  PutU64(&comp, 1);  // active pairs
-  PutU32(&comp, 0);
-  PutU32(&comp, 1);
-  PutDouble(&comp, active_score);
-  PutU64(&comp, 1);  // reserve pairs
-  PutU32(&comp, 1);
-  PutU32(&comp, 2);
-  PutDouble(&comp, reserve_score);
-  return comp;
-}
-
-}  // namespace hostile_v3
 
 TEST(Snapshot, ScoredPairOnWrongSideOfThresholdIsRejected) {
-  using hostile_v3::ScoredComponent;
-  using hostile_v3::ScoredMeta;
   struct Case {
     double active, reserve;
     const char* expect;
@@ -514,49 +513,27 @@ TEST(Snapshot, ScoredPairOnWrongSideOfThresholdIsRejected) {
       {std::numeric_limits<double>::quiet_NaN(), 0.6, "non-finite"},
       {0.3, std::numeric_limits<double>::infinity(), "non-finite"},
   };
-  for (const Case& c : cases) {
-    TempFile file("hostile_scored.krws");
-    WriteAll(file.path(),
-             FileWithSections({{1, ScoredMeta(1)},
-                               {2, ScoredComponent(c.active, c.reserve)}}));
-    PreparedWorkspace loaded;
-    Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-    EXPECT_TRUE(s.IsInvalidArgument())
-        << "active=" << c.active << " reserve=" << c.reserve;
-    EXPECT_NE(s.message().find(c.expect), std::string::npos) << s.ToString();
-    EXPECT_TRUE(loaded.components.empty());
+  for (size_t i = 0; i < std::size(cases); ++i) {
+    SCOPED_TRACE("case " + std::to_string(i));
+    const Case& c = cases[i];
+    const HandComponent comp = ScoredTriangle(c.active, c.reserve);
+    const std::string bytes = HandBuiltFile(ScoredMeta(1), {comp}, true);
+    ExpectComponentRejected(bytes, c.expect);
   }
 }
 
 TEST(Snapshot, PairListedInBothBlocksIsRejected) {
-  using hostile_v3::ScoredMeta;
-  std::string comp;
-  PutU32(&comp, 3);
-  PutU64(&comp, 3);
-  const uint32_t adjacency[] = {1, 2, 0, 2, 0, 1};
-  for (uint32_t v : adjacency) PutU32(&comp, v);
-  for (int i = 0; i < 3; ++i) PutU32(&comp, 2);
-  for (uint32_t u = 0; u < 3; ++u) PutU32(&comp, u);
-  PutU64(&comp, 1);
-  PutU32(&comp, 0);  // active {0,1} @ 0.3
-  PutU32(&comp, 1);
-  PutDouble(&comp, 0.3);
-  PutU64(&comp, 1);
-  PutU32(&comp, 0);  // the same pair again, as reserve @ 0.6
-  PutU32(&comp, 1);
-  PutDouble(&comp, 0.6);
-  TempFile file("dup_blocks.krws");
-  WriteAll(file.path(),
-           FileWithSections({{1, ScoredMeta(1)}, {2, comp}}));
-  PreparedWorkspace loaded;
-  Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-  EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("both active and reserve"), std::string::npos)
-      << s.ToString();
+  // {0,1} active at 0.3 and again reserve at 0.6, mirrored consistently.
+  HandComponent c = Triangle();
+  c.active[0] = {{1, 0.3}};
+  c.active[1] = {{0, 0.3}};
+  c.reserve[0] = {{1, 0.6}};
+  c.reserve[1] = {{0, 0.6}};
+  const std::string bytes = HandBuiltFile(ScoredMeta(1), {c}, true);
+  ExpectComponentRejected(bytes, "both active and reserve");
 }
 
 TEST(Snapshot, MalformedScoredMetaIsRejected) {
-  using hostile_v3::ScoredMeta;
   // Cover looser than serve (similarity metric: smaller), unknown flag
   // bits, and a widened cover on an unscored file.
   const std::string bad_metas[] = {
@@ -570,14 +547,47 @@ TEST(Snapshot, MalformedScoredMetaIsRejected) {
       "unscored workspace with a widened score cover",
   };
   for (size_t i = 0; i < 3; ++i) {
-    TempFile file("bad_meta.krws");
-    WriteAll(file.path(), FileWithSections({{1, bad_metas[i]}}));
-    PreparedWorkspace loaded;
-    Status s = LoadWorkspaceSnapshot(file.path(), &loaded);
-    EXPECT_TRUE(s.IsInvalidArgument()) << "case " << i;
-    EXPECT_NE(s.message().find(expects[i]), std::string::npos)
-        << s.ToString();
+    SCOPED_TRACE("case " + std::to_string(i));
+    ExpectFileRejected(HandBuiltFile(bad_metas[i], {}, true), expects[i]);
   }
+}
+
+TEST(Snapshot, AsymmetricDissimilarPairIsRejected) {
+  // Rows {0: [1], 1: [], 2: [1]}: 0 lists 1, which does not list it back.
+  HandComponent c = Triangle();
+  c.active[0] = {{1}};
+  c.active[2] = {{1}};
+  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  ExpectComponentRejected(bytes, "asymmetric dissimilar pair");
+}
+
+TEST(Snapshot, MirroredPairScoreMismatchIsRejected) {
+  // Both directions of {0,1} are active and dissimilar, but disagree on
+  // the score.
+  HandComponent c = Triangle();
+  c.active[0] = {{1, 0.3}};
+  c.active[1] = {{0, 0.2}};
+  const std::string bytes = HandBuiltFile(ScoredMeta(1), {c}, true);
+  ExpectComponentRejected(bytes, "mirrored pair score mismatch");
+}
+
+TEST(Snapshot, StoredMaxDegreeMismatchIsRejected) {
+  // Mining reads max_degree from the table before validation; it must
+  // still be the truth.
+  HandComponent c = Triangle();
+  c.table_max_degree = 3;
+  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  ExpectComponentRejected(bytes, "stored max degree mismatch");
+}
+
+TEST(Snapshot, StoredPairCountsMismatchIsRejected) {
+  // One active and one reserve pair declared as two active ones: the blob
+  // layout is the same (L = 4), so only the final count check sees it.
+  HandComponent c = ScoredTriangle(0.3, 0.6);
+  c.table_num_pairs = 2;
+  c.table_num_reserve = 0;
+  const std::string bytes = HandBuiltFile(ScoredMeta(1), {c}, true);
+  ExpectComponentRejected(bytes, "stored pair counts mismatch the footer");
 }
 
 TEST(Snapshot, TrailingGarbageIsRejected) {
@@ -644,7 +654,7 @@ TEST_F(SnapshotFailpoint, FailedSaveLeavesOldSnapshotIntactAndNoTmpFile) {
   EXPECT_FALSE(FileExists(file.path() + ".tmp"));
 }
 
-TEST_F(SnapshotFailpoint, WriteSectionFaultNamesTheSectionTag) {
+TEST_F(SnapshotFailpoint, SectionWriteFaultNamesTheSectionTag) {
   auto dataset = test::MakeRandomGeo(40, 150, 9);
   PreparedWorkspace ws = PrepareFixture(dataset, 2, 0.4);
   TempFile file("tagged.krws");

@@ -1,23 +1,21 @@
-// Workspace snapshot inspector and format converter.
+// Workspace snapshot inspector.
 //
 // Usage:
 //   snapshot_tool --info=ws.krws [--json]
-//   snapshot_tool --convert=ws_v3.krws --out=ws_v4.krws [--format=4]
 //
-// `--info` walks the file's headers, meta and checksums (v1-v4) without
-// requiring full structural validation — a bit-flipped section prints as
-// `checksum BAD` instead of aborting, which is the point: this is the
-// first tool to reach for on a torn-file report. `--convert` does a full
-// validated load followed by a save in the requested format version, so a
-// successful conversion doubles as an integrity check.
+// `--info` walks the file's header, meta, section table and checksums
+// without requiring full structural validation — a bit-flipped component
+// prints as `BAD` instead of aborting, which is the point: this is the
+// first tool to reach for on a torn-file report.
 //
-// Exits 0 on success, 1 on any error (unreadable file, failed validation).
+// Exits 0 on success, 1 on any error (unreadable file, bad magic, a
+// version other than 4, damaged header/meta/table/tail).
 
 #include <cinttypes>
 #include <cstdio>
 #include <string>
 
-#include "core/pipeline.h"
+#include "server/protocol.h"
 #include "snapshot/workspace_snapshot.h"
 #include "util/options.h"
 
@@ -61,8 +59,8 @@ void PrintInfoJson(const std::string& path, const SnapshotInfo& info) {
               "\"distance_metric\":%s,\"version\":%" PRIu64
               ",\"bitset_min_degree\":%u,\"components\":%" PRIu64
               ",\"sections\":[",
-              path.c_str(), info.format_version, info.file_size, info.k,
-              info.threshold, info.score_cover,
+              JsonEscape(path).c_str(), info.format_version, info.file_size,
+              info.k, info.threshold, info.score_cover,
               info.scored ? "true" : "false",
               info.is_distance ? "true" : "false", info.graph_version,
               info.bitset_min_degree, info.num_components);
@@ -90,52 +88,24 @@ int main(int argc, char** argv) {
   if (options.Has("help") || argc == 1) {
     std::printf(
         "snapshot_tool --info=PATH [--json]\n"
-        "snapshot_tool --convert=SRC --out=DST [--format=N]\n"
-        "Inspects and converts (k,r)-core workspace snapshot files.\n"
+        "Inspects (k,r)-core workspace snapshot files.\n"
         "  --info=PATH     print version, identity, and per-section\n"
-        "                  sizes/checksums for any v1-v4 snapshot; damaged\n"
-        "                  sections print as BAD instead of aborting\n"
-        "  --json          emit --info output as one JSON object\n"
-        "  --convert=SRC   load SRC (full validation), rewrite as --format\n"
-        "  --out=DST       destination path for --convert\n"
-        "  --format=N      output format version for --convert: 3 or 4\n"
-        "                  (default 4, the mmap-ready layout)\n");
+        "                  sizes/checksums; damaged components print as\n"
+        "                  BAD instead of aborting\n"
+        "  --json          emit --info output as one JSON object\n");
     return 0;
   }
 
-  if (options.Has("info")) {
-    const std::string path = options.GetString("info", "");
-    SnapshotInfo info;
-    if (Status s = InspectSnapshot(path, &info); !s.ok()) {
-      return Fail(path + ": " + s.message());
-    }
-    if (options.GetBool("json", false)) {
-      PrintInfoJson(path, info);
-    } else {
-      PrintInfoText(path, info);
-    }
-    return 0;
+  if (!options.Has("info")) return Fail("need --info=PATH; see --help");
+  const std::string path = options.GetString("info", "");
+  SnapshotInfo info;
+  if (Status s = InspectSnapshot(path, &info); !s.ok()) {
+    return Fail(path + ": " + s.message());
   }
-
-  if (options.Has("convert")) {
-    const std::string src = options.GetString("convert", "");
-    const std::string dst = options.GetString("out", "");
-    if (dst.empty()) return Fail("--convert needs --out=DST");
-    const int64_t format = options.GetInt("format", 4);
-    PreparedWorkspace ws;
-    if (Status s = LoadWorkspaceSnapshot(src, &ws); !s.ok()) {
-      return Fail(src + ": " + s.message());
-    }
-    if (Status s = SaveWorkspaceSnapshot(
-            ws, dst, static_cast<uint32_t>(format));
-        !s.ok()) {
-      return Fail(dst + ": " + s.message());
-    }
-    std::fprintf(stderr, "converted %s -> %s (v%lld, %zu components)\n",
-                 src.c_str(), dst.c_str(), (long long)format,
-                 ws.components.size());
-    return 0;
+  if (options.GetBool("json", false)) {
+    PrintInfoJson(path, info);
+  } else {
+    PrintInfoText(path, info);
   }
-
-  return Fail("need --info=PATH or --convert=SRC --out=DST; see --help");
+  return 0;
 }
