@@ -223,29 +223,37 @@ class ComponentEnumerator {
   /// running the smart maximal check when enabled. With M non-empty the
   /// connectivity reduction guarantees a single component.
   Status Emit() {
-    std::vector<VertexId> mc = ctx_.MaterializeMC();
-    if (mc.empty()) return Status::OK();
-    auto components = ComponentsOfSubset(job_->comp.graph, mc);
-    for (auto& local_core : components) {
-      ++stats_.emitted_candidates;
-      if (options().use_smart_maximal_check) {
-        ++stats_.maximal_check_calls;
-        MaximalVerdict verdict = maximal_checker_.Check(
-            ctx_, local_core, options().maximal_check_order, options().lambda,
-            options().deadline, &stats_.maximal_check_nodes);
-        if (verdict == MaximalVerdict::kDeadlineExceeded) {
-          return Status::DeadlineExceeded("maximal check budget expired");
-        }
-        if (verdict == MaximalVerdict::kNotMaximal) continue;
-      }
-      VertexSet parent_ids;
-      parent_ids.reserve(local_core.size());
-      for (VertexId v : local_core) {
-        parent_ids.push_back(job_->comp.to_parent[v]);
-      }
-      std::sort(parent_ids.begin(), parent_ids.end());
-      results_.Insert(std::move(parent_ids));
+    if (!ctx_.m_list().empty()) {
+      std::vector<VertexId> mc = ctx_.MaterializeMC();
+      KRCORE_DCHECK(IsConnectedSubset(job_->comp.graph, mc));
+      return EmitCore(mc);
     }
+    for (const auto& local_core :
+         ComponentsOfSubset(job_->comp.graph, ctx_.MaterializeMC())) {
+      Status s = EmitCore(local_core);
+      if (!s.ok()) return s;
+    }
+    return Status::OK();
+  }
+
+  /// Records one connected (k,r)-core unless the maximal check rejects it.
+  Status EmitCore(const std::vector<VertexId>& local_core) {
+    ++stats_.emitted_candidates;
+    if (options().use_smart_maximal_check) {
+      ++stats_.maximal_check_calls;
+      MaximalVerdict verdict = maximal_checker_.Check(
+          ctx_, local_core, options().maximal_check_order, options().lambda,
+          options().deadline, &stats_.maximal_check_nodes);
+      if (verdict == MaximalVerdict::kDeadlineExceeded) {
+        return Status::DeadlineExceeded("maximal check budget expired");
+      }
+      if (verdict == MaximalVerdict::kNotMaximal) return Status::OK();
+    }
+    VertexSet parent_ids;
+    parent_ids.reserve(local_core.size());
+    for (VertexId v : local_core) parent_ids.push_back(job_->comp.to_parent[v]);
+    std::sort(parent_ids.begin(), parent_ids.end());
+    results_.Insert(std::move(parent_ids));
     return Status::OK();
   }
 

@@ -24,9 +24,13 @@ enum class MaximalVerdict {
 /// never contains a dissimilar pair, so for a conflicted candidate w it
 /// explores "keep w" (dropping w's dissimilar candidates) and "drop w".
 /// When no conflicts remain, the answer is immediate — peel the candidates
-/// to degree >= k with the core pinned; the core extends iff a survivor
-/// connects to it. Exponential only in the conflicts inside the filtered
+/// to degree >= k with the core pinned; the core extends iff a survivor is
+/// adjacent to it. Exponential only in the conflicts inside the filtered
 /// excluded set (tiny in practice), never in |E|.
+///
+/// On the dense kernel every set is a bitset and every count a popcount
+/// against the DenseRows; the sparse kernel walks the CSR rows. Both make the
+/// same choices, so the node count is the same.
 ///
 /// `order` selects the conflict-vertex heuristic compared in Fig 11(f):
 /// kDegree (the paper's recommendation), kDelta1ThenDelta2 or kLambdaCombo;
@@ -44,25 +48,35 @@ class MaximalCheckSearcher {
 
  private:
   void Peel(uint32_t k, std::vector<VertexId>& cand);
-  bool AnyAttached(const std::vector<VertexId>& core,
-                   const std::vector<VertexId>& cand);
-  VertexId ChooseConflicted(const std::vector<VertexId>& cand, uint32_t k,
+  /// Whether some candidate has a neighbor in the core.
+  bool AnyAttached(const std::vector<VertexId>& cand);
+  VertexId ChooseConflicted(const std::vector<VertexId>& cand,
                             VertexOrder order, double lambda);
-  MaximalVerdict Search(const SearchContext& ctx,
-                        const std::vector<VertexId>& core,
-                        std::vector<VertexId> cand, VertexOrder order,
-                        double lambda, const Deadline& deadline,
-                        uint64_t* nodes);
+  MaximalVerdict Search(const SearchContext& ctx, std::vector<VertexId> cand,
+                        VertexOrder order, double lambda,
+                        const Deadline& deadline, uint64_t* nodes);
+
+  /// The same search as word loops over the dense kernel's rows: the core
+  /// and each depth's candidates are bitsets in bits_.
+  MaximalVerdict CheckDense(const SearchContext& ctx,
+                            const std::vector<VertexId>& core,
+                            VertexOrder order, double lambda,
+                            const Deadline& deadline, uint64_t* nodes);
+  MaximalVerdict SearchDense(const SearchContext& ctx, uint32_t depth,
+                             VertexOrder order, double lambda,
+                             const Deadline& deadline, uint64_t* nodes);
+  /// Bitset i of bits_: 0 = core, 1 = candidates ∪ core of the current
+  /// node, 2 + d = the candidates at recursion depth d.
+  uint64_t* DenseSet(uint32_t i) { return bits_.data() + size_t{i} * words_; }
 
   const ComponentContext& comp_;
   std::vector<uint8_t> in_core_;
   std::vector<uint8_t> role_;
   std::vector<uint32_t> deg_;
-  std::vector<uint32_t> seen_;
   std::vector<VertexId> worklist_;
-  std::vector<VertexId> stack_;
-  uint32_t epoch_ = 0;
   uint64_t check_counter_ = 0;
+  uint32_t words_ = 0;
+  std::vector<uint64_t> bits_;
 };
 
 /// One-off convenience wrapper (tests).

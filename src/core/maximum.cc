@@ -285,21 +285,30 @@ class ComponentMaximizer {
     });
   }
 
+  /// Offers the connected components of M ∪ C to the incumbent. With M
+  /// non-empty the connectivity reduction guarantees a single component.
   void Emit() {
-    std::vector<VertexId> mc = ctx_.MaterializeMC();
-    if (mc.empty()) return;
-    auto components = ComponentsOfSubset(job_->comp.graph, mc);
-    for (const auto& local_core : components) {
-      ++stats_.emitted_candidates;
-      if (local_core.size() < job_->best->Size()) continue;
-      VertexSet parent_ids;
-      parent_ids.reserve(local_core.size());
-      for (VertexId v : local_core) {
-        parent_ids.push_back(job_->comp.to_parent[v]);
-      }
-      std::sort(parent_ids.begin(), parent_ids.end());
-      job_->best->Offer(std::move(parent_ids));
+    if (!ctx_.m_list().empty()) {
+      std::vector<VertexId> mc = ctx_.MaterializeMC();
+      KRCORE_DCHECK(IsConnectedSubset(job_->comp.graph, mc));
+      EmitCore(mc);
+      return;
     }
+    for (const auto& local_core :
+         ComponentsOfSubset(job_->comp.graph, ctx_.MaterializeMC())) {
+      EmitCore(local_core);
+    }
+  }
+
+  /// Offers one connected (k,r)-core unless it is below the incumbent.
+  void EmitCore(const std::vector<VertexId>& local_core) {
+    ++stats_.emitted_candidates;
+    if (local_core.size() < job_->best->Size()) return;
+    VertexSet parent_ids;
+    parent_ids.reserve(local_core.size());
+    for (VertexId v : local_core) parent_ids.push_back(job_->comp.to_parent[v]);
+    std::sort(parent_ids.begin(), parent_ids.end());
+    job_->best->Offer(std::move(parent_ids));
   }
 
   std::shared_ptr<MaxJob> job_;

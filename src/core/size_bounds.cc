@@ -78,21 +78,56 @@ uint64_t SizeBoundComputer::KkPrime(const SearchContext& ctx,
   const VertexId n = comp_.size();
 
   // H = current M ∪ C. dp[u] = DP(u, H); by the similarity invariant (Eq. 1)
-  // M vertices have dp 0 and C vertices have dp == dp_c(u).
+  // M vertices have dp 0 and C vertices have dp == dp_c(u). On the dense
+  // kernel H is a bitset and both cascades below walk row & H, which visits
+  // the CSR row's members in its (ascending) order.
   members_.clear();
   uint32_t max_dp = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    VertexState s = ctx.state(u);
-    if (s == VertexState::kInM || s == VertexState::kInC) {
-      in_h_[u] = 1;
-      dp_[u] = (s == VertexState::kInC) ? ctx.dp_c(u) : 0;
-      deg_[u] = ctx.deg_mc(u);
-      members_.push_back(u);
-      max_dp = std::max(max_dp, dp_[u]);
+  auto add_member = [&](VertexId u, bool in_c) {
+    dp_[u] = in_c ? ctx.dp_c(u) : 0;
+    deg_[u] = ctx.deg_mc(u);
+    members_.push_back(u);
+    max_dp = std::max(max_dp, dp_[u]);
+  };
+  const uint32_t words = ctx.words();
+  uint64_t* h_bits = nullptr;
+  if (ctx.dense()) {
+    h_bits_.resize(words);
+    h_bits = h_bits_.data();
+    const uint64_t* m = ctx.m_bits();
+    const uint64_t* c = ctx.c_bits();
+    for (uint32_t i = 0; i < words; ++i) h_bits[i] = m[i] | c[i];
+    bits::ForEach(words, [&](uint32_t i) { return h_bits[i]; },
+                  [&](VertexId u) {
+                    add_member(u, bits::Test(c, u));
+                    return true;
+                  });
+  } else {
+    for (VertexId u = 0; u < n; ++u) {
+      VertexState s = ctx.state(u);
+      if (s == VertexState::kInM || s == VertexState::kInC) {
+        in_h_[u] = 1;
+        add_member(u, s == VertexState::kInC);
+      }
     }
   }
   uint64_t h = members_.size();
   if (h == 0) return 0;
+
+  auto in_h = [&](VertexId u) {
+    return h_bits != nullptr ? bits::Test(h_bits, u) : in_h_[u] != 0;
+  };
+  // A removed vertex's dissimilar members gain similarity degree; its
+  // neighbors lose structure degree and cascade when it falls below k.
+  auto lose_dissimilar = [&](VertexId y) {
+    --dp_[y];
+    buckets_[dp_[y]].push_back(y);
+    return true;
+  };
+  auto lose_neighbor = [&](VertexId y) {
+    if (deg_[y]-- == structure_k) cascade_.push_back(y);
+    return true;
+  };
 
   // Buckets over dp with lazy (stale) entries: picking the max-dp vertex is
   // picking the minimum-similarity-degree vertex of H.
@@ -108,7 +143,7 @@ uint64_t SizeBoundComputer::KkPrime(const SearchContext& ctx,
     while (cursor >= 0) {
       auto& bucket = buckets_[cursor];
       while (!bucket.empty() &&
-             (!in_h_[bucket.back()] ||
+             (!in_h(bucket.back()) ||
               dp_[bucket.back()] != static_cast<uint32_t>(cursor))) {
         bucket.pop_back();  // stale
       }
@@ -129,19 +164,29 @@ uint64_t SizeBoundComputer::KkPrime(const SearchContext& ctx,
     while (!cascade_.empty()) {
       VertexId x = cascade_.back();
       cascade_.pop_back();
-      if (!in_h_[x]) continue;
-      in_h_[x] = 0;
+      if (!in_h(x)) continue;
       --h;
       ++removed;
-      for (VertexId y : comp_.dissimilar[x]) {
-        if (in_h_[y]) {
-          --dp_[y];
-          buckets_[dp_[y]].push_back(y);
+      if (h_bits != nullptr) {
+        bits::Clear(h_bits, x);
+        const uint64_t* dis = ctx.dis_row(x);
+        bits::ForEach(words, [&](uint32_t i) { return dis[i] & h_bits[i]; },
+                      lose_dissimilar);
+        if (structure_k > 0) {
+          const uint64_t* adj = ctx.adj_row(x);
+          bits::ForEach(words,
+                        [&](uint32_t i) { return adj[i] & h_bits[i]; },
+                        lose_neighbor);
         }
+        continue;
+      }
+      in_h_[x] = 0;
+      for (VertexId y : comp_.dissimilar[x]) {
+        if (in_h_[y]) lose_dissimilar(y);
       }
       if (structure_k > 0) {
         for (VertexId y : comp_.graph.neighbors(x)) {
-          if (in_h_[y] && deg_[y]-- == structure_k) cascade_.push_back(y);
+          if (in_h_[y]) lose_neighbor(y);
         }
       }
     }

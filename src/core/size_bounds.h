@@ -49,13 +49,15 @@ class SizeBoundComputer {
   /// — so only the sparse dissimilar lists are touched per removal.
   /// Structure violations cascade (KK'coreUpdate) at the current k' level;
   /// with structure_k = 0 the cascade is disabled and the result is the
-  /// similarity-graph degeneracy + 1 (== Kcore). O(ne + nd) per call.
+  /// similarity-graph degeneracy + 1 (== Kcore). O(ne + nd) per call; on the
+  /// dense kernel H is a bitset and each removal walks its rows & H.
   uint64_t KkPrime(const SearchContext& ctx, uint32_t structure_k);
 
  private:
   const ComponentContext& comp_;
   // Shared scratch (sized to the component).
   std::vector<char> in_h_;
+  std::vector<uint64_t> h_bits_;  // dense kernel: H as a bitset
   std::vector<uint32_t> dp_;
   std::vector<uint32_t> deg_;
   std::vector<VertexId> members_;

@@ -1,12 +1,14 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-
+#include <string>
+#include <vector>
 
 #include "core/naive_enum.h"
 #include "core/pipeline.h"
 #include "core/search_context.h"
 #include "core/size_bounds.h"
+#include "search_context_test_peer.h"
 #include "test_helpers.h"
 
 namespace krcore {
@@ -94,6 +96,103 @@ TEST_P(BoundSweep, AllBoundsDominateTrueMaximumAtRoot) {
 }
 
 INSTANTIATE_TEST_SUITE_P(Sweep, BoundSweep, ::testing::Range<uint64_t>(0, 15));
+
+constexpr SizeBoundKind kBoundKinds[] = {
+    SizeBoundKind::kNaive, SizeBoundKind::kColor, SizeBoundKind::kKcore,
+    SizeBoundKind::kColorPlusKcore, SizeBoundKind::kDoubleKcore};
+
+/// Drives a dense-kernel and a sparse-kernel context over `comp` through the
+/// same seeded Expand / Shrink / RewindTo walk and checks that every bound
+/// kind gives the same value on both at every state. Returns the number of
+/// states compared.
+size_t WalkAndCompareBounds(const ComponentContext& comp, uint32_t k,
+                            uint64_t seed, int steps) {
+  auto make = [&](test::Kernel kernel) {
+    test::ScopedKernel forced(kernel);
+    return SearchContext(comp, k, true);
+  };
+  SearchContext dense = make(test::Kernel::kDense);
+  SearchContext sparse = make(test::Kernel::kSparse);
+  EXPECT_TRUE(dense.dense());
+  EXPECT_FALSE(sparse.dense());
+  SizeBoundComputer dense_bounds(comp), sparse_bounds(comp);
+  Rng rng(seed);
+  std::vector<size_t> marks_d, marks_s;
+  size_t states = 0;
+  for (int step = 0; step < steps; ++step) {
+    for (SizeBoundKind kind : kBoundKinds) {
+      EXPECT_EQ(dense_bounds.Compute(dense, kind),
+                sparse_bounds.Compute(sparse, kind))
+          << "step " << step << " bound " << SizeBoundName(kind);
+    }
+    EXPECT_EQ(dense_bounds.KkPrime(dense, 1), sparse_bounds.KkPrime(sparse, 1))
+        << "step " << step;
+    if (::testing::Test::HasFailure()) return states;
+    ++states;
+
+    if ((rng.NextDouble() < 0.25 && !marks_d.empty()) ||
+        dense.c_list().empty()) {
+      if (marks_d.empty()) break;
+      dense.RewindTo(marks_d.back());
+      sparse.RewindTo(marks_s.back());
+      marks_d.pop_back();
+      marks_s.pop_back();
+      continue;
+    }
+    auto members = dense.c_list().Materialize();
+    VertexId u = members[rng.NextBounded(members.size())];
+    marks_d.push_back(dense.Mark());
+    marks_s.push_back(sparse.Mark());
+    const bool expand = rng.NextBernoulli(0.5);
+    const bool alive_d = expand ? dense.Expand(u) : dense.Shrink(u);
+    const bool alive_s = expand ? sparse.Expand(u) : sparse.Shrink(u);
+    EXPECT_EQ(alive_d, alive_s) << "step " << step;
+    if (!alive_d || !alive_s) {
+      // A dead branch's partial state is never bounded; rewind it.
+      dense.RewindTo(marks_d.back());
+      sparse.RewindTo(marks_s.back());
+      marks_d.pop_back();
+      marks_s.pop_back();
+    }
+  }
+  return states;
+}
+
+class BoundKernelWalk : public ::testing::TestWithParam<uint64_t> {};
+
+TEST_P(BoundKernelWalk, DenseAndSparseBoundsAgreeAtEveryState) {
+  const uint64_t seed = GetParam();
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  Dataset dataset = seed % 2 == 0 ? test::MakeRandomGeo(60, 300, seed)
+                                  : test::MakeRandomKeyword(60, 300, seed);
+  auto comps = Prepare(dataset, seed % 2 == 0 ? 0.55 : 0.2, 2);
+  size_t states = 0;
+  for (const ComponentContext& comp : comps) {
+    states += WalkAndCompareBounds(comp, 2, seed * 17 + 5, 200);
+    if (HasFailure()) return;
+  }
+  EXPECT_GT(states, 50u) << "the walk must exercise the bounds";
+}
+
+INSTANTIATE_TEST_SUITE_P(Seeds, BoundKernelWalk,
+                         ::testing::Range<uint64_t>(700, 708));
+
+TEST(Bounds, ForcedDenseAgreesAboveDenseLimit) {
+  // A component above the dense kernel's size limit runs sparse by default;
+  // forced onto the dense kernel, its rows span five words.
+  const uint64_t seed = 9100;
+  SCOPED_TRACE("seed=" + std::to_string(seed));
+  Dataset dataset = test::MakeRandomGeo(300, 2400, seed);
+  auto comps = Prepare(dataset, 1.2, 4);
+  ASSERT_FALSE(comps.empty());
+  const ComponentContext& largest = *std::max_element(
+      comps.begin(), comps.end(),
+      [](const ComponentContext& a, const ComponentContext& b) {
+        return a.size() < b.size();
+      });
+  ASSERT_GT(largest.size(), SearchContext::kDenseVertexLimit);
+  EXPECT_GT(WalkAndCompareBounds(largest, 4, seed, 60), 20u);
+}
 
 TEST(Bounds, PaperExampleFigure4) {
   // Figure 4: J over {u0..u5}: u0 adjacent to all; edges among u1..u5 form

@@ -31,6 +31,10 @@ constexpr VertexOrder kOrders[] = {
     VertexOrder::kRandom,           VertexOrder::kDegree,
     VertexOrder::kDelta1,           VertexOrder::kDelta2,
     VertexOrder::kDelta1ThenDelta2, VertexOrder::kLambdaCombo};
+/// The conflict-vertex orders of the smart maximal check (AdvEnum only).
+constexpr VertexOrder kCheckOrders[] = {VertexOrder::kDegree,
+                                        VertexOrder::kDelta1ThenDelta2,
+                                        VertexOrder::kLambdaCombo};
 constexpr SizeBoundKind kBounds[] = {
     SizeBoundKind::kNaive, SizeBoundKind::kColor, SizeBoundKind::kKcore,
     SizeBoundKind::kColorPlusKcore, SizeBoundKind::kDoubleKcore};
@@ -70,31 +74,43 @@ void RunAllVariants(const Graph& g, const SimilarityOracle& oracle,
     enum_variants.push_back({"BasicEnum", BasicEnumOptions(k)});
   }
   for (const EnumVariant& variant : enum_variants) {
+    const bool checks = variant.options.use_smart_maximal_check;
     for (VertexOrder order : kOrders) {
-      for (uint32_t split : kSplitDepths) {
-        for (uint32_t threads : kThreads) {
-          EnumOptions opts = variant.options;
-          opts.order = order;
-          opts.parallel.split_depth = split;
-          opts.parallel.num_threads = threads;
-          const std::string what =
-              std::string(variant.name) + " order=" + VertexOrderName(order) +
-              " split=" + std::to_string(split) +
-              " threads=" + std::to_string(threads);
-          MiningStats per_kernel[2];
-          for (int i = 0; i < 2; ++i) {
-            ScopedKernel forced(kKernels[i]);
-            MaximalCoresResult result = EnumerateMaximalCores(g, oracle, opts);
-            ASSERT_TRUE(result.status.ok()) << what;
-            if (!have_expected) {
-              expected = result.cores;
-              have_expected = true;
+      for (VertexOrder check_order : kCheckOrders) {
+        // Without the smart check its order is never read: run it once.
+        if (!checks && check_order != variant.options.maximal_check_order) {
+          continue;
+        }
+        for (uint32_t split : kSplitDepths) {
+          for (uint32_t threads : kThreads) {
+            EnumOptions opts = variant.options;
+            opts.order = order;
+            opts.maximal_check_order = check_order;
+            opts.parallel.split_depth = split;
+            opts.parallel.num_threads = threads;
+            const std::string what =
+                std::string(variant.name) + " order=" + VertexOrderName(order) +
+                " check_order=" + VertexOrderName(check_order) +
+                " split=" + std::to_string(split) +
+                " threads=" + std::to_string(threads);
+            MiningStats per_kernel[2];
+            for (int i = 0; i < 2; ++i) {
+              ScopedKernel forced(kKernels[i]);
+              MaximalCoresResult result =
+                  EnumerateMaximalCores(g, oracle, opts);
+              ASSERT_TRUE(result.status.ok()) << what;
+              if (!have_expected) {
+                expected = result.cores;
+                have_expected = true;
+              }
+              EXPECT_EQ(result.cores, expected)
+                  << what << " kernel=" << test::KernelName(kKernels[i]);
+              per_kernel[i] = result.stats;
             }
-            EXPECT_EQ(result.cores, expected)
-                << what << " kernel=" << test::KernelName(kKernels[i]);
-            per_kernel[i] = result.stats;
+            if (threads == 1) {
+              ExpectSameTree(per_kernel[0], per_kernel[1], what);
+            }
           }
-          if (threads == 1) ExpectSameTree(per_kernel[0], per_kernel[1], what);
         }
       }
     }
