@@ -16,7 +16,6 @@ DissimilarityIndex& DissimilarityIndex::operator=(
   num_reserve_pairs_ = o.num_reserve_pairs_;
   annotated_empty_ = o.annotated_empty_;
   borrowed_ = o.borrowed_;
-  arena_ = o.arena_;  // immutable once built — safe to share across copies
   if (o.borrowed_) {
     offsets_.clear();
     active_end_.clear();
@@ -44,7 +43,6 @@ DissimilarityIndex& DissimilarityIndex::operator=(
   num_reserve_pairs_ = o.num_reserve_pairs_;
   annotated_empty_ = o.annotated_empty_;
   borrowed_ = o.borrowed_;
-  arena_ = std::move(o.arena_);
   offsets_ = std::move(o.offsets_);
   active_end_ = std::move(o.active_end_);
   ids_ = std::move(o.ids_);
@@ -77,8 +75,7 @@ DissimilarityIndex DissimilarityIndex::BorrowedView(
     VertexId n, std::span<const uint64_t> offsets,
     std::span<const uint64_t> active_end, std::span<const VertexId> ids,
     std::span<const double> scores, uint64_t num_pairs,
-    uint64_t num_reserve_pairs, bool scored,
-    std::shared_ptr<const BitsetArena> arena) {
+    uint64_t num_reserve_pairs, bool scored) {
   DissimilarityIndex index;
   index.n_ = n;
   index.num_pairs_ = num_pairs;
@@ -89,54 +86,12 @@ DissimilarityIndex DissimilarityIndex::BorrowedView(
   index.active_end_view_ = active_end;
   index.ids_view_ = ids;
   index.scores_view_ = scores;
-  index.arena_ = std::move(arena);
   return index;
-}
-
-DissimilarityIndex::BitsetArena DissimilarityIndex::ComputeBitsets(
-    const DissimilarityIndex& index, uint32_t bitset_min_degree) {
-  // A bitset row costs n/8 bytes and the CSR row 4*degree bytes, so
-  // degree * 64 >= n keeps the bitset within ~2x of the row's CSR bytes.
-  // Keyed on the *active* degree: the bitset answers Dissimilar() at the
-  // serving threshold, so reserve entries are excluded and an annotated
-  // index probes identically to an unannotated one at the same threshold.
-  const VertexId n = index.num_vertices();
-  auto is_hot = [&](VertexId u) {
-    const uint32_t deg = index.degree(u);
-    return deg >= bitset_min_degree && static_cast<uint64_t>(deg) * 64 >= n;
-  };
-  BitsetArena arena;
-  VertexId hot = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    if (is_hot(u)) ++hot;
-  }
-  if (hot == 0) return arena;
-  arena.words_per_row = (n + 63) / 64;
-  arena.rows = hot;
-  arena.slot.assign(n, kNoBitset);
-  arena.bits.assign(static_cast<uint64_t>(hot) * arena.words_per_row, 0);
-  uint32_t slot = 0;
-  for (VertexId u = 0; u < n; ++u) {
-    if (!is_hot(u)) continue;
-    arena.slot[u] = slot;
-    uint64_t base = static_cast<uint64_t>(slot) * arena.words_per_row;
-    for (VertexId v : index[u]) {
-      arena.bits[base + (v >> 6)] |= 1ull << (v & 63);
-    }
-    ++slot;
-  }
-  return arena;
 }
 
 bool DissimilarityIndex::Dissimilar(VertexId u, VertexId v) const {
   KRCORE_DCHECK(u < n_ && v < n_);
   if (u == v) return false;
-  const bool have_bitsets = arena_ != nullptr && !arena_->slot.empty();
-  uint32_t su = have_bitsets ? arena_->slot[u] : kNoBitset;
-  if (su != kNoBitset) return TestBit(su, v);
-  uint32_t sv = have_bitsets ? arena_->slot[v] : kNoBitset;
-  if (sv != kNoBitset) return TestBit(sv, u);
-  // Both rows cold: binary search the shorter active segment.
   if (degree(v) < degree(u)) std::swap(u, v);
   auto r = (*this)[u];
   return std::binary_search(r.begin(), r.end(), v);
@@ -201,8 +156,7 @@ uint64_t DissimilarityIndex::MemoryBytes() const {
   return offsets_view_.size() * sizeof(uint64_t) +
          active_end_view_.size() * sizeof(uint64_t) +
          ids_view_.size() * sizeof(VertexId) +
-         scores_view_.size() * sizeof(double) +
-         (arena_ ? arena_->MemoryBytes() : 0);
+         scores_view_.size() * sizeof(double);
 }
 
 DissimilarityIndex::Builder::Builder(VertexId num_vertices)
@@ -251,8 +205,7 @@ uint64_t DissimilarityIndex::Builder::MemoryBytes() const {
          reserve_.size() * sizeof(uint8_t);
 }
 
-DissimilarityIndex DissimilarityIndex::Builder::Build(
-    uint32_t bitset_min_degree) {
+DissimilarityIndex DissimilarityIndex::Builder::Build() {
   std::vector<uint64_t> offsets(static_cast<size_t>(n_) + 1, 0);
   std::vector<uint64_t> active_end(n_, 0);
   for (VertexId u = 0; u < n_; ++u) {
@@ -312,14 +265,13 @@ DissimilarityIndex DissimilarityIndex::Builder::Build(
     sort_segment(active_end[u], offsets[u + 1]);
   }
   return FromRows(n_, std::move(offsets), std::move(active_end),
-                  std::move(ids), std::move(scores), scored_,
-                  bitset_min_degree);
+                  std::move(ids), std::move(scores), scored_);
 }
 
 DissimilarityIndex DissimilarityIndex::FromRows(
     VertexId n, std::vector<uint64_t> offsets,
     std::vector<uint64_t> active_end, std::vector<VertexId> ids,
-    std::vector<double> scores, bool scored, uint32_t bitset_min_degree) {
+    std::vector<double> scores, bool scored) {
   KRCORE_DCHECK(offsets.size() == static_cast<size_t>(n) + 1);
   KRCORE_DCHECK(active_end.size() == n);
   KRCORE_DCHECK(offsets.back() == ids.size());
@@ -372,11 +324,6 @@ DissimilarityIndex DissimilarityIndex::FromRows(
     }
   }
 #endif
-
-  BitsetArena arena = ComputeBitsets(index, bitset_min_degree);
-  if (arena.rows > 0) {
-    index.arena_ = std::make_shared<const BitsetArena>(std::move(arena));
-  }
   return index;
 }
 

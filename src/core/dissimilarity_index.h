@@ -2,7 +2,6 @@
 #define KRCORE_CORE_DISSIMILARITY_INDEX_H_
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <utility>
 #include <vector>
@@ -21,64 +20,36 @@ namespace krcore {
 ///  - CSR core: one offsets array (n+1) plus one contiguous id array, so
 ///    row iteration is a pointer-range scan with no per-row heap hops and
 ///    membership probes are a binary search over a cache-contiguous range.
-///  - Hybrid bitsets: rows that are both absolutely large (>= the builder's
-///    `bitset_min_degree`) and dense relative to the component (degree * 64
-///    >= n; a bitset row is n/8 bytes vs 4*degree CSR bytes, so this caps
-///    the bitset at ~2x the row's CSR bytes) additionally get a packed
-///    bitmap, making Dissimilar(u, v) O(1) on exactly the hot vertices
-///    where a binary search over a huge row would hurt.
 ///  - Score annotation (optional): a parallel score array storing each
 ///    pair's raw metric value, and a two-segment row split. The *active*
 ///    segment holds the pairs dissimilar at the index's serving threshold —
 ///    exactly what an unannotated index stores — and every mining-facing
-///    accessor (operator[], degree, Dissimilar, the bitsets, num_pairs)
-///    sees only it, so the search hot path is bit-for-bit identical with or
-///    without annotation. The *reserve* segment holds pairs that are
-///    similar at the serving threshold but dissimilar at some stricter
-///    *cover* threshold; only the derivation machinery reads it, to answer
-///    any threshold between serve and cover as a pure score filter with
-///    zero oracle calls.
+///    accessor (operator[], degree, Dissimilar, num_pairs) sees only it,
+///    so the search hot path is bit-for-bit identical with or without
+///    annotation. The *reserve* segment holds pairs that are similar at the
+///    serving threshold but dissimilar at some stricter *cover* threshold;
+///    only the derivation machinery reads it, to answer any threshold
+///    between serve and cover as a pure score filter with zero oracle
+///    calls.
 ///
-///    Both segments keep ascending id order (not score order): the hot path
-///    needs O(log d) id membership on bitset-less rows, and an r-filter has
-///    to remap ids while copying anyway, so score-ordering a row would cost
-///    the membership probe and buy nothing the linear filter pass does not
-///    already get. Scores are stored at full double width: the filter must
-///    reproduce the oracle's threshold verdict bit for bit — a float-
-///    narrowed score can flip a pair that sits within half an ULP of a cell
-///    threshold, silently breaking the derived == cold invariant the whole
-///    reuse layer is contracted on.
+///    Both segments keep ascending id order (not score order): rows merge
+///    and probe by id, and an r-filter has to remap ids while copying
+///    anyway, so score-ordering a row would cost the membership probe and
+///    buy nothing the linear filter pass does not already get. Scores are
+///    stored at full double width: the filter must reproduce the oracle's
+///    threshold verdict bit for bit — a float-narrowed score can flip a
+///    pair that sits within half an ULP of a cell threshold, silently
+///    breaking the derived == cold invariant the whole reuse layer is
+///    contracted on.
 ///
 /// Storage is owned-or-borrowed, like Graph: Builder::Build and FromRows
 /// produce an owning index (vectors), while BorrowedView wraps externally-
 /// owned CSR arrays — the spans an mmapped snapshot hands out, whose
 /// lifetime the holder of the mapping (PreparedWorkspace::backing) carries.
-/// The hybrid bitsets live in a shared BitsetArena behind a shared_ptr so
-/// that copies of a lazily-validated borrowed index all observe the arena
-/// the one first-touch validation pass fills in.
 ///
 /// Instances are immutable once built; all reads are const and thread-safe.
 class DissimilarityIndex {
  public:
-  /// Default absolute degree floor below which a row never gets a bitset.
-  static constexpr uint32_t kDefaultBitsetMinDegree = 64;
-
-  /// The hybrid-bitset acceleration structure: one packed bitmap row per
-  /// hot vertex, shared (behind shared_ptr) by every copy of an index.
-  /// Built deterministically from the active CSR rows by ComputeBitsets —
-  /// either at Build() time (owned indexes) or during a borrowed index's
-  /// first-touch validation.
-  struct BitsetArena {
-    std::vector<uint32_t> slot;  // n entries; kNoBitset for cold rows
-    std::vector<uint64_t> bits;  // rows * words_per_row packed words
-    VertexId words_per_row = 0;
-    VertexId rows = 0;
-
-    uint64_t MemoryBytes() const {
-      return slot.size() * sizeof(uint32_t) + bits.size() * sizeof(uint64_t);
-    }
-  };
-
   DissimilarityIndex() = default;
 
   DissimilarityIndex(const DissimilarityIndex& o) { *this = o; }
@@ -89,34 +60,23 @@ class DissimilarityIndex {
   DissimilarityIndex& operator=(DissimilarityIndex&& o) noexcept;
 
   /// Borrows externally-owned CSR arrays without copying or validating (the
-  /// snapshot layer validates on first touch). `arena` may start empty and
-  /// be filled in place by that validation pass — the call_once guarding it
-  /// gives every copy a happens-before on the fill.
+  /// snapshot layer validates on first touch).
   static DissimilarityIndex BorrowedView(
       VertexId n, std::span<const uint64_t> offsets,
       std::span<const uint64_t> active_end, std::span<const VertexId> ids,
       std::span<const double> scores, uint64_t num_pairs,
-      uint64_t num_reserve_pairs, bool scored,
-      std::shared_ptr<const BitsetArena> arena);
+      uint64_t num_reserve_pairs, bool scored);
 
   /// Adopts fully formed owned CSR arrays without copying: each row's active
   /// and reserve segments id-sorted, every pair stored in both endpoint rows
   /// (same segment, same score), `scores` parallel to `ids` when `scored`
-  /// and empty otherwise. Counts the pairs and builds the bitsets; Debug
-  /// builds check sortedness and symmetry. Builder::Build ends here, and
-  /// workspace derivation writes its rows directly and hands them over.
+  /// and empty otherwise. Counts the pairs; Debug builds check sortedness
+  /// and symmetry. Builder::Build ends here, and workspace derivation writes
+  /// its rows directly and hands them over.
   static DissimilarityIndex FromRows(VertexId n, std::vector<uint64_t> offsets,
                                      std::vector<uint64_t> active_end,
                                      std::vector<VertexId> ids,
-                                     std::vector<double> scores, bool scored,
-                                     uint32_t bitset_min_degree);
-
-  /// Builds the hybrid-bitset arena for `index`'s active rows: a row is hot
-  /// when its active degree is >= bitset_min_degree and degree * 64 >= n.
-  /// Deterministic in the index contents, so a snapshot round-trip rebuilds
-  /// byte-identical bitsets.
-  static BitsetArena ComputeBitsets(const DissimilarityIndex& index,
-                                    uint32_t bitset_min_degree);
+                                     std::vector<double> scores, bool scored);
 
   VertexId num_vertices() const { return n_; }
   /// Number of unordered dissimilar pairs at the serving threshold (DP of
@@ -168,17 +128,14 @@ class DissimilarityIndex {
             scores_view_.data() + offsets_view_[u + 1]};
   }
 
-  /// True iff {u, v} is a dissimilar pair at the serving threshold. O(1)
-  /// when either endpoint owns a bitset, O(log min(deg(u), deg(v)))
-  /// otherwise. Reserve pairs answer false — they are similar at serve.
+  /// True iff {u, v} is a dissimilar pair at the serving threshold: a
+  /// binary search over the shorter active row, O(log min(deg(u), deg(v))).
+  /// Reserve pairs answer false — they are similar at serve.
   bool Dissimilar(VertexId u, VertexId v) const;
 
-  /// Number of rows backed by a bitset.
-  VertexId bitset_rows() const { return arena_ ? arena_->rows : 0; }
-
-  /// Bytes held by the CSR arrays, the score annotation and the bitset
-  /// arena (excludes the object header; used for the PreprocessReport
-  /// memory accounting). Borrowed views count their mapped bytes.
+  /// Bytes held by the CSR arrays and the score annotation (excludes the
+  /// object header; used for the PreprocessReport memory accounting).
+  /// Borrowed views count their mapped bytes.
   uint64_t MemoryBytes() const;
 
   /// Raw CSR arrays (the snapshot writer's zero-transform serialization).
@@ -228,8 +185,7 @@ class DissimilarityIndex {
 
     /// Freezes into an immutable index. The builder is consumed (its pair
     /// buffer is released).
-    DissimilarityIndex Build(
-        uint32_t bitset_min_degree = kDefaultBitsetMinDegree);
+    DissimilarityIndex Build();
 
    private:
     void Record(VertexId a, VertexId b, bool reserve);
@@ -270,16 +226,7 @@ class DissimilarityIndex {
   /// the bulk derivation paths iterate the segments directly instead.
   bool LookupScore(VertexId u, VertexId v, double* score) const;
 
-  static constexpr uint32_t kNoBitset = static_cast<uint32_t>(-1);
-
  private:
-  bool TestBit(uint32_t slot, VertexId v) const {
-    return (arena_->bits[static_cast<uint64_t>(slot) * arena_->words_per_row +
-                         (v >> 6)] >>
-            (v & 63)) &
-           1;
-  }
-
   void RebindOwned() {
     offsets_view_ = offsets_;
     active_end_view_ = active_end_;
@@ -307,11 +254,6 @@ class DissimilarityIndex {
   std::span<const uint64_t> active_end_view_;
   std::span<const VertexId> ids_view_;
   std::span<const double> scores_view_;
-
-  // Hybrid part, shared by every copy of this index. Null means no bitsets
-  // (or a borrowed view whose lazy validation has not filled the arena yet
-  // — mining never probes before EnsureValid).
-  std::shared_ptr<const BitsetArena> arena_;
 };
 
 }  // namespace krcore

@@ -59,10 +59,9 @@ ComponentContext BuildComponent(const Graph& similar_only,
     return ctx;
   }
   // During Build() the packed pair buffer and the CSR arrays coexist until
-  // the fill pass completes, so the transient peak is the sum of both
-  // (slightly conservative: bitsets are built after the pairs are freed).
+  // the fill pass completes, so the transient peak is the sum of both.
   const uint64_t builder_bytes = builder.MemoryBytes();
-  ctx.dissimilar = builder.Build(opts.bitset_min_degree);
+  ctx.dissimilar = builder.Build();
   *transient_bytes = builder_bytes + ctx.dissimilar.MemoryBytes();
   return ctx;
 }
@@ -203,7 +202,6 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
       report->dissimilar_pairs += ctx.num_dissimilar_pairs();
       report->reserve_pairs += ctx.dissimilar.num_reserve_pairs();
       report->index_bytes += ctx.dissimilar.MemoryBytes();
-      report->bitset_rows += ctx.dissimilar.bitset_rows();
     }
     report->dissimilar_density =
         total_pairs == 0 ? 0.0
@@ -239,7 +237,6 @@ Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
   out->scored = options.annotate_scores();
   out->score_cover = out->scored ? options.score_cover : oracle.threshold();
   out->is_distance = oracle.is_distance();
-  out->bitset_min_degree = options.preprocess.bitset_min_degree;
   out->version = 0;
   return Status::OK();
 }
@@ -285,9 +282,7 @@ template <bool kScored>
 DissimilarityIndex WriteDissimilarRows(const DissimilarityIndex& base,
                                        std::span<const VertexId> verts,
                                        VertexId c, bool restrict_r, double r,
-                                       bool is_distance,
-                                       uint32_t bitset_min_degree,
-                                       DeriveScratch* s,
+                                       bool is_distance, DeriveScratch* s,
                                        uint64_t* score_tests) {
   const VertexId* label = s->label.data();
   const VertexId* remap = s->remap.data();
@@ -375,7 +370,7 @@ DissimilarityIndex WriteDissimilarRows(const DissimilarityIndex& base,
   }
   return DissimilarityIndex::FromRows(
       nc, std::move(offsets), std::move(active_end), std::move(ids),
-      std::move(scores), kScored, bitset_min_degree);
+      std::move(scores), kScored);
 }
 
 /// Derives one base component in a single pass and appends its output
@@ -386,8 +381,7 @@ DissimilarityIndex WriteDissimilarRows(const DissimilarityIndex& base,
 /// parent id, a monotone remap — and (4) write both CSRs sequentially.
 void DeriveOneComponent(const ComponentContext& comp, uint32_t k,
                         bool restrict_r, double r, bool is_distance,
-                        uint32_t bitset_min_degree, DeriveScratch* s,
-                        std::vector<ComponentContext>* out,
+                        DeriveScratch* s, std::vector<ComponentContext>* out,
                         uint64_t* score_tests) {
   const VertexId n = comp.size();
   const DissimilarityIndex& dis = comp.dissimilar;
@@ -510,11 +504,9 @@ void DeriveOneComponent(const ComponentContext& comp, uint32_t k,
     derived.dissimilar =
         dis.has_scores()
             ? WriteDissimilarRows<true>(dis, verts, c, restrict_r, r,
-                                        is_distance, bitset_min_degree, s,
-                                        score_tests)
+                                        is_distance, s, score_tests)
             : WriteDissimilarRows<false>(dis, verts, c, restrict_r, r,
-                                         is_distance, bitset_min_degree, s,
-                                         score_tests);
+                                         is_distance, s, score_tests);
     out->push_back(std::move(derived));
   }
 }
@@ -549,7 +541,6 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
   out->scored = base.scored;
   out->score_cover = base.scored ? base.score_cover : r;
   out->is_distance = base.is_distance;
-  out->bitset_min_degree = base.bitset_min_degree;
   out->version = base.version;
 
   uint64_t score_tests = 0;
@@ -570,9 +561,8 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
       out->components.clear();
       return s;
     }
-    DeriveOneComponent(comp, k, restrict_r, r, base.is_distance,
-                       base.bitset_min_degree, &scratch, &out->components,
-                       &score_tests);
+    DeriveOneComponent(comp, k, restrict_r, r, base.is_distance, &scratch,
+                       &out->components, &score_tests);
   }
   SortComponents(options.order_by_max_degree, &out->components);
 
@@ -585,7 +575,6 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
       report->dissimilar_pairs += ctx.num_dissimilar_pairs();
       report->reserve_pairs += ctx.dissimilar.num_reserve_pairs();
       report->index_bytes += ctx.dissimilar.MemoryBytes();
-      report->bitset_rows += ctx.dissimilar.bitset_rows();
     }
     // pairs_evaluated stays 0: derivation never consults the oracle — the
     // r dimension is served from the stored scores alone.

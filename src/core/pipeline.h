@@ -30,9 +30,9 @@ struct LazyComponentValidation {
   std::once_flag once;
   /// The verdict, written exactly once under `once`.
   Status status;
-  /// Self-contained check capturing the mapped spans and the shared bitset
-  /// arena to fill — deliberately no pointer back to any component
-  /// instance, so copies stay coherent. Cleared after the run.
+  /// Self-contained pure check capturing the mapped spans — deliberately no
+  /// pointer back to any component instance, so copies stay coherent.
+  /// Cleared after the run.
   std::function<Status()> validate;
 };
 
@@ -49,10 +49,10 @@ struct ComponentContext {
   Graph graph;
   /// Local id -> original graph id.
   ArrayRef<VertexId> to_parent;
-  /// Flat CSR (+ hot-row bitset) dissimilarity substrate: dissimilar[u] is
-  /// the sorted local ids v with sim(u,v) violating r. This is the
-  /// complement of the component's similarity graph; all engine-side
-  /// similarity tests run on it (the oracle is not consulted again).
+  /// Flat CSR dissimilarity substrate: dissimilar[u] is the sorted local
+  /// ids v with sim(u,v) violating r. This is the complement of the
+  /// component's similarity graph; all engine-side similarity tests run on
+  /// it (the oracle is not consulted again).
   DissimilarityIndex dissimilar;
   /// First-touch validation for mmap-served components; null when the
   /// component was built in memory or eagerly validated.
@@ -61,9 +61,6 @@ struct ComponentContext {
   VertexId size() const { return graph.num_vertices(); }
   /// Total number of dissimilar pairs in the component (DP of Sec 7.1).
   uint64_t num_dissimilar_pairs() const { return dissimilar.num_pairs(); }
-  bool Dissimilar(VertexId u, VertexId v) const {
-    return dissimilar.Dissimilar(u, v);
-  }
 
   /// Runs the deferred integrity checks (at most once across all copies of
   /// this component) and returns the verdict; instant OK for components
@@ -183,9 +180,6 @@ struct PreparedWorkspace {
   /// Metric direction the thresholds are ordered under (distance: similar
   /// means score <= r). Needed to orient the serve..cover interval.
   bool is_distance = false;
-  /// bitset_min_degree the indexes were built with; kept so snapshot
-  /// round-trips rebuild byte-identical hybrid bitsets.
-  uint32_t bitset_min_degree = DissimilarityIndex::kDefaultBitsetMinDegree;
   /// Monotonically increasing graph version: 0 for a fresh preparation,
   /// bumped once per ApplyEdgeUpdates batch (core/workspace_update.h) and
   /// persisted by the snapshot layer, so serving tiers can tell which edge

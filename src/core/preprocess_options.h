@@ -4,7 +4,6 @@
 #include <cstdint>
 #include <string>
 
-#include "core/dissimilarity_index.h"
 #include "graph/graph.h"
 #include "util/timer.h"
 
@@ -25,11 +24,6 @@ struct PreprocessOptions {
   /// Rows per tile in the blocked pair evaluation. Tiles keep both
   /// attribute ranges hot in cache during the O(n^2) similarity sweep.
   VertexId tile_size = 4096;
-
-  /// Minimum dissimilar degree for a row to receive an O(1) bitset in the
-  /// DissimilarityIndex (rows must also be dense relative to the component;
-  /// see DissimilarityIndex).
-  uint32_t bitset_min_degree = DissimilarityIndex::kDefaultBitsetMinDegree;
 
   /// Threads used to build per-component indexes (components are
   /// independent). 0 = hardware concurrency. Entry points that own a
@@ -67,11 +61,10 @@ struct PreprocessReport {
   uint64_t score_filtered_pairs = 0;
   /// dissimilar_pairs / pairs_evaluated (0 when nothing was evaluated).
   double dissimilar_density = 0.0;
-  uint64_t index_bytes = 0;       // final CSR + bitset footprint
+  uint64_t index_bytes = 0;       // final CSR + score footprint
   /// Estimated peak transient footprint: final indexes plus the largest
   /// concurrent builder pair buffer.
   uint64_t peak_bytes = 0;
-  uint64_t bitset_rows = 0;       // rows upgraded to O(1) bitsets
   double seconds = 0.0;
 
   std::string ToString() const;

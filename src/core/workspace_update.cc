@@ -587,7 +587,7 @@ Status WorkspaceUpdater::ApplyEdgeUpdates(std::span<const EdgeUpdate> updates,
           }
         }
       }
-      ctx.dissimilar = pairs.Build(ws_->bitset_min_degree);
+      ctx.dissimilar = pairs.Build();
       batch.rows_rebuilt += cn;
       rebuilt.push_back(std::move(ctx));
       for (VertexId p : members) remap_[p] = kInvalidVertex;

@@ -84,8 +84,9 @@ Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("corrupt workspace snapshot: " + what);
 }
 
-/// The 44-byte meta payload: k u32, threshold f64, bitset_min_degree u32,
-/// graph version u64, flags u32, score_cover f64, num_components u64.
+/// The 44-byte meta payload: k u32, threshold f64, reserved u32 (written
+/// 0, ignored on read; older builds wrote 64 there), graph version u64,
+/// flags u32, score_cover f64, num_components u64.
 /// Parsing and semantic checking are split so InspectSnapshot can report
 /// what a damaged file *says* without judging it.
 constexpr uint64_t kMetaSize = 44;
@@ -93,7 +94,6 @@ constexpr uint64_t kMetaSize = 44;
 struct MetaFields {
   uint32_t k = 0;
   double threshold = 0.0;
-  uint32_t bitset_min_degree = 0;
   uint64_t version = 0;
   uint32_t flags = 0;
   double score_cover = 0.0;
@@ -106,7 +106,6 @@ bool ReadMetaFields(const uint8_t* p, uint64_t size, MetaFields* m) {
   if (size != kMetaSize) return false;
   m->k = ReadU32(p);
   m->threshold = ReadF64(p + 4);
-  m->bitset_min_degree = ReadU32(p + 12);
   m->version = ReadU64(p + 16);
   m->flags = ReadU32(p + 24);
   m->score_cover = ReadF64(p + 28);
@@ -139,7 +138,6 @@ Status CheckMetaFields(const MetaFields& m) {
 void ApplyMeta(const MetaFields& m, PreparedWorkspace* out) {
   out->k = m.k;
   out->threshold = m.threshold;
-  out->bitset_min_degree = m.bitset_min_degree;
   out->version = m.version;
   out->scored = m.scored;
   out->is_distance = m.is_distance;
@@ -150,7 +148,7 @@ std::string MetaPayloadBytes(const PreparedWorkspace& ws) {
   PayloadWriter meta;
   meta.PutU32(ws.k);
   meta.PutDouble(ws.threshold);
-  meta.PutU32(ws.bitset_min_degree);
+  meta.PutU32(0);  // reserved
   meta.PutU64(ws.version);
   uint32_t flags = 0;
   if (ws.scored) flags |= kFlagScored;
@@ -451,9 +449,9 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
 }
 
 /// By-value capture for one component's deferred validation: the mapping
-/// keeps the bytes alive, the spans/counts say what to check, the arena is
-/// filled in place on success. Deliberately no pointer to any component
-/// instance, so copied components stay coherent.
+/// keeps the bytes alive, the spans/counts say what to check. Deliberately
+/// no pointer to any component instance, so copied components stay
+/// coherent.
 struct V4ComponentCheck {
   std::shared_ptr<const SnapshotMapping> backing;
   std::span<const uint8_t> blob;
@@ -474,16 +472,13 @@ struct V4ComponentCheck {
   bool is_distance = false;
   double threshold = 0.0;
   double score_cover = 0.0;
-  uint32_t bitset_min_degree = 0;
-  std::shared_ptr<DissimilarityIndex::BitsetArena> arena;
 };
 
 /// The per-component battery, run over the mapped arrays: blob checksum,
 /// CSR integrity, adjacency symmetry, sorted to_parent, two-segment
 /// dissimilarity invariants with score classification, mirror consistency,
-/// and footer count agreement.
-/// Ends by filling the shared bitset arena (the one mutation, ordered
-/// before every reader by the call_once in EnsureValid).
+/// and footer count agreement. A pure check: it reads the mapped bytes
+/// and returns the verdict, nothing else.
 Status RunV4ComponentCheck(const V4ComponentCheck& c) {
   if (Fnv1a64(c.blob.data(), c.blob.size()) != c.checksum) {
     return Corrupt("section checksum mismatch");
@@ -619,15 +614,6 @@ Status RunV4ComponentCheck(const V4ComponentCheck& c) {
   if (fwd_active != c.num_pairs || fwd_reserve != c.num_reserve) {
     return Corrupt("stored pair counts mismatch the footer");
   }
-
-  // Structure proven — fill the shared arena. ComputeBitsets is
-  // deterministic in the rows, so a lazy load serves the exact hybrid
-  // index an eager rebuild would.
-  DissimilarityIndex scratch = DissimilarityIndex::BorrowedView(
-      n, c.d_offsets, c.d_active_end, c.d_ids, c.d_scores, c.num_pairs,
-      c.num_reserve, c.scored, nullptr);
-  *c.arena = DissimilarityIndex::ComputeBitsets(scratch,
-                                                c.bitset_min_degree);
   return Status::OK();
 }
 
@@ -746,8 +732,6 @@ Status LoadWorkspaceSnapshot(const std::string& path,
     check.is_distance = v.meta.is_distance;
     check.threshold = v.meta.threshold;
     check.score_cover = v.meta.score_cover;
-    check.bitset_min_degree = v.meta.bitset_min_degree;
-    check.arena = std::make_shared<DissimilarityIndex::BitsetArena>();
 
     ComponentContext ctx;
     ctx.graph =
@@ -756,8 +740,7 @@ Status LoadWorkspaceSnapshot(const std::string& path,
     ctx.to_parent = ArrayRef<VertexId>::Borrowed(check.to_parent);
     ctx.dissimilar = DissimilarityIndex::BorrowedView(
         e.n, check.d_offsets, check.d_active_end, check.d_ids,
-        check.d_scores, e.num_pairs, e.num_reserve, v.meta.scored,
-        check.arena);
+        check.d_scores, e.num_pairs, e.num_reserve, v.meta.scored);
     auto lazy_state = std::make_shared<LazyComponentValidation>();
     lazy_state->validate = [check] { return RunV4ComponentCheck(check); };
     ctx.lazy = std::move(lazy_state);
@@ -801,7 +784,6 @@ Status InspectSnapshot(const std::string& path, SnapshotInfo* out) {
   out->score_cover = v.meta.score_cover;
   out->scored = v.meta.scored;
   out->is_distance = v.meta.is_distance;
-  out->bitset_min_degree = v.meta.bitset_min_degree;
   out->graph_version = v.meta.version;
   out->num_components = v.meta.num_components;
   out->sections.reserve(v.entries.size() + 2);

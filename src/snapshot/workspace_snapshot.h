@@ -24,8 +24,9 @@ namespace krcore {
 ///            inside (graph offsets/neighbors, to_parent, dissimilarity
 ///            offsets/active_end/ids/scores) — the exact in-memory CSR
 ///            layout, so a loaded file is served by pointing spans at it
-///   meta     44 bytes: k, threshold, bitset_min_degree, graph version,
-///            flags (scored / distance), score_cover, component count
+///   meta     44 bytes: k, threshold, a reserved u32 (written 0, ignored
+///            on read), graph version, flags (scored / distance),
+///            score_cover, component count
 ///   table    one 64-byte entry per component: blob offset/size, FNV-1a 64
 ///            checksum, and the counts (n, max_degree, edges, pairs,
 ///            reserve pairs) mining needs before touching the blob
@@ -51,12 +52,11 @@ namespace krcore {
 /// version".
 ///
 /// Round trips are lossless: the loaded workspace's components are
-/// structurally identical to the saved ones (the dissimilarity bitset
-/// acceleration is rebuilt deterministically from the stored rows and the
-/// stored bitset_min_degree), so mining results match fresh preprocessing
-/// byte for byte — and a loaded annotated workspace derives every (k, r)
-/// cell of its serving interval exactly like the original. Save → load →
-/// save reproduces the file byte for byte, reserve segments included.
+/// structurally identical to the saved ones, so mining results match fresh
+/// preprocessing byte for byte — and a loaded annotated workspace derives
+/// every (k, r) cell of its serving interval exactly like the original.
+/// Save → load → save reproduces the file byte for byte, reserve segments
+/// included.
 
 inline constexpr char kSnapshotMagic[8] = {'K', 'R', 'W', 'S',
                                            'N', 'A', 'P', '1'};
@@ -66,9 +66,11 @@ inline constexpr uint32_t kSnapshotVersion = 4;
 /// into `path + ".tmp"` with every write checked, then renamed into place.
 /// A failure at any byte (short write, failed flush/close or rename, or an
 /// injected `snapshot/*` failpoint) removes the torn temp file and leaves
-/// whatever previously lived at `path` untouched and loadable. Fails with
-/// NotFound when the temp file cannot be opened; Internal errors name the
-/// section tag that died mid-write. A workspace with pending lazy
+/// whatever previously lived at `path` untouched and loadable. The save
+/// calls no fsync, so this atomicity covers a failed write or a killed
+/// process, not a power loss or an OS crash. Fails with NotFound when the
+/// temp file cannot be opened; Internal errors name the section tag that
+/// died mid-write. A workspace with pending lazy
 /// validation is validated first (the writer reads every row), so a
 /// corrupt mapped source cannot be laundered into a fresh file.
 Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
@@ -134,7 +136,6 @@ struct SnapshotInfo {
   double score_cover = 0.0;
   bool scored = false;
   bool is_distance = false;
-  uint32_t bitset_min_degree = 0;
   uint64_t graph_version = 0;
   uint64_t num_components = 0;
   std::vector<SnapshotSectionInfo> sections;

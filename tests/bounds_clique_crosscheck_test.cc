@@ -26,7 +26,7 @@ Graph SimilarityGraphOf(const ComponentContext& comp) {
   GraphBuilder b(comp.size());
   for (VertexId u = 0; u < comp.size(); ++u) {
     for (VertexId v = u + 1; v < comp.size(); ++v) {
-      if (!comp.Dissimilar(u, v)) b.AddEdge(u, v);
+      if (!comp.dissimilar.Dissimilar(u, v)) b.AddEdge(u, v);
     }
   }
   return b.Build();

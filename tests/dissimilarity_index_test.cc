@@ -45,34 +45,6 @@ TEST(DissimilarityIndex, RowsAreSortedAndSymmetric) {
   EXPECT_FALSE(index.Dissimilar(0, 0));
 }
 
-TEST(DissimilarityIndex, HotRowsGetBitsets) {
-  // Vertex 0 is dissimilar to everyone in a 100-vertex universe: degree 99
-  // >= max(64, 100/8), so it must be upgraded to a bitset; its partners
-  // (degree 1) must not.
-  const VertexId n = 100;
-  std::vector<std::pair<VertexId, VertexId>> pairs;
-  for (VertexId v = 1; v < n; ++v) pairs.emplace_back(0, v);
-  DissimilarityIndex index = test::MakeDissimilarity(n, pairs);
-  EXPECT_EQ(index.bitset_rows(), 1u);
-  for (VertexId v = 1; v < n; ++v) {
-    EXPECT_TRUE(index.Dissimilar(0, v));
-    EXPECT_TRUE(index.Dissimilar(v, 0));
-    for (VertexId w = v + 1; w < n; ++w) {
-      EXPECT_FALSE(index.Dissimilar(v, w));
-    }
-  }
-}
-
-TEST(DissimilarityIndex, BitsetThresholdRespectsMinDegree) {
-  // Same shape but with a raised floor: no row qualifies.
-  const VertexId n = 100;
-  DissimilarityIndex::Builder builder(n);
-  for (VertexId v = 1; v < n; ++v) builder.AddPair(0, v);
-  DissimilarityIndex index = builder.Build(/*bitset_min_degree=*/1000);
-  EXPECT_EQ(index.bitset_rows(), 0u);
-  EXPECT_TRUE(index.Dissimilar(0, 42));  // binary-search path still correct
-}
-
 TEST(DissimilarityIndex, MemoryBytesTracksContent) {
   DissimilarityIndex empty = test::MakeDissimilarity(10, {});
   DissimilarityIndex loaded =
@@ -83,9 +55,7 @@ TEST(DissimilarityIndex, MemoryBytesTracksContent) {
 
 /// Randomized cross-check: the index built by PrepareComponents must answer
 /// Dissimilar(u, v) exactly like a direct SimilarityOracle evaluation on
-/// the parent ids, for every pair, across random geo and keyword datasets
-/// (both the binary-search and — with a forced low threshold — the bitset
-/// paths).
+/// the parent ids, for every pair, across random geo and keyword datasets.
 class IndexOracleSweep : public ::testing::TestWithParam<uint64_t> {};
 
 TEST_P(IndexOracleSweep, MatchesDirectOracleEvaluation) {
@@ -96,9 +66,6 @@ TEST_P(IndexOracleSweep, MatchesDirectOracleEvaluation) {
     SimilarityOracle oracle(&dataset.attributes, dataset.metric, r);
     PipelineOptions opts;
     opts.k = 2;
-    // Force the bitset path onto any row with >= 8 dissimilar neighbors so
-    // the hybrid lookup gets exercised on small components too.
-    opts.preprocess.bitset_min_degree = 8;
     std::vector<ComponentContext> comps;
     ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &comps).ok());
     for (const auto& comp : comps) {
@@ -119,26 +86,33 @@ TEST_P(IndexOracleSweep, MatchesDirectOracleEvaluation) {
 INSTANTIATE_TEST_SUITE_P(Sweep, IndexOracleSweep,
                          ::testing::Range<uint64_t>(0, 8));
 
-/// The hybrid lookup must agree with a plain row binary search on random
-/// hand-built indexes regardless of which rows are bitset-backed.
-TEST(DissimilarityIndex, RandomizedHybridAgreesWithBinarySearch) {
+/// Dissimilar(u, v) must match a truth table on random hand-built indexes
+/// and on a 100-vertex star, whose center row (degree 99) is far longer
+/// than its partners' rows (degree 1), so both probe orders are exercised.
+TEST(DissimilarityIndex, DissimilarMatchesTruthTable) {
   Rng rng(1234);
-  for (int round = 0; round < 20; ++round) {
-    const VertexId n = 30 + static_cast<VertexId>(rng.NextBounded(170));
+  for (int round = 0; round <= 20; ++round) {
+    const bool star = round == 20;
+    const VertexId n =
+        star ? 100 : 30 + static_cast<VertexId>(rng.NextBounded(170));
     std::vector<std::pair<VertexId, VertexId>> pairs;
     std::vector<std::vector<uint8_t>> truth(n, std::vector<uint8_t>(n, 0));
-    const size_t want = rng.NextBounded(n * 4 + 1);
-    while (pairs.size() < want) {
-      VertexId a = static_cast<VertexId>(rng.NextBounded(n));
-      VertexId b = static_cast<VertexId>(rng.NextBounded(n));
-      if (a == b || truth[a][b]) continue;
+    const auto add = [&](VertexId a, VertexId b) {
       truth[a][b] = truth[b][a] = 1;
       pairs.emplace_back(a, b);
+    };
+    if (star) {
+      for (VertexId v = 1; v < n; ++v) add(0, v);
+    } else {
+      const size_t want = rng.NextBounded(n * 4 + 1);
+      while (pairs.size() < want) {
+        VertexId a = static_cast<VertexId>(rng.NextBounded(n));
+        VertexId b = static_cast<VertexId>(rng.NextBounded(n));
+        if (a == b || truth[a][b]) continue;
+        add(a, b);
+      }
     }
-    DissimilarityIndex::Builder builder(n);
-    for (auto [a, b] : pairs) builder.AddPair(a, b);
-    // A tiny floor makes several rows bitset-backed in most rounds.
-    DissimilarityIndex index = builder.Build(/*bitset_min_degree=*/4);
+    DissimilarityIndex index = test::MakeDissimilarity(n, pairs);
     for (VertexId a = 0; a < n; ++a) {
       for (VertexId b = 0; b < n; ++b) {
         EXPECT_EQ(index.Dissimilar(a, b), truth[a][b] != 0)

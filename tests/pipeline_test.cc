@@ -116,9 +116,9 @@ TEST(Pipeline, DissimilarNonEdgesKept) {
     if (comps[0].to_parent[i] == 0) l0 = i;
     if (comps[0].to_parent[i] == 2) l2 = i;
   }
-  EXPECT_TRUE(comps[0].Dissimilar(l0, l2));
-  EXPECT_FALSE(comps[0].Dissimilar(l0, (l0 + 1) % 4 == l2 ? (l0 + 2) % 4
-                                                          : (l0 + 1) % 4));
+  EXPECT_TRUE(comps[0].dissimilar.Dissimilar(l0, l2));
+  EXPECT_FALSE(comps[0].dissimilar.Dissimilar(
+      l0, (l0 + 1) % 4 == l2 ? (l0 + 2) % 4 : (l0 + 1) % 4));
 }
 
 TEST(Pipeline, ExplicitPairBudgetStillEnforced) {

@@ -43,8 +43,6 @@ void ExpectSameSubstrate(const std::vector<ComponentContext>& derived,
         << where << " component " << c;
     ASSERT_EQ(a.num_dissimilar_pairs(), b.num_dissimilar_pairs())
         << where << " component " << c;
-    EXPECT_EQ(a.dissimilar.bitset_rows(), b.dissimilar.bitset_rows())
-        << where << " component " << c;
     if (check_annotation) {
       ASSERT_EQ(a.dissimilar.has_scores(), b.dissimilar.has_scores());
       ASSERT_EQ(a.dissimilar.num_reserve_pairs(),

@@ -63,7 +63,6 @@ void ExpectComponentsEqual(const std::vector<ComponentContext>& a,
     EXPECT_EQ(a[i].to_parent, b[i].to_parent);
     ASSERT_EQ(a[i].graph.num_edges(), b[i].graph.num_edges());
     EXPECT_EQ(a[i].num_dissimilar_pairs(), b[i].num_dissimilar_pairs());
-    EXPECT_EQ(a[i].dissimilar.bitset_rows(), b[i].dissimilar.bitset_rows());
     for (VertexId u = 0; u < a[i].size(); ++u) {
       auto an = a[i].graph.neighbors(u);
       auto bn = b[i].graph.neighbors(u);
@@ -87,7 +86,6 @@ TEST(Snapshot, RoundTripIsLossless) {
 
   EXPECT_EQ(loaded.k, ws.k);
   EXPECT_DOUBLE_EQ(loaded.threshold, ws.threshold);
-  EXPECT_EQ(loaded.bitset_min_degree, ws.bitset_min_degree);
   ExpectComponentsEqual(ws.components, loaded.components);
 }
 
@@ -256,13 +254,14 @@ uint64_t Fnv(const std::string& s) {
   return h;
 }
 
-/// The 44-byte meta payload, graph version 0.
+/// The 44-byte meta payload, graph version 0. `reserved` fills the u32
+/// after the threshold, which the loader ignores.
 std::string MetaBytes(uint64_t num_components, uint32_t k, double threshold,
-                      uint32_t flags, double cover) {
+                      uint32_t flags, double cover, uint32_t reserved = 0) {
   std::string meta;
   Put<uint32_t>(&meta, k);
   Put<double>(&meta, threshold);
-  Put<uint32_t>(&meta, DissimilarityIndex::kDefaultBitsetMinDegree);
+  Put<uint32_t>(&meta, reserved);
   Put<uint64_t>(&meta, 0);  // graph version
   Put<uint32_t>(&meta, flags);
   Put<double>(&meta, cover);
@@ -440,22 +439,41 @@ void ExpectComponentRejected(const std::string& bytes,
 
 TEST(Snapshot, HandBuiltFileLoads) {
   // The builder itself must produce files the loader accepts, or the
-  // rejections below would prove nothing.
-  const HandComponent comp = ScoredTriangle(0.3, 0.6);
-  TempFile file("hand_built.krws");
-  WriteAll(file.path(), HandBuiltFile(ScoredMeta(1), {comp}, true));
-  for (bool lazy : {false, true}) {
-    SnapshotLoadOptions options;
-    options.lazy = lazy;
-    PreparedWorkspace loaded;
-    Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
-    ASSERT_TRUE(s.ok()) << s.ToString();
-    ASSERT_TRUE(loaded.EnsureAllValid().ok());
-    EXPECT_TRUE(loaded.scored);
-    ASSERT_EQ(loaded.components.size(), 1u);
-    EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 1u);
-    EXPECT_EQ(loaded.components[0].dissimilar.num_reserve_pairs(), 1u);
+  // rejections below would prove nothing. A K4 whose only active pair is
+  // {0,1} (serve r=0.5, cover r=0.8): its maximal (2,r)-cores are {0,2,3}
+  // and {1,2,3}.
+  HandComponent comp;
+  comp.adjacency = {{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}};
+  comp.active = {{{1, 0.3}}, {{0, 0.3}}, {}, {}};
+  comp.reserve = {{}, {}, {{3, 0.6}}, {{2, 0.6}}};
+  // The meta's reserved u32 is written 0; files saved by older builds have
+  // 64 there. Both load and mine the same cores.
+  std::vector<VertexSet> cores_at_zero;
+  for (uint32_t reserved : {0u, 64u}) {
+    TempFile file("hand_built.krws");
+    WriteAll(file.path(),
+             HandBuiltFile(MetaBytes(1, 2, 0.5, 1, 0.8, reserved), {comp},
+                           true));
+    for (bool lazy : {false, true}) {
+      SCOPED_TRACE(std::string(lazy ? "lazy" : "eager") +
+                   " load, reserved=" + std::to_string(reserved));
+      SnapshotLoadOptions options;
+      options.lazy = lazy;
+      PreparedWorkspace loaded;
+      Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
+      ASSERT_TRUE(s.ok()) << s.ToString();
+      ASSERT_TRUE(loaded.EnsureAllValid().ok());
+      EXPECT_TRUE(loaded.scored);
+      ASSERT_EQ(loaded.components.size(), 1u);
+      EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 1u);
+      EXPECT_EQ(loaded.components[0].dissimilar.num_reserve_pairs(), 1u);
+      auto mined = EnumerateMaximalCores(loaded.components, AdvEnumOptions(2));
+      ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
+      if (reserved == 0 && !lazy) cores_at_zero = mined.cores;
+      EXPECT_EQ(mined.cores, cores_at_zero);
+    }
   }
+  EXPECT_EQ(cores_at_zero, (std::vector<VertexSet>{{0, 2, 3}, {1, 2, 3}}));
 }
 
 TEST(Snapshot, AsymmetricAdjacencyIsRejected) {

@@ -105,9 +105,6 @@ inline std::string DiffWorkspaces(const PreparedWorkspace& a,
   if (a.score_cover != b.score_cover) return "score_cover differs";
   if (a.scored != b.scored) return "scored flag differs";
   if (a.is_distance != b.is_distance) return "is_distance flag differs";
-  if (a.bitset_min_degree != b.bitset_min_degree) {
-    return "bitset_min_degree differs";
-  }
   if (a.version != b.version) {
     return "version differs (" + std::to_string(a.version) + " vs " +
            std::to_string(b.version) + ")";
@@ -130,9 +127,6 @@ inline std::string DiffWorkspaces(const PreparedWorkspace& a,
     }
     if (x.dissimilar.num_reserve_pairs() != y.dissimilar.num_reserve_pairs()) {
       return where + ": reserve pair count differs";
-    }
-    if (x.dissimilar.bitset_rows() != y.dissimilar.bitset_rows()) {
-      return where + ": bitset row count differs";
     }
     for (VertexId u = 0; u < x.size(); ++u) {
       const std::string at = where + " vertex " + std::to_string(u);

@@ -39,8 +39,6 @@ void ExpectStructurallyIdentical(const PreparedWorkspace& maintained,
         << where << " component " << c;
     ASSERT_EQ(a.num_dissimilar_pairs(), b.num_dissimilar_pairs())
         << where << " component " << c;
-    EXPECT_EQ(a.dissimilar.bitset_rows(), b.dissimilar.bitset_rows())
-        << where << " component " << c;
     for (VertexId u = 0; u < a.size(); ++u) {
       auto an = a.graph.neighbors(u);
       auto bn = b.graph.neighbors(u);
@@ -597,8 +595,7 @@ TEST_F(UpdateRollback, RolledBackBatchesAccumulateAcrossFaults) {
 /// active pair {u, v} (u < v) passes through `edit(u, &v, &score)`, which
 /// may move its far endpoint or change its score; reserve pairs are copied.
 template <typename Edit>
-DissimilarityIndex RebuildScoredIndex(const ComponentContext& c,
-                                      uint32_t bitset_min_degree, Edit edit) {
+DissimilarityIndex RebuildScoredIndex(const ComponentContext& c, Edit edit) {
   DissimilarityIndex::Builder builder(c.size());
   builder.AnnotateScores();
   for (VertexId u = 0; u < c.size(); ++u) {
@@ -619,7 +616,7 @@ DissimilarityIndex RebuildScoredIndex(const ComponentContext& c,
       }
     }
   }
-  return builder.Build(bitset_min_degree);
+  return builder.Build();
 }
 
 /// Component `c`'s structure edges {u, v} with u < v.
@@ -652,8 +649,8 @@ TEST(DiffWorkspaces, NamesEachPerturbedField) {
   // The rebuild itself is faithful, so each case below changes one thing.
   {
     PreparedWorkspace copy = ws;
-    copy.components[0].dissimilar = RebuildScoredIndex(
-        c0, ws.bitset_min_degree, [](VertexId, VertexId*, double*) {});
+    copy.components[0].dissimilar =
+        RebuildScoredIndex(c0, [](VertexId, VertexId*, double*) {});
     ASSERT_EQ(test::DiffWorkspaces(ws, copy), "");
   }
   {
@@ -716,18 +713,16 @@ TEST(DiffWorkspaces, NamesEachPerturbedField) {
   const std::string at = "component 0 vertex " + std::to_string(u);
   {
     PreparedWorkspace copy = ws;
-    copy.components[0].dissimilar = RebuildScoredIndex(
-        c0, ws.bitset_min_degree, [&](VertexId a, VertexId* b, double*) {
+    copy.components[0].dissimilar =
+        RebuildScoredIndex(c0, [&](VertexId a, VertexId* b, double*) {
           if (a == u && *b == v) *b = w;
         });
-    ASSERT_EQ(copy.components[0].dissimilar.bitset_rows(),
-              c0.dissimilar.bitset_rows());
     EXPECT_EQ(test::DiffWorkspaces(ws, copy), at + ": dissimilar row differs");
   }
   {
     PreparedWorkspace copy = ws;
-    copy.components[0].dissimilar = RebuildScoredIndex(
-        c0, ws.bitset_min_degree, [&](VertexId a, VertexId* b, double* s) {
+    copy.components[0].dissimilar =
+        RebuildScoredIndex(c0, [&](VertexId a, VertexId* b, double* s) {
           if (a == u && *b == v) {
             *s = std::nextafter(*s, std::numeric_limits<double>::infinity());
           }

@@ -32,11 +32,10 @@ void PrintInfoText(const std::string& path, const SnapshotInfo& info) {
   std::printf("%s: snapshot v%u, %" PRIu64 " bytes\n", path.c_str(),
               info.format_version, info.file_size);
   std::printf("  k=%u r=%g cover=%g scored=%s distance=%s version=%" PRIu64
-              " bitset_min_degree=%u\n",
+              "\n",
               info.k, info.threshold, info.score_cover,
               info.scored ? "true" : "false",
-              info.is_distance ? "true" : "false", info.graph_version,
-              info.bitset_min_degree);
+              info.is_distance ? "true" : "false", info.graph_version);
   std::printf("  components=%" PRIu64 ", sections=%zu\n", info.num_components,
               info.sections.size());
   for (const auto& s : info.sections) {
@@ -57,13 +56,12 @@ void PrintInfoJson(const std::string& path, const SnapshotInfo& info) {
   std::printf("{\"path\":\"%s\",\"format_version\":%u,\"file_size\":%" PRIu64
               ",\"k\":%u,\"r\":%g,\"cover\":%g,\"scored\":%s,"
               "\"distance_metric\":%s,\"version\":%" PRIu64
-              ",\"bitset_min_degree\":%u,\"components\":%" PRIu64
-              ",\"sections\":[",
+              ",\"components\":%" PRIu64 ",\"sections\":[",
               JsonEscape(path).c_str(), info.format_version, info.file_size,
               info.k, info.threshold, info.score_cover,
               info.scored ? "true" : "false",
               info.is_distance ? "true" : "false", info.graph_version,
-              info.bitset_min_degree, info.num_components);
+              info.num_components);
   bool first = true;
   for (const auto& s : info.sections) {
     std::printf("%s{\"kind\":\"%s\",\"offset\":%" PRIu64 ",\"size\":%" PRIu64
