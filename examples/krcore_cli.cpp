@@ -217,8 +217,8 @@ int main(int argc, char** argv) {
         "--k=K (--r=R | --permille=P) [--mode=...]\n"
         "  --threads=N       0 = all hardware cores, 1 = sequential\n"
         "  --join=S          pair-discovery strategy for the preprocessing\n"
-        "                    self-join: auto (default; certified filter when\n"
-        "                    one applies), brute (O(n^2) baseline), filtered\n"
+        "                    self-join: filtered (default; certified filter\n"
+        "                    when one applies), brute (O(n^2) baseline)\n"
         "  --split_depth=D   fork subtree tasks down to depth D (default 6,\n"
         "                    0 = per-component parallelism only)\n"
         "  --bound_refresh=N recompute the expensive size bound at most\n"
@@ -227,13 +227,13 @@ int main(int argc, char** argv) {
         "prepared workspaces (save preprocessing once, query many times):\n"
         "  --snapshot_out=F  prepare at (--k, --r), save the workspace to F,\n"
         "                    then serve the requested query from it\n"
-        "  --cover=R2        annotate the saved workspace with similarity\n"
-        "                    scores covering thresholds down to R2 (at least\n"
-        "                    as strict as --r): the snapshot then serves any\n"
+        "  --cover=R2        also store the scores of the pairs that turn\n"
+        "                    dissimilar between --r and R2 (at least as\n"
+        "                    strict as --r): the snapshot then serves any\n"
         "                    r between the two, not just --r\n"
         "  --snapshot_in=F   load a workspace instead of a graph; --k >= the\n"
         "                    saved k is served by k-core derivation, and a\n"
-        "                    score-annotated snapshot serves any --r in\n"
+        "                    snapshot saved with --cover serves any --r in\n"
         "                    its covered range by score filtering\n"
         "  --sweep=KS[xRS]   mine every (k,r) cell, e.g. 3,4,5x10,25 —\n"
         "                    ONE pair sweep total (score-annotated base at\n"
@@ -298,9 +298,10 @@ int main(int argc, char** argv) {
   if (mode != "enum" && mode != "max") {
     return Fail("unknown --mode (use enum or max)");
   }
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
-  if (!ParseJoinStrategy(options.GetString("join", "auto"), &join_strategy)) {
-    return Fail("unknown --join (use auto, brute or filtered)");
+  JoinStrategy join_strategy = JoinStrategy::kFiltered;
+  if (!ParseJoinStrategy(options.GetString("join", "filtered"),
+                         &join_strategy)) {
+    return Fail("unknown --join (use filtered or brute)");
   }
 
   auto MakeEnumOptions = [&](uint32_t k) {
@@ -386,7 +387,7 @@ int main(int argc, char** argv) {
         LoadWorkspaceSnapshot(options.GetString("snapshot_in", ""), &ws);
     if (!s.ok()) return Fail(s.ToString());
     const std::string cover_note =
-        ws.scored
+        ws.score_cover != ws.threshold
             ? " (scores cover r=" + std::to_string(ws.score_cover) + ")"
             : "";
     std::fprintf(stderr,
@@ -401,8 +402,8 @@ int main(int argc, char** argv) {
       if (!ParseSweepSpec(options.GetString("sweep", ""), &ks, &rs)) {
         return Fail("bad --sweep spec (want k1,k2[xr1,r2]); see --help");
       }
-      // A score-annotated snapshot serves any r between its serving
-      // threshold and its cover; without annotation only the baked-in r.
+      // A snapshot serves any r between its serving threshold and its
+      // cover; when the two are equal, only the baked-in r.
       if (rs.empty()) rs = {ws.threshold};
       SweepResult result =
           SweepPreparedWorkspace(ws, ks, rs, MakeSweepOptions());
@@ -690,7 +691,7 @@ int main(int argc, char** argv) {
   }
 
   // --- Single cell, optionally persisting the prepared workspace first.
-  // With --cover the same pair sweep annotates scores down to the cover
+  // With --cover the same pair sweep keeps reserve scores down to the cover
   // threshold, so the saved snapshot serves a whole r range, not one point.
   if (options.Has("snapshot_out")) {
     PipelineOptions pipe;

@@ -123,7 +123,7 @@ int main(int argc, char** argv) {
     }
     auto ws = registry.Find(name);
     std::string cover_note =
-        ws->scored
+        ws->score_cover != ws->threshold
             ? " (scores cover r=" + std::to_string(ws->score_cover) + ")"
             : "";
     WorkspaceRegistry::Entry reg_entry;

@@ -8,84 +8,18 @@
 
 namespace krcore {
 
-DissimilarityIndex& DissimilarityIndex::operator=(
-    const DissimilarityIndex& o) {
-  if (this == &o) return *this;
-  n_ = o.n_;
-  num_pairs_ = o.num_pairs_;
-  num_reserve_pairs_ = o.num_reserve_pairs_;
-  annotated_empty_ = o.annotated_empty_;
-  borrowed_ = o.borrowed_;
-  if (o.borrowed_) {
-    offsets_.clear();
-    active_end_.clear();
-    ids_.clear();
-    scores_.clear();
-    offsets_view_ = o.offsets_view_;
-    active_end_view_ = o.active_end_view_;
-    ids_view_ = o.ids_view_;
-    scores_view_ = o.scores_view_;
-  } else {
-    offsets_ = o.offsets_;
-    active_end_ = o.active_end_;
-    ids_ = o.ids_;
-    scores_ = o.scores_;
-    RebindOwned();
-  }
-  return *this;
-}
-
-DissimilarityIndex& DissimilarityIndex::operator=(
-    DissimilarityIndex&& o) noexcept {
-  if (this == &o) return *this;
-  n_ = o.n_;
-  num_pairs_ = o.num_pairs_;
-  num_reserve_pairs_ = o.num_reserve_pairs_;
-  annotated_empty_ = o.annotated_empty_;
-  borrowed_ = o.borrowed_;
-  offsets_ = std::move(o.offsets_);
-  active_end_ = std::move(o.active_end_);
-  ids_ = std::move(o.ids_);
-  scores_ = std::move(o.scores_);
-  if (borrowed_) {
-    offsets_view_ = o.offsets_view_;
-    active_end_view_ = o.active_end_view_;
-    ids_view_ = o.ids_view_;
-    scores_view_ = o.scores_view_;
-  } else {
-    RebindOwned();
-  }
-  o.n_ = 0;
-  o.num_pairs_ = 0;
-  o.num_reserve_pairs_ = 0;
-  o.annotated_empty_ = false;
-  o.borrowed_ = false;
-  o.offsets_.clear();
-  o.active_end_.clear();
-  o.ids_.clear();
-  o.scores_.clear();
-  o.offsets_view_ = {};
-  o.active_end_view_ = {};
-  o.ids_view_ = {};
-  o.scores_view_ = {};
-  return *this;
-}
-
 DissimilarityIndex DissimilarityIndex::BorrowedView(
     VertexId n, std::span<const uint64_t> offsets,
-    std::span<const uint64_t> active_end, std::span<const VertexId> ids,
-    std::span<const double> scores, uint64_t num_pairs,
-    uint64_t num_reserve_pairs, bool scored) {
+    std::span<const VertexId> ids, std::span<const uint64_t> reserve_offsets,
+    std::span<const VertexId> reserve_ids,
+    std::span<const double> reserve_scores) {
   DissimilarityIndex index;
   index.n_ = n;
-  index.num_pairs_ = num_pairs;
-  index.num_reserve_pairs_ = num_reserve_pairs;
-  index.annotated_empty_ = scored && ids.empty();
-  index.borrowed_ = true;
-  index.offsets_view_ = offsets;
-  index.active_end_view_ = active_end;
-  index.ids_view_ = ids;
-  index.scores_view_ = scores;
+  index.offsets_ = ArrayRef<uint64_t>::Borrowed(offsets);
+  index.ids_ = ArrayRef<VertexId>::Borrowed(ids);
+  index.reserve_offsets_ = ArrayRef<uint64_t>::Borrowed(reserve_offsets);
+  index.reserve_ids_ = ArrayRef<VertexId>::Borrowed(reserve_ids);
+  index.reserve_scores_ = ArrayRef<double>::Borrowed(reserve_scores);
   return index;
 }
 
@@ -101,28 +35,18 @@ uint64_t DissimilarityIndex::AppendRemappedPairs(
     std::span<const VertexId> rows, std::span<const VertexId> new_id,
     Builder* builder) const {
   KRCORE_DCHECK(new_id.size() >= n_);
-  const bool scored = has_scores();
-  if (scored) builder->AnnotateScores();
   uint64_t appended = 0;
   for (VertexId u : rows) {
     KRCORE_DCHECK(u < n_);
     const VertexId nu = new_id[u];
     if (nu == kInvalidVertex) continue;
-    const auto active = (*this)[u];
-    const auto act_scores = row_scores(u);
-    for (size_t i = 0; i < active.size(); ++i) {
-      const VertexId v = active[i];
+    for (VertexId v : (*this)[u]) {
       if (v <= u) continue;  // each unordered pair once, from the min row
       const VertexId nv = new_id[v];
       if (nv == kInvalidVertex) continue;
-      if (scored) {
-        builder->AddScoredPair(nu, nv, act_scores[i]);
-      } else {
-        builder->AddPair(nu, nv);
-      }
+      builder->AddPair(nu, nv);
       ++appended;
     }
-    if (!scored) continue;
     const auto res = reserve_row(u);
     const auto res_scores = reserve_scores(u);
     for (size_t i = 0; i < res.size(); ++i) {
@@ -137,26 +61,10 @@ uint64_t DissimilarityIndex::AppendRemappedPairs(
   return appended;
 }
 
-bool DissimilarityIndex::LookupScore(VertexId u, VertexId v,
-                                     double* score) const {
-  KRCORE_DCHECK(u < n_ && v < n_);
-  if (scores_view_.empty()) return false;
-  const auto probe = [&](std::span<const VertexId> seg,
-                         std::span<const double> seg_scores) {
-    auto it = std::lower_bound(seg.begin(), seg.end(), v);
-    if (it == seg.end() || *it != v) return false;
-    *score = seg_scores[static_cast<size_t>(it - seg.begin())];
-    return true;
-  };
-  return probe((*this)[u], row_scores(u)) ||
-         probe(reserve_row(u), reserve_scores(u));
-}
-
 uint64_t DissimilarityIndex::MemoryBytes() const {
-  return offsets_view_.size() * sizeof(uint64_t) +
-         active_end_view_.size() * sizeof(uint64_t) +
-         ids_view_.size() * sizeof(VertexId) +
-         scores_view_.size() * sizeof(double);
+  return (offsets_.size() + reserve_offsets_.size()) * sizeof(uint64_t) +
+         (ids_.size() + reserve_ids_.size()) * sizeof(VertexId) +
+         reserve_scores_.size() * sizeof(double);
 }
 
 DissimilarityIndex::Builder::Builder(VertexId num_vertices)
@@ -164,140 +72,114 @@ DissimilarityIndex::Builder::Builder(VertexId num_vertices)
       active_counts_(num_vertices, 0),
       reserve_counts_(num_vertices, 0) {}
 
-void DissimilarityIndex::Builder::Record(VertexId a, VertexId b,
-                                         bool reserve) {
+void DissimilarityIndex::Builder::AddPair(VertexId a, VertexId b) {
   KRCORE_DCHECK(a < n_ && b < n_ && a != b);
   if (a > b) std::swap(a, b);
-  auto& counts = reserve ? reserve_counts_ : active_counts_;
-  ++counts[a];
-  ++counts[b];
+  ++active_counts_[a];
+  ++active_counts_[b];
   pairs_.push_back((static_cast<uint64_t>(a) << 32) | b);
-}
-
-void DissimilarityIndex::Builder::AddPair(VertexId a, VertexId b) {
-  KRCORE_DCHECK(!scored_) << "unscored AddPair on a score-annotated builder";
-  any_unscored_ = true;
-  Record(a, b, /*reserve=*/false);
-}
-
-void DissimilarityIndex::Builder::AddScoredPair(VertexId a, VertexId b,
-                                                double score) {
-  KRCORE_DCHECK(!any_unscored_) << "scored add on an unannotated builder";
-  scored_ = true;
-  Record(a, b, /*reserve=*/false);
-  scores_.push_back(score);
-  reserve_.push_back(0);
 }
 
 void DissimilarityIndex::Builder::AddReservePair(VertexId a, VertexId b,
                                                  double score) {
-  KRCORE_DCHECK(!any_unscored_) << "scored add on an unannotated builder";
-  scored_ = true;
-  Record(a, b, /*reserve=*/true);
-  scores_.push_back(score);
-  reserve_.push_back(1);
+  KRCORE_DCHECK(a < n_ && b < n_ && a != b);
+  if (a > b) std::swap(a, b);
+  ++reserve_counts_[a];
+  ++reserve_counts_[b];
+  reserve_.push_back({(static_cast<uint64_t>(a) << 32) | b, score});
 }
 
 uint64_t DissimilarityIndex::Builder::MemoryBytes() const {
-  return active_counts_.size() * sizeof(uint32_t) +
-         reserve_counts_.size() * sizeof(uint32_t) +
-         pairs_.size() * sizeof(uint64_t) + scores_.size() * sizeof(double) +
-         reserve_.size() * sizeof(uint8_t);
+  return (active_counts_.size() + reserve_counts_.size()) * sizeof(uint32_t) +
+         pairs_.size() * sizeof(uint64_t) +
+         reserve_.size() * sizeof(ReservePair);
 }
 
-DissimilarityIndex DissimilarityIndex::Builder::Build() {
-  std::vector<uint64_t> offsets(static_cast<size_t>(n_) + 1, 0);
-  std::vector<uint64_t> active_end(n_, 0);
-  for (VertexId u = 0; u < n_; ++u) {
-    active_end[u] = offsets[u] + active_counts_[u];
-    offsets[u + 1] = active_end[u] + reserve_counts_[u];
-  }
-  std::vector<VertexId> ids(offsets.back());
-  std::vector<double> scores(scored_ ? offsets.back() : 0);
+namespace {
 
-  // Fill both directions, then sort each segment (pairs may arrive in any
-  // order, e.g. tile-major from the blocked pipeline builder). Active
-  // entries land at the row start, reserve entries after active_end.
-  std::vector<uint64_t> active_cursor(offsets.begin(), offsets.end() - 1);
-  std::vector<uint64_t> reserve_cursor = active_end;
-  for (size_t p = 0; p < pairs_.size(); ++p) {
-    const uint64_t packed = pairs_[p];
+/// Row offsets from per-row counts.
+std::vector<uint64_t> OffsetsFromCounts(const std::vector<uint32_t>& counts) {
+  std::vector<uint64_t> offsets(counts.size() + 1, 0);
+  for (size_t u = 0; u < counts.size(); ++u) {
+    offsets[u + 1] = offsets[u] + counts[u];
+  }
+  return offsets;
+}
+
+}  // namespace
+
+DissimilarityIndex DissimilarityIndex::Builder::Build() {
+  // Fill both directions, then sort each row (pairs may arrive in any
+  // order, e.g. tile-major from the blocked pipeline builder).
+  std::vector<uint64_t> offsets = OffsetsFromCounts(active_counts_);
+  std::vector<VertexId> ids(offsets.back());
+  std::vector<uint64_t> cursor(offsets.begin(), offsets.end() - 1);
+  for (const uint64_t packed : pairs_) {
     const VertexId a = static_cast<VertexId>(packed >> 32);
     const VertexId b = static_cast<VertexId>(packed & 0xFFFFFFFFu);
-    const bool res = scored_ && reserve_[p] != 0;
-    uint64_t& ca = res ? reserve_cursor[a] : active_cursor[a];
-    uint64_t& cb = res ? reserve_cursor[b] : active_cursor[b];
-    ids[ca] = b;
-    ids[cb] = a;
-    if (scored_) {
-      scores[ca] = scores_[p];
-      scores[cb] = scores_[p];
-    }
-    ++ca;
-    ++cb;
+    ids[cursor[a]++] = b;
+    ids[cursor[b]++] = a;
   }
   pairs_.clear();
   pairs_.shrink_to_fit();
-  scores_.clear();
-  scores_.shrink_to_fit();
+  for (VertexId u = 0; u < n_; ++u) {
+    std::sort(ids.begin() + offsets[u], ids.begin() + offsets[u + 1]);
+  }
+
+  // Reserve rows: sort (id, score) entries by id within each row.
+  std::vector<uint64_t> reserve_offsets = OffsetsFromCounts(reserve_counts_);
+  std::vector<std::pair<VertexId, double>> entries(reserve_offsets.back());
+  cursor.assign(reserve_offsets.begin(), reserve_offsets.end() - 1);
+  for (const ReservePair& p : reserve_) {
+    const VertexId a = static_cast<VertexId>(p.packed >> 32);
+    const VertexId b = static_cast<VertexId>(p.packed & 0xFFFFFFFFu);
+    entries[cursor[a]++] = {b, p.score};
+    entries[cursor[b]++] = {a, p.score};
+  }
   reserve_.clear();
   reserve_.shrink_to_fit();
-
-  std::vector<std::pair<VertexId, double>> scratch;
-  auto sort_segment = [&](uint64_t begin, uint64_t end) {
-    if (!scored_) {
-      std::sort(ids.begin() + begin, ids.begin() + end);
-      return;
-    }
-    scratch.clear();
-    for (uint64_t i = begin; i < end; ++i) {
-      scratch.emplace_back(ids[i], scores[i]);
-    }
-    std::sort(scratch.begin(), scratch.end(),
-              [](const auto& x, const auto& y) { return x.first < y.first; });
-    for (uint64_t i = begin; i < end; ++i) {
-      ids[i] = scratch[i - begin].first;
-      scores[i] = scratch[i - begin].second;
-    }
-  };
+  std::vector<VertexId> reserve_ids(entries.size());
+  std::vector<double> reserve_scores(entries.size());
   for (VertexId u = 0; u < n_; ++u) {
-    sort_segment(offsets[u], active_end[u]);
-    sort_segment(active_end[u], offsets[u + 1]);
+    const auto begin = entries.begin() + reserve_offsets[u];
+    const auto end = entries.begin() + reserve_offsets[u + 1];
+    std::sort(begin, end, [](const auto& x, const auto& y) {
+      return x.first < y.first;
+    });
   }
-  return FromRows(n_, std::move(offsets), std::move(active_end),
-                  std::move(ids), std::move(scores), scored_);
+  for (size_t i = 0; i < entries.size(); ++i) {
+    reserve_ids[i] = entries[i].first;
+    reserve_scores[i] = entries[i].second;
+  }
+  return FromRows(n_, std::move(offsets), std::move(ids),
+                  std::move(reserve_offsets), std::move(reserve_ids),
+                  std::move(reserve_scores));
 }
 
 DissimilarityIndex DissimilarityIndex::FromRows(
-    VertexId n, std::vector<uint64_t> offsets,
-    std::vector<uint64_t> active_end, std::vector<VertexId> ids,
-    std::vector<double> scores, bool scored) {
+    VertexId n, std::vector<uint64_t> offsets, std::vector<VertexId> ids,
+    std::vector<uint64_t> reserve_offsets, std::vector<VertexId> reserve_ids,
+    std::vector<double> reserve_scores) {
   KRCORE_DCHECK(offsets.size() == static_cast<size_t>(n) + 1);
-  KRCORE_DCHECK(active_end.size() == n);
+  KRCORE_DCHECK(reserve_offsets.size() == static_cast<size_t>(n) + 1);
   KRCORE_DCHECK(offsets.back() == ids.size());
-  KRCORE_DCHECK(scores.size() == (scored ? ids.size() : 0));
+  KRCORE_DCHECK(reserve_offsets.back() == reserve_ids.size());
+  KRCORE_DCHECK(reserve_scores.size() == reserve_ids.size());
   DissimilarityIndex index;
   index.n_ = n;
-  index.annotated_empty_ = scored && ids.empty();
-  uint64_t active_entries = 0;
-  for (VertexId u = 0; u < n; ++u) active_entries += active_end[u] - offsets[u];
-  index.num_pairs_ = active_entries / 2;
-  index.num_reserve_pairs_ = (ids.size() - active_entries) / 2;
   index.offsets_ = std::move(offsets);
-  index.active_end_ = std::move(active_end);
   index.ids_ = std::move(ids);
-  index.scores_ = std::move(scores);
-  index.RebindOwned();
+  index.reserve_offsets_ = std::move(reserve_offsets);
+  index.reserve_ids_ = std::move(reserve_ids);
+  index.reserve_scores_ = std::move(reserve_scores);
 
 #ifndef NDEBUG
-  // Every entry strictly ascending within its segment (no duplicates), and
-  // mirrored in the partner's row: same segment, same score.
-  const auto mirrored = [&](std::span<const VertexId> seg,
-                            std::span<const double> seg_scores, VertexId u,
-                            double score) {
-    auto it = std::lower_bound(seg.begin(), seg.end(), u);
-    if (it == seg.end() || *it != u) return false;
-    return !scored || seg_scores[static_cast<size_t>(it - seg.begin())] == score;
+  // Every row strictly ascending (no duplicates), and every entry mirrored
+  // in the partner's row of the same kind; reserve entries with the same
+  // score.
+  const auto find = [](std::span<const VertexId> row, VertexId u) {
+    auto it = std::lower_bound(row.begin(), row.end(), u);
+    return it != row.end() && *it == u ? it - row.begin() : -1;
   };
   for (VertexId u = 0; u < n; ++u) {
     const auto active = index[u];
@@ -308,19 +190,17 @@ DissimilarityIndex DissimilarityIndex::FromRows(
     KRCORE_DCHECK(std::adjacent_find(reserve.begin(), reserve.end(),
                                      std::greater_equal<>()) == reserve.end())
         << "reserve row " << u << " is not strictly ascending";
-    for (size_t i = 0; i < active.size(); ++i) {
-      KRCORE_DCHECK(active[i] < n && active[i] != u &&
-                    mirrored(index[active[i]], index.row_scores(active[i]), u,
-                             scored ? index.row_scores(u)[i] : 0.0))
-          << "active pair {" << u << ", " << active[i] << "} is not mirrored";
+    for (VertexId v : active) {
+      KRCORE_DCHECK(v < n && v != u && find(index[v], u) >= 0)
+          << "active pair {" << u << ", " << v << "} is not mirrored";
     }
     for (size_t i = 0; i < reserve.size(); ++i) {
-      KRCORE_DCHECK(reserve[i] < n && reserve[i] != u &&
-                    mirrored(index.reserve_row(reserve[i]),
-                             index.reserve_scores(reserve[i]), u,
-                             index.reserve_scores(u)[i]))
-          << "reserve pair {" << u << ", " << reserve[i]
-          << "} is not mirrored";
+      const VertexId v = reserve[i];
+      const auto at = v < n ? find(index.reserve_row(v), u) : -1;
+      KRCORE_DCHECK(v != u && at >= 0 &&
+                    index.reserve_scores(v)[static_cast<size_t>(at)] ==
+                        index.reserve_scores(u)[i])
+          << "reserve pair {" << u << ", " << v << "} is not mirrored";
     }
   }
 #endif

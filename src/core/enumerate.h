@@ -53,7 +53,7 @@ struct EnumOptions {
   /// Pair-discovery strategy for the preparation's similarity self-join
   /// (forwarded to PipelineOptions::join_strategy; results are identical
   /// for every strategy).
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
+  JoinStrategy join_strategy = JoinStrategy::kFiltered;
 
   /// Parallel search: component roots plus intra-component subtree tasks
   /// (forked down to parallel.split_depth) on one shared work-stealing

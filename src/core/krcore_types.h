@@ -87,7 +87,7 @@ struct MiningStats {
   uint64_t oracle_calls = 0;
   // Score-substrate provenance: derivations that additionally restricted
   // the serving threshold (served a stricter r than the cached workspace's
-  // by filtering its score annotation) and how many stored scores those
+  // by filtering its reserve scores) and how many stored scores those
   // filters consulted. Both 0 for fresh sweeps and k-only derivations.
   uint64_t derive_r_restrictions = 0;
   uint64_t score_filtered_pairs = 0;

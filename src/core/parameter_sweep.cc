@@ -203,7 +203,7 @@ SweepResult RunParameterSweep(const Graph& g, const SimilarityOracle& oracle,
 
   // One pair sweep for the whole grid: prepare at the loosest threshold
   // (largest filtered graph — every stricter cell's k-core nests inside it)
-  // with the score annotation covering the strictest, at the smallest k.
+  // with the reserve rows covering the strictest, at the smallest k.
   // Every cell, including other base-r cells, is then a pure derivation.
   const bool is_distance = oracle.is_distance();
   const double r_serve = LoosestThreshold(grid.rs, is_distance);
@@ -211,10 +211,7 @@ SweepResult RunParameterSweep(const Graph& g, const SimilarityOracle& oracle,
   Timer prepare_timer;
   SimilarityOracle base_oracle = oracle.WithThreshold(r_serve);
   PipelineOptions pipe = BasePipelineOptions(options, k_min);
-  // A single-r grid never r-restricts, so skip the annotation entirely:
-  // the base keeps the lean boolean substrate and k-only cells derive from
-  // it exactly as before the score substrate existed.
-  if (r_serve != r_cover) pipe.score_cover = r_cover;
+  pipe.score_cover = r_cover;
   PreparedWorkspace base;
   Status base_status = PrepareWorkspace(g, base_oracle, pipe, &base);
   result.prepare_seconds = prepare_timer.ElapsedSeconds();
@@ -266,9 +263,7 @@ SweepResult SweepPreparedWorkspace(const PreparedWorkspace& base,
     if (!base.Serves(base.k, r)) {
       result.status = Status::InvalidArgument(
           "r=" + std::to_string(r) + " is outside the workspace's serving "
-          "interval [" + std::to_string(base.threshold) + ", " +
-          std::to_string(base.score_cover) +
-          "] (unscored workspaces serve their exact threshold only)");
+          "range " + base.ServingRange());
       return result;
     }
   }

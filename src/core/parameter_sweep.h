@@ -106,8 +106,8 @@ SweepResult RunParameterSweep(const Graph& g, const SimilarityOracle& oracle,
 
 /// Sweeps a (ks x rs) grid over an already-prepared (e.g. snapshot-loaded)
 /// workspace with zero pair sweeps. Every cell must be servable: k >= the
-/// workspace's k and r inside its serve..cover score interval — which for
-/// an unscored workspace is just its baked-in threshold.
+/// workspace's k and r inside its serve..cover score interval — which is
+/// just its baked-in threshold when score_cover == threshold.
 SweepResult SweepPreparedWorkspace(const PreparedWorkspace& base,
                                    const std::vector<uint32_t>& ks,
                                    const std::vector<double>& rs,

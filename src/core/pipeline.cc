@@ -27,10 +27,9 @@ namespace {
 /// discarded. Returns the builder's peak transient byte count through
 /// *transient_bytes and the join's work accounting through *join_report.
 ///
-/// With options.score_cover set, the same join is score-annotating: the
-/// score each metric evaluation already computes is kept, pairs dissimilar
-/// at the serving threshold go in active, pairs dissimilar only at the
-/// cover threshold go in reserve — no extra oracle work, just storage.
+/// With options.score_cover set, the same join also fills the reserve
+/// rows: a pair dissimilar only at the cover threshold keeps the score its
+/// evaluation already computed — no extra oracle work, just storage.
 ComponentContext BuildComponent(const Graph& similar_only,
                                 const SimilarityOracle& oracle,
                                 const std::vector<VertexId>& comp,
@@ -46,7 +45,6 @@ ComponentContext BuildComponent(const Graph& similar_only,
   ctx.to_parent = std::move(induced.to_parent);
 
   DissimilarityIndex::Builder builder(ctx.size());
-  if (options.annotate_scores()) builder.AnnotateScores();
   SelfJoinOptions join;
   join.strategy = options.join_strategy;
   join.score_cover = options.score_cover;
@@ -98,7 +96,7 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
   if (options.k == 0) {
     return Status::InvalidArgument("k must be a positive integer");
   }
-  if (options.annotate_scores() &&
+  if (!std::isnan(options.score_cover) &&
       (!std::isfinite(options.score_cover) ||
        !ThresholdAtLeastAsStrict(options.score_cover, oracle.threshold(),
                                  oracle.is_distance()))) {
@@ -234,11 +232,17 @@ Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
   if (!s.ok()) return s;
   out->k = options.k;
   out->threshold = oracle.threshold();
-  out->scored = options.annotate_scores();
-  out->score_cover = out->scored ? options.score_cover : oracle.threshold();
+  out->score_cover = std::isnan(options.score_cover) ? oracle.threshold()
+                                                    : options.score_cover;
   out->is_distance = oracle.is_distance();
   out->version = 0;
   return Status::OK();
+}
+
+std::string PreparedWorkspace::ServingRange() const {
+  const double lo = is_distance ? score_cover : threshold;
+  const double hi = is_distance ? threshold : score_cover;
+  return "r in [" + std::to_string(lo) + ", " + std::to_string(hi) + "]";
 }
 
 namespace {
@@ -256,7 +260,6 @@ struct DeriveScratch {
   std::vector<VertexId> start;      // per output component: members offset
   std::vector<VertexId> members;    // survivors grouped by label, ascending
   std::vector<VertexId> promoted;   // one row's reserve entries turned active
-  std::vector<double> promoted_scores;
   std::vector<VertexId> kept;       // one row's remaining reserve entries
   std::vector<double> kept_scores;
 };
@@ -270,15 +273,14 @@ void GrowTo(std::vector<T>* v, size_t n) {
 }
 
 /// Writes the dissimilarity rows of output component `c` (base vertices
-/// `verts`, ascending) and adopts them as an index. Each row's active
-/// segment is the surviving base active entries merged with the reserve
-/// entries dissimilar at `r` (`restrict_r` only); the reserve segment holds
-/// the rest. A count pass sizes every array exactly; the write pass then
+/// `verts`, ascending) and adopts them as an index. Each active row is the
+/// surviving base active entries merged with the reserve entries dissimilar
+/// at `r` (`restrict_r` only); the reserve row holds the rest with their
+/// scores. A count pass sizes every array exactly; the write pass then
 /// compacts branch-free: every entry is written, and the cursor advances
 /// only when its endpoint landed in `c`. A row's loop stops once its count
 /// is written, so no write lands past it. The remap is monotone, so the
 /// copied rows stay sorted.
-template <bool kScored>
 DissimilarityIndex WriteDissimilarRows(const DissimilarityIndex& base,
                                        std::span<const VertexId> verts,
                                        VertexId c, bool restrict_r, double r,
@@ -291,86 +293,75 @@ DissimilarityIndex WriteDissimilarRows(const DissimilarityIndex& base,
   };
   const VertexId nc = static_cast<VertexId>(verts.size());
   std::vector<uint64_t> offsets(static_cast<size_t>(nc) + 1);
-  std::vector<uint64_t> active_end(nc);
+  std::vector<uint64_t> reserve_offsets(static_cast<size_t>(nc) + 1);
   uint64_t total = 0;
+  uint64_t reserve_total = 0;
   uint64_t tests = 0;
   for (VertexId i = 0; i < nc; ++i) {
     const VertexId u = verts[i];
     offsets[i] = total;
+    reserve_offsets[i] = reserve_total;
     for (VertexId v : base[u]) total += label[v] == c;
-    uint64_t kept = 0;
-    if constexpr (kScored) {
-      const auto reserve = base.reserve_row(u);
-      const auto reserve_scores = base.reserve_scores(u);
-      for (size_t j = 0; j < reserve.size(); ++j) {
-        const bool in = label[reserve[j]] == c;
-        const bool dis = turns_dissimilar(reserve_scores[j]);
-        total += in & dis;
-        kept += in & !dis;
-        tests += restrict_r & in & (reserve[j] > u);
-      }
+    const auto reserve = base.reserve_row(u);
+    const auto reserve_scores = base.reserve_scores(u);
+    for (size_t j = 0; j < reserve.size(); ++j) {
+      const bool in = label[reserve[j]] == c;
+      const bool dis = turns_dissimilar(reserve_scores[j]);
+      total += in & dis;
+      reserve_total += in & !dis;
+      tests += restrict_r & in & (reserve[j] > u);
     }
-    active_end[i] = total;
-    total += kept;
   }
   offsets[nc] = total;
+  reserve_offsets[nc] = reserve_total;
   *score_tests += tests;
 
   std::vector<VertexId> ids(total);
-  std::vector<double> scores(kScored ? total : 0);
+  std::vector<VertexId> reserve_ids(reserve_total);
+  std::vector<double> reserve_scores(reserve_total);
   for (VertexId i = 0; i < nc; ++i) {
     const VertexId u = verts[i];
     const auto active = base[u];
-    [[maybe_unused]] const auto active_scores = base.row_scores(u);
     // Split the reserve row: entries turning dissimilar at r join the
-    // active merge below (base ids, for the merge order); the rest follow
-    // the active segment (already remapped).
+    // active merge below (base ids, for the merge order); the rest go to
+    // the reserve row (already remapped).
+    const auto reserve = base.reserve_row(u);
+    const auto scores = base.reserve_scores(u);
+    GrowTo(&s->promoted, reserve.size());
+    GrowTo(&s->kept, reserve.size());
+    GrowTo(&s->kept_scores, reserve.size());
     size_t np = 0, nk = 0;
-    if constexpr (kScored) {
-      const auto reserve = base.reserve_row(u);
-      const auto reserve_scores = base.reserve_scores(u);
-      GrowTo(&s->promoted, reserve.size());
-      GrowTo(&s->promoted_scores, reserve.size());
-      GrowTo(&s->kept, reserve.size());
-      GrowTo(&s->kept_scores, reserve.size());
-      for (size_t j = 0; j < reserve.size(); ++j) {
-        const VertexId v = reserve[j];
-        const bool in = label[v] == c;
-        const bool dis = turns_dissimilar(reserve_scores[j]);
-        s->promoted[np] = v;
-        s->promoted_scores[np] = reserve_scores[j];
-        np += in & dis;
-        s->kept[nk] = remap[v];
-        s->kept_scores[nk] = reserve_scores[j];
-        nk += in & !dis;
-      }
+    for (size_t j = 0; j < reserve.size(); ++j) {
+      const VertexId v = reserve[j];
+      const bool in = label[v] == c;
+      const bool dis = turns_dissimilar(scores[j]);
+      s->promoted[np] = v;
+      np += in & dis;
+      s->kept[nk] = remap[v];
+      s->kept_scores[nk] = scores[j];
+      nk += in & !dis;
     }
+    std::copy_n(s->kept.data(), nk, reserve_ids.begin() + reserve_offsets[i]);
+    std::copy_n(s->kept_scores.data(), nk,
+                reserve_scores.begin() + reserve_offsets[i]);
     uint64_t cur = offsets[i];
     size_t a = 0, p = 0;
-    while (cur < active_end[i]) {
+    while (cur < offsets[i + 1]) {
       if (p < np && (a == active.size() || s->promoted[p] < active[a])) {
-        ids[cur] = remap[s->promoted[p]];
-        if constexpr (kScored) scores[cur] = s->promoted_scores[p];
-        ++cur;
-        ++p;
+        ids[cur++] = remap[s->promoted[p++]];
       } else {
         KRCORE_DCHECK(a < active.size());
         const VertexId v = active[a];
         ids[cur] = remap[v];
-        if constexpr (kScored) scores[cur] = active_scores[a];
         cur += label[v] == c;
         ++a;
       }
     }
     KRCORE_DCHECK(p == np);
-    if constexpr (kScored) {
-      std::copy_n(s->kept.data(), nk, ids.begin() + cur);
-      std::copy_n(s->kept_scores.data(), nk, scores.begin() + cur);
-    }
   }
   return DissimilarityIndex::FromRows(
-      nc, std::move(offsets), std::move(active_end), std::move(ids),
-      std::move(scores), kScored);
+      nc, std::move(offsets), std::move(ids), std::move(reserve_offsets),
+      std::move(reserve_ids), std::move(reserve_scores));
 }
 
 /// Derives one base component in a single pass and appends its output
@@ -501,12 +492,8 @@ void DeriveOneComponent(const ComponentContext& comp, uint32_t k,
     }
     derived.graph = Graph(std::move(graph_offsets), std::move(graph_nbrs));
     derived.to_parent = std::move(to_parent);
-    derived.dissimilar =
-        dis.has_scores()
-            ? WriteDissimilarRows<true>(dis, verts, c, restrict_r, r,
-                                        is_distance, s, score_tests)
-            : WriteDissimilarRows<false>(dis, verts, c, restrict_r, r,
-                                         is_distance, s, score_tests);
+    derived.dissimilar = WriteDissimilarRows(dis, verts, c, restrict_r, r,
+                                             is_distance, s, score_tests);
     out->push_back(std::move(derived));
   }
 }
@@ -523,23 +510,16 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
         "cannot derive a lower k from a prepared workspace (the k-core at "
         "k' < k is a supergraph of the cached one); re-run PrepareWorkspace");
   }
-  const bool restrict_r = r != base.threshold;
-  if (restrict_r && !base.scored) {
-    return Status::InvalidArgument(
-        "workspace has no score annotation; only its exact threshold r=" +
-        std::to_string(base.threshold) +
-        " can be served (prepare with score_cover to widen the range)");
-  }
-  if (restrict_r && !base.Serves(k, r)) {
+  if (!base.Serves(k, r)) {
     return Status::InvalidArgument(
         "r=" + std::to_string(r) + " is outside the workspace's serving "
-        "interval [" + std::to_string(base.threshold) + ", " +
-        std::to_string(base.score_cover) + "] (metric-direction ordered)");
+        "range " + base.ServingRange() +
+        " (prepare with score_cover to widen it)");
   }
+  const bool restrict_r = r != base.threshold;
   out->k = k;
   out->threshold = r;
-  out->scored = base.scored;
-  out->score_cover = base.scored ? base.score_cover : r;
+  out->score_cover = base.score_cover;
   out->is_distance = base.is_distance;
   out->version = base.version;
 

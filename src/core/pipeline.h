@@ -1,11 +1,11 @@
 #ifndef KRCORE_CORE_PIPELINE_H_
 #define KRCORE_CORE_PIPELINE_H_
 
-#include <cmath>
 #include <functional>
 #include <limits>
 #include <memory>
 #include <mutex>
+#include <string>
 #include <vector>
 
 #include "core/dissimilarity_index.h"
@@ -19,7 +19,7 @@
 
 namespace krcore {
 
-/// Deferred integrity state of one mmap-served component: the snapshot v4
+/// Deferred integrity state of one mmap-served component: the snapshot
 /// loader installs a validation closure (blob checksum + the full
 /// structural invariant battery) to be run at most once, on first touch,
 /// under the once_flag. Copies of the component share this object, so one
@@ -98,30 +98,28 @@ struct PipelineOptions {
   /// Sort components so the one containing the globally highest-degree
   /// vertex is searched first (Sec 6.1's seeding rule for FindMaximum).
   bool order_by_max_degree = true;
-  /// Score-annotation cover threshold. NaN (the default) builds the classic
-  /// boolean substrate at the oracle's threshold only. Set to a threshold
-  /// at least as strict as the oracle's (>= r for similarity metrics,
-  /// <= r for distance metrics) and the pair sweep stores every evaluated
-  /// score that is dissimilar at this cover: the prepared workspace then
-  /// serves ANY threshold between the two as a pure score filter — the
-  /// "prepare once at the loosest grid threshold, derive every (k,r) cell"
-  /// substrate. Setting it equal to the oracle's threshold annotates
-  /// scores without widening the serving range.
+  /// Cover threshold of the score substrate. NaN (the default) means the
+  /// oracle's threshold: the substrate serves that threshold only and
+  /// stores no reserve pairs. Set to a threshold at least as strict as the
+  /// oracle's (>= r for similarity metrics, <= r for distance metrics) and
+  /// the pair sweep also stores, with its score, every pair similar at the
+  /// oracle's threshold but dissimilar at this cover: the prepared
+  /// workspace then serves ANY threshold between the two as a pure score
+  /// filter — the "prepare once at the loosest grid threshold, derive
+  /// every (k,r) cell" substrate.
   double score_cover = std::numeric_limits<double>::quiet_NaN();
   /// Pair-discovery strategy for the per-component similarity self-join
-  /// (src/similarity/join/): kAuto/kFiltered run the certified
-  /// filter-and-verify engine where a per-metric filter applies (grid for
-  /// Euclidean distance, prefix/size filters for the token metrics) and
-  /// fall back to the brute sweep elsewhere; kBrute pins the baseline.
-  /// Every strategy builds the identical substrate — bit-identical pair
-  /// sets and stored scores — so this is purely a performance knob.
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
+  /// (src/similarity/join/): kFiltered runs the certified filter-and-verify
+  /// engine where a per-metric filter applies (grid for Euclidean distance,
+  /// prefix/size filters for the token metrics) and falls back to the
+  /// brute sweep elsewhere; kBrute pins the baseline. Every strategy builds
+  /// the identical substrate — bit-identical pair sets and stored scores —
+  /// so this is purely a performance knob.
+  JoinStrategy join_strategy = JoinStrategy::kFiltered;
   /// Wall-clock budget for the pair sweep itself: with no default pair
   /// budget the O(n^2) evaluation can be long, so the mining entry points
   /// forward their deadline here and expiry yields DeadlineExceeded.
   Deadline deadline;
-
-  bool annotate_scores() const { return !std::isnan(score_cover); }
 };
 
 /// Runs the shared preprocessing of Algorithm 1 (lines 1-4): removes edges
@@ -150,14 +148,15 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
 /// (DeriveWorkspace), and their dissimilarity rows are restrictions of the
 /// cached rows — no oracle calls needed.
 ///
-/// A *score-annotated* workspace (scored == true) additionally serves an r
-/// dimension: it is prepared at the loosest threshold of a grid (largest
-/// filtered graph, hence largest k-core — every stricter cell's vertices
-/// are contained in it) while its stored pairs carry raw metric scores
-/// covering every pair dissimilar at `score_cover`, the strictest grid
-/// threshold. Any (k' >= k, r' between threshold and score_cover) is then
-/// derived with zero oracle calls: score-filter the structure edges and
-/// cached rows at r', re-peel the k'-core.
+/// A workspace whose `score_cover` is stricter than its `threshold`
+/// additionally serves an r dimension: it is prepared at the loosest
+/// threshold of a grid (largest filtered graph, hence largest k-core —
+/// every stricter cell's vertices are contained in it) and its reserve
+/// rows carry the raw metric score of every pair similar at `threshold`
+/// but dissimilar at `score_cover`, the strictest grid threshold. Any
+/// (k' >= k, r' between threshold and score_cover) is then derived with
+/// zero oracle calls: score-filter the structure edges and reserve rows at
+/// r', re-peel the k'-core.
 /// Owner of an open snapshot file's bytes (mmap or aligned heap fallback);
 /// defined in snapshot/mapped_file.h. PreparedWorkspace holds it as an
 /// opaque lifetime anchor so borrowed component views stay valid for as
@@ -168,15 +167,12 @@ struct PreparedWorkspace {
   /// The k the components were extracted at (queries need k' >= k).
   uint32_t k = 0;
   /// The similarity threshold r baked into the substrate (the edge filter
-  /// and the active dissimilarity rows). Unscored workspaces serve only
-  /// exact-r queries.
+  /// and the active dissimilarity rows).
   double threshold = 0.0;
-  /// Strictest threshold the score annotation covers; == threshold for
-  /// unscored workspaces (a point serving interval).
+  /// Strictest threshold the reserve rows cover; == threshold when the
+  /// workspace serves only its exact r (a point serving interval, empty
+  /// reserve rows).
   double score_cover = 0.0;
-  /// True when the component indexes carry score annotations (and possibly
-  /// reserve pairs) — the precondition for deriving at a different r.
-  bool scored = false;
   /// Metric direction the thresholds are ordered under (distance: similar
   /// means score <= r). Needed to orient the serve..cover interval.
   bool is_distance = false;
@@ -207,21 +203,23 @@ struct PreparedWorkspace {
   }
 
   /// True iff a (query_k, query_r) cell can be served from this workspace:
-  /// query_k >= k, and query_r lies in the serve..cover interval (which is
-  /// the single point {threshold} for unscored workspaces).
+  /// query_k >= k, and query_r lies in the serve..cover interval.
   bool Serves(uint32_t query_k, double query_r) const {
-    if (query_k < k) return false;
-    if (query_r == threshold) return true;
-    return scored &&
+    return query_k >= k &&
            ThresholdAtLeastAsStrict(query_r, threshold, is_distance) &&
            ThresholdAtLeastAsStrict(score_cover, query_r, is_distance);
   }
+
+  /// The serving interval for messages: "r in [lo, hi]" with lo <= hi
+  /// (threshold..cover for similarity metrics, cover..threshold for
+  /// distance metrics).
+  std::string ServingRange() const;
 };
 
 /// PrepareComponents + identity stamping: prepares a workspace for
 /// (options.k, oracle.threshold()) that can be saved, cached, and served.
 /// With options.score_cover set, the same single pair sweep additionally
-/// annotates scores and stores reserve pairs up to the cover threshold,
+/// stores reserve pairs with their scores up to the cover threshold,
 /// producing a workspace whose Serves() interval spans serve..cover.
 Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
                         const PipelineOptions& options, PreparedWorkspace* out,
@@ -244,9 +242,9 @@ Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
 ///     vertices in ascending parent id, so the remap is monotone and every
 ///     copied row stays sorted;
 ///  4. write: copy the structure rows and the dissimilarity rows into
-///     exactly sized arrays. A row's active segment is its surviving active
+///     exactly sized arrays. A row's active row is its surviving active
 ///     entries merged with the reserve entries dissimilar at `r`; the
-///     reserve segment keeps the rest, scores carried verbatim.
+///     reserve row keeps the rest, scores carried verbatim.
 ///
 /// Components are then ordered by SortComponents, so a derived workspace is
 /// identical to a cold preparation at (k, r) with the base's score_cover —
@@ -256,8 +254,7 @@ Status PrepareWorkspace(const Graph& g, const SimilarityOracle& oracle,
 /// stays 0, and score_filtered_pairs counts the base reserve pairs whose
 /// endpoints land in one derived component (each unordered pair once; 0
 /// when r is the base threshold). Fails with InvalidArgument when k <
-/// base.k or r is outside the base's serving interval (including any r !=
-/// threshold on an unscored base).
+/// base.k or r is outside the base's serving interval.
 Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
                        const PipelineOptions& options, PreparedWorkspace* out,
                        PreprocessReport* report = nullptr);

@@ -52,7 +52,7 @@ struct PreprocessReport {
   /// Metric evaluations actually performed by the join.
   uint64_t oracle_calls = 0;
   uint64_t dissimilar_pairs = 0;  // pairs that violated r
-  /// Reserve pairs stored by a score-annotated preparation: similar at the
+  /// Reserve pairs stored by a preparation with a cover: similar at the
   /// serving threshold but dissimilar at the cover threshold, kept so any
   /// threshold in between is a pure score filter of this substrate.
   uint64_t reserve_pairs = 0;

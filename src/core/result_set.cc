@@ -4,7 +4,7 @@
 
 namespace krcore {
 
-size_t ResultSet::SetHash::operator()(const VertexSet& s) const {
+size_t ResultSet::Hash(const VertexSet& s) {
   // FNV-1a over the id stream.
   uint64_t h = 1469598103934665603ull;
   for (VertexId v : s) {
@@ -15,10 +15,19 @@ size_t ResultSet::SetHash::operator()(const VertexSet& s) const {
 }
 
 bool ResultSet::Insert(VertexSet core) {
-  auto [it, inserted] = seen_.insert(core);
-  (void)it;
-  if (inserted) cores_.push_back(std::move(core));
-  return inserted;
+  const size_t h = Hash(core);
+  auto [first, last] = index_.equal_range(h);
+  for (auto it = first; it != last; ++it) {
+    if (cores_[it->second] == core) return false;
+  }
+  index_.emplace(h, cores_.size());
+  cores_.push_back(std::move(core));
+  return true;
+}
+
+void ResultSet::Reindex() {
+  index_.clear();
+  for (size_t i = 0; i < cores_.size(); ++i) index_.emplace(Hash(cores_[i]), i);
 }
 
 bool IsSubsetOf(const VertexSet& a, const VertexSet& b) {
@@ -44,13 +53,12 @@ void ResultSet::FilterNonMaximal() {
     if (!contained) kept.push_back(core);
   }
   cores_ = std::move(kept);
-  seen_.clear();
-  for (const auto& c : cores_) seen_.insert(c);
+  Reindex();
 }
 
 std::vector<VertexSet> ResultSet::TakeSorted() {
   std::sort(cores_.begin(), cores_.end());
-  seen_.clear();
+  index_.clear();
   return std::move(cores_);
 }
 

@@ -1,7 +1,8 @@
 #ifndef KRCORE_CORE_RESULT_SET_H_
 #define KRCORE_CORE_RESULT_SET_H_
 
-#include <unordered_set>
+#include <cstddef>
+#include <unordered_map>
 #include <vector>
 
 #include "core/krcore_types.h"
@@ -11,7 +12,8 @@ namespace krcore {
 /// Collects discovered (k,r)-cores with deduplication (the same core can be
 /// reached from several leaves of the set-enumeration tree) and offers the
 /// naive maximal filter of Algorithm 1 lines 6-8 for algorithm variants that
-/// lack the smart maximal check.
+/// lack the smart maximal check. Each core is stored once; the dedupe index
+/// maps a core's hash to its position in cores().
 class ResultSet {
  public:
   /// Inserts `core` (sorted vertex ids). Returns true if it was new.
@@ -29,11 +31,12 @@ class ResultSet {
   std::vector<VertexSet> TakeSorted();
 
  private:
-  struct SetHash {
-    size_t operator()(const VertexSet& s) const;
-  };
+  static size_t Hash(const VertexSet& s);
+  /// Rebuilds index_ after cores_ was reordered or filtered.
+  void Reindex();
+
   std::vector<VertexSet> cores_;
-  std::unordered_set<VertexSet, SetHash> seen_;
+  std::unordered_multimap<size_t, size_t> index_;  // hash -> cores_ slot
 };
 
 /// True iff `a` is a subset of `b`; both sorted ascending.

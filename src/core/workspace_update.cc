@@ -78,10 +78,10 @@ WorkspaceUpdater::WorkspaceUpdater(const Graph& g,
         "the oracle with WithThreshold(ws.threshold)");
     return;
   }
-  if (ws_->scored && ws_->is_distance != oracle.is_distance()) {
+  if (ws_->is_distance != oracle.is_distance()) {
     init_status_ = Status::InvalidArgument(
-        "oracle metric direction does not match the score-annotated "
-        "workspace's; the stored scores would be filtered the wrong way");
+        "oracle metric direction does not match the workspace's; the stored "
+        "scores would be filtered the wrong way");
     return;
   }
   // The same dissimilar-edge filter PrepareComponents runs (one oracle call
@@ -494,25 +494,18 @@ Status WorkspaceUpdater::ApplyEdgeUpdates(std::span<const EdgeUpdate> updates,
       const bool fallback = dirty_fraction >= options.max_dirty_fraction &&
                             cn > 0;
 
-      // Freshly evaluated pairs keep the workspace's annotation contract:
-      // a scored workspace stores the score and re-classifies against its
-      // (serve, cover) interval — the same single evaluation the boolean
-      // path runs, so live-updated workspaces keep full-grid servability.
-      const bool scored = ws_->scored;
+      // Freshly evaluated pairs are classified against the workspace's
+      // (serve, cover) interval exactly like the join's: dissimilar at
+      // serve is active, dissimilar only at cover is a reserve pair with
+      // its score — so live-updated workspaces keep full-grid servability.
       const double cover = ws_->score_cover;
-      const bool is_distance = ws_->is_distance;
       DissimilarityIndex::Builder pairs(cn);
-      if (scored) pairs.AnnotateScores();
       auto EvaluatePair = [&](VertexId i, VertexId j) {
         ++batch.pairs_from_oracle;
-        if (!scored) {
-          if (!oracle_.Similar(members[i], members[j])) pairs.AddPair(i, j);
-          return;
-        }
         const double s = oracle_.Score(members[i], members[j]);
         if (!oracle_.SimilarAt(s)) {
-          pairs.AddScoredPair(i, j, s);
-        } else if (!ScoreSimilarUnder(s, cover, is_distance)) {
+          pairs.AddPair(i, j);
+        } else if (!ScoreSimilarUnder(s, cover, ws_->is_distance)) {
           pairs.AddReservePair(i, j, s);
         }
       };
@@ -523,13 +516,13 @@ Status WorkspaceUpdater::ApplyEdgeUpdates(std::span<const EdgeUpdate> updates,
         }
         // Scoped re-prepare of just this component, routed through the
         // configured join strategy — the exact engine PrepareComponents
-        // uses, preserving the annotation contract (and bit-identical to
-        // the EvaluatePair classification above). The batch deadline flows
-        // into the join, whose own polling aborts it mid-sweep.
+        // uses (bit-identical to the EvaluatePair classification above).
+        // The batch deadline flows into the join, whose own polling aborts
+        // it mid-sweep.
         SelfJoinOptions join;
         join.strategy = options.join_strategy;
         join.deadline = options.deadline;
-        if (scored) join.score_cover = cover;
+        join.score_cover = cover;
         std::atomic<bool> join_aborted{false};
         const JoinReport jr =
             SelfJoinPairs(oracle_, members, join, &join_aborted, &pairs);

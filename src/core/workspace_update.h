@@ -39,11 +39,11 @@ namespace krcore {
 /// component order, same local ids, same CSR rows — to PrepareWorkspace run
 /// on the updated graph, so mining it returns byte-identical results.
 ///
-/// Score-annotated workspaces (PreparedWorkspace::scored) are maintained in
-/// kind: cached rows carry their scores through restriction verbatim, and
-/// every freshly evaluated pair stores its score and is re-classified
-/// against the workspace's serve..cover interval — so a live-updated
-/// substrate keeps serving its whole (k, r) grid, not just its base cell.
+/// Reserve rows are maintained in kind: cached reserve entries carry their
+/// scores through restriction verbatim, and every freshly evaluated pair is
+/// classified against the workspace's serve..cover interval like the join's
+/// — so a live-updated substrate keeps serving its whole (k, r) grid, not
+/// just its base cell.
 
 /// One edge mutation of the raw graph. Semantics mirror replaying the
 /// mutation on the raw edge set and re-preparing: inserting an existing
@@ -81,7 +81,7 @@ struct UpdateOptions {
   /// similarity self-join PrepareComponents runs, so a dirtied component
   /// gets the filter-and-verify engine instead of a hard-wired brute tile
   /// loop. Results are identical for every strategy.
-  JoinStrategy join_strategy = JoinStrategy::kAuto;
+  JoinStrategy join_strategy = JoinStrategy::kFiltered;
 
   /// Must match the PipelineOptions::order_by_max_degree the workspace was
   /// prepared with, so the maintained component order keeps matching what a

@@ -37,7 +37,7 @@ std::string RegistryListJson(const WorkspaceRegistry& registry) {
     out += ",\"r\":" + JsonDouble(e.threshold);
     out += ",\"cover\":" + JsonDouble(e.score_cover);
     out += ",\"scored\":";
-    out += e.scored ? "true" : "false";
+    out += e.score_cover != e.threshold ? "true" : "false";
     out += ",\"distance_metric\":";
     out += e.is_distance ? "true" : "false";
     out += ",\"version\":" + std::to_string(e.version);

@@ -148,18 +148,10 @@ Status WorkspaceRegistry::Resolve(const std::string& name, uint32_t k,
   }
   const PreparedWorkspace& ws = *res.ws;
   if (!ws.Serves(k, r)) {
-    std::string range =
-        ws.scored ? "r in [" + std::to_string(ws.threshold) + ", " +
-                        std::to_string(ws.score_cover) + "]"
-                  : "r == " + std::to_string(ws.threshold);
-    if (ws.scored && ws.is_distance) {
-      range = "r in [" + std::to_string(ws.score_cover) + ", " +
-              std::to_string(ws.threshold) + "]";
-    }
     return Status::InvalidArgument(
         "workspace '" + name + "' cannot serve (k=" + std::to_string(k) +
         ", r=" + std::to_string(r) + "); it serves k >= " +
-        std::to_string(ws.k) + " and " + range);
+        std::to_string(ws.k) + " and " + ws.ServingRange());
   }
   *out = std::move(res);
   return Status::OK();
@@ -196,7 +188,6 @@ std::vector<WorkspaceRegistry::Entry> WorkspaceRegistry::List() const {
     e.k = ws.k;
     e.threshold = ws.threshold;
     e.score_cover = ws.score_cover;
-    e.scored = ws.scored;
     e.is_distance = ws.is_distance;
     e.version = ws.version;
     e.num_components = ws.components.size();

@@ -34,7 +34,6 @@ class WorkspaceRegistry {
     uint32_t k = 0;
     double threshold = 0.0;
     double score_cover = 0.0;
-    bool scored = false;
     bool is_distance = false;
     uint64_t version = 0;
     size_t num_components = 0;

@@ -68,17 +68,18 @@ uint32_t GridDim(double span, double side) {
 /// settle whole blocks at once:
 ///
 ///  - min box distance beyond the serving threshold (with margin):
-///    every cross pair is certified dissimilar — recorded without a metric
-///    evaluation (unannotated joins only; annotated pairs need scores);
-///  - max box distance inside the skip threshold (with margin): every
-///    cross pair is certified similar — |A|*|B| pairs settled in O(1),
-///    the bulk skip that makes the join sub-brute on clustered data;
+///    every cross pair is certified dissimilar — recorded as an active pair
+///    without a metric evaluation;
+///  - max box distance inside the cover threshold (with margin): every
+///    cross pair is certified similar at cover, so none is stored —
+///    |A|*|B| pairs settled in O(1), the bulk skip that makes the join
+///    sub-brute on clustered data;
 ///  - otherwise each cross pair becomes a verified candidate.
 class GridPairFilter final : public PairFilter {
  public:
   GridPairFilter(const AttributeTable& attrs,
                  std::span<const VertexId> members, double serve_threshold,
-                 double skip_threshold, bool annotate) {
+                 double cover_threshold) {
     const VertexId n = static_cast<VertexId>(members.size());
     px_.resize(n);
     py_.resize(n);
@@ -95,10 +96,9 @@ class GridPairFilter final : public PairFilter {
     }
 
     dissim_sq_ = serve_threshold * serve_threshold * (1.0 + kGeoCertifyMargin);
-    can_cert_dissimilar_ = !annotate;
-    skip_sq_ = skip_threshold > 0.0 ? skip_threshold * skip_threshold *
-                                          (1.0 - kGeoCertifyMargin)
-                                    : -1.0;  // never fires
+    skip_sq_ = cover_threshold > 0.0 ? cover_threshold * cover_threshold *
+                                           (1.0 - kGeoCertifyMargin)
+                                     : -1.0;  // never fires
 
     // Cell side = the serving radius (so certifiable-dissimilar cells are
     // usually non-adjacent and certifiable-similar clusters fit in a few
@@ -197,7 +197,7 @@ class GridPairFilter final : public PairFilter {
         if (sink->aborted()) return;
         const Cell& b = cells_[j];
         const uint64_t nb = b.end - b.begin;
-        if (can_cert_dissimilar_ && MinDistSq(a.box, b.box) > dissim_sq_) {
+        if (MinDistSq(a.box, b.box) > dissim_sq_) {
           for (uint32_t x = a.begin; x < a.end; ++x) {
             for (uint32_t y = b.begin; y < b.end; ++y) {
               sink->CertifiedDissimilar(verts_[x], verts_[y]);
@@ -222,7 +222,6 @@ class GridPairFilter final : public PairFilter {
   std::vector<Cell> cells_;       // occupied cells only
   double dissim_sq_ = 0.0;        // min-box-dist^2 above this: dissimilar
   double skip_sq_ = -1.0;         // max-box-dist^2 below this: similar
-  bool can_cert_dissimilar_ = false;
   bool ok_ = true;
 };
 
@@ -230,14 +229,14 @@ class GridPairFilter final : public PairFilter {
 
 std::unique_ptr<PairFilter> MakeGridPairFilter(
     const AttributeTable& attributes, std::span<const VertexId> members,
-    double serve_threshold, double skip_threshold, bool annotate) {
+    double serve_threshold, double cover_threshold) {
   if (attributes.kind() != AttributeTable::Kind::kGeo) return nullptr;
-  if (!std::isfinite(serve_threshold) || serve_threshold < 0.0) {
+  if (!std::isfinite(serve_threshold) || serve_threshold < 0.0 ||
+      !std::isfinite(cover_threshold)) {
     return nullptr;
   }
-  if (annotate && !std::isfinite(skip_threshold)) return nullptr;
   auto filter = std::make_unique<GridPairFilter>(
-      attributes, members, serve_threshold, skip_threshold, annotate);
+      attributes, members, serve_threshold, cover_threshold);
   if (!filter->ok()) return nullptr;
   return filter;
 }

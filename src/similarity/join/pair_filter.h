@@ -2,7 +2,9 @@
 #define KRCORE_SIMILARITY_JOIN_PAIR_FILTER_H_
 
 #include <atomic>
+#include <cmath>
 #include <cstdint>
+#include <limits>
 #include <memory>
 #include <span>
 #include <utility>
@@ -44,14 +46,15 @@ inline constexpr double kWeightCertifyMargin = 1e-9;
 /// one of:
 ///
 ///  - Candidate(a, b): could not certify — the sink evaluates the oracle
-///    and classifies exactly like the brute sweep.
+///    and classifies exactly like the brute sweep: dissimilar at serve is
+///    an active pair, similar at serve but dissimilar at cover a reserve
+///    pair with its score, anything else is not stored.
 ///  - CertifiedDissimilar(a, b): certified dissimilar at the serving
-///    threshold. Legal only on unannotated joins (an annotated pair must
-///    carry its exact score, which only an evaluation can produce).
-///  - SkipSimilar(count): `count` pairs certified similar at the serving
-///    threshold (unannotated) or at the cover threshold (annotated) — the
-///    one verdict under which the brute sweep stores nothing. This is the
-///    O(1)-per-partition bulk skip that makes the join sub-brute.
+///    threshold — an active pair, which carries no score.
+///  - SkipSimilar(count): `count` pairs certified similar at the cover
+///    threshold — the one verdict under which the brute sweep stores
+///    nothing. This is the O(1)-per-partition bulk skip that makes the join
+///    sub-brute.
 ///
 /// A sink writes either directly into the builder (sequential join) or
 /// into a local replay buffer (one sink per parallel task; buffers are
@@ -59,23 +62,19 @@ inline constexpr double kWeightCertifyMargin = 1e-9;
 /// order-independent anyway because Builder::Build sorts each row).
 class PairSink {
  public:
+  /// One buffered pair: a reserve pair when `score` is not NaN, an active
+  /// pair otherwise (a reserve score is a finite oracle value).
   struct Rec {
     VertexId a;
     VertexId b;
     double score;
-    uint8_t kind;  // kPlain / kActive / kReserve
   };
-  static constexpr uint8_t kPlain = 0;
-  static constexpr uint8_t kActive = 1;
-  static constexpr uint8_t kReserve = 2;
 
   PairSink(const SimilarityOracle& oracle, std::span<const VertexId> members,
-           bool annotate, double cover, const Deadline& deadline,
-           std::atomic<bool>* aborted, DissimilarityIndex::Builder* builder,
-           std::vector<Rec>* buffer)
+           double cover, const Deadline& deadline, std::atomic<bool>* aborted,
+           DissimilarityIndex::Builder* builder, std::vector<Rec>* buffer)
       : oracle_(oracle),
         members_(members),
-        annotate_(annotate),
         cover_(cover),
         is_distance_(oracle.is_distance()),
         deadline_(deadline),
@@ -87,22 +86,17 @@ class PairSink {
     ++report_.candidate_pairs;
     ++report_.oracle_calls;
     const double s = oracle_.Score(members_[a], members_[b]);
-    if (annotate_) {
-      if (!oracle_.SimilarAt(s)) {
-        Emit(a, b, s, kActive);
-      } else if (!ScoreSimilarUnder(s, cover_, is_distance_)) {
-        Emit(a, b, s, kReserve);
-      }
-    } else {
-      if (!oracle_.SimilarAt(s)) Emit(a, b, 0.0, kPlain);
+    if (!oracle_.SimilarAt(s)) {
+      Emit(a, b, kNoScore);
+    } else if (!ScoreSimilarUnder(s, cover_, is_distance_)) {
+      Emit(a, b, s);
     }
     CountOp();
   }
 
   void CertifiedDissimilar(VertexId a, VertexId b) {
-    KRCORE_DCHECK(!annotate_);
     ++report_.pruned_pairs;
-    Emit(a, b, 0.0, kPlain);
+    Emit(a, b, kNoScore);
     CountOp();
   }
 
@@ -120,22 +114,24 @@ class PairSink {
   const JoinReport& report() const { return report_; }
   JoinReport* mutable_report() { return &report_; }
 
+  /// Records `rec` into `builder`: the replay half of a buffered sink.
+  static void Replay(const Rec& rec, DissimilarityIndex::Builder* builder) {
+    if (std::isnan(rec.score)) {
+      builder->AddPair(rec.a, rec.b);
+    } else {
+      builder->AddReservePair(rec.a, rec.b, rec.score);
+    }
+  }
+
  private:
-  void Emit(VertexId a, VertexId b, double score, uint8_t kind) {
+  static constexpr double kNoScore = std::numeric_limits<double>::quiet_NaN();
+
+  void Emit(VertexId a, VertexId b, double score) {
     if (a > b) std::swap(a, b);  // filters may discover pairs in either order
     if (builder_ != nullptr) {
-      switch (kind) {
-        case kActive:
-          builder_->AddScoredPair(a, b, score);
-          break;
-        case kReserve:
-          builder_->AddReservePair(a, b, score);
-          break;
-        default:
-          builder_->AddPair(a, b);
-      }
+      Replay({a, b, score}, builder_);
     } else {
-      buffer_->push_back({a, b, score, kind});
+      buffer_->push_back({a, b, score});
     }
   }
 
@@ -159,7 +155,6 @@ class PairSink {
 
   const SimilarityOracle& oracle_;
   std::span<const VertexId> members_;
-  const bool annotate_;
   const double cover_;
   const bool is_distance_;
   const Deadline& deadline_;
@@ -195,18 +190,19 @@ class PairFilter {
 
 /// Grid filter for kEuclideanDistance over geo attributes; nullptr when the
 /// configuration is outside its certificate domain (non-geo attributes or a
-/// non-finite/negative threshold). `skip_threshold` is the threshold a
-/// similarity verdict must be certified at to skip storage: the serving
-/// threshold for unannotated joins, the cover threshold for annotated ones.
+/// non-finite/negative threshold). Pairs are certified dissimilar at
+/// `serve_threshold` and certified similar (skipped) at `cover_threshold`,
+/// the loosest verdict under which a pair is not stored.
 std::unique_ptr<PairFilter> MakeGridPairFilter(
     const AttributeTable& attributes, std::span<const VertexId> members,
-    double serve_threshold, double skip_threshold, bool annotate);
+    double serve_threshold, double cover_threshold);
 
 /// Prefix/size/disjointness filter for the token metrics (kJaccard,
 /// kWeightedJaccard, kCosine) over vector attributes; nullptr outside its
-/// certificate domain (non-vector attributes, annotated joins — every
-/// stored pair then needs its exact score — or a threshold <= 0 or > 1 for
-/// which token overlap certifies nothing).
+/// certificate domain (non-vector attributes, or a threshold <= 0 or > 1
+/// for which token overlap certifies nothing). It certifies dissimilarity
+/// at the serving threshold only, so every pair it cannot settle — reserve
+/// pairs included — is a candidate.
 std::unique_ptr<PairFilter> MakeTokenPairFilter(
     const AttributeTable& attributes, std::span<const VertexId> members,
     Metric metric, double serve_threshold);

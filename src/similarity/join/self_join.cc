@@ -1,6 +1,7 @@
 #include "similarity/join/self_join.h"
 
 #include <algorithm>
+#include <cmath>
 #include <memory>
 #include <vector>
 
@@ -12,8 +13,6 @@ namespace krcore {
 
 std::string JoinStrategyName(JoinStrategy s) {
   switch (s) {
-    case JoinStrategy::kAuto:
-      return "auto";
     case JoinStrategy::kBrute:
       return "brute";
     case JoinStrategy::kFiltered:
@@ -23,9 +22,7 @@ std::string JoinStrategyName(JoinStrategy s) {
 }
 
 bool ParseJoinStrategy(const std::string& name, JoinStrategy* out) {
-  if (name == "auto") {
-    *out = JoinStrategy::kAuto;
-  } else if (name == "brute") {
+  if (name == "brute") {
     *out = JoinStrategy::kBrute;
   } else if (name == "filtered") {
     *out = JoinStrategy::kFiltered;
@@ -62,20 +59,12 @@ void BruteJoin(std::span<const VertexId> members, VertexId tile_size,
 /// configuration, or nullptr when none applies (-> brute fallback).
 std::unique_ptr<PairFilter> MakeFilter(const SimilarityOracle& oracle,
                                        std::span<const VertexId> members,
-                                       const SelfJoinOptions& options) {
+                                       double cover) {
   const AttributeTable* attrs = oracle.attributes();
   if (attrs == nullptr) return nullptr;
-  const bool annotate = options.annotate_scores();
   if (oracle.metric() == Metric::kEuclideanDistance) {
-    // The skip threshold is the verdict storage depends on: serve for the
-    // boolean substrate, the (stricter) cover for an annotated one, whose
-    // stored set is exactly the pairs dissimilar at cover.
-    const double skip =
-        annotate ? options.score_cover : oracle.threshold();
-    return MakeGridPairFilter(*attrs, members, oracle.threshold(), skip,
-                              annotate);
+    return MakeGridPairFilter(*attrs, members, oracle.threshold(), cover);
   }
-  if (annotate) return nullptr;  // token certificates cannot produce scores
   return MakeTokenPairFilter(*attrs, members, oracle.metric(),
                              oracle.threshold());
 }
@@ -128,16 +117,18 @@ JoinReport SelfJoinPairs(const SimilarityOracle& oracle,
     aborted->store(true, std::memory_order_relaxed);
     return report;
   }
-  const bool annotate = options.annotate_scores();
+  const double cover = std::isnan(options.score_cover)
+                           ? oracle.threshold()
+                           : options.score_cover;
 
   std::unique_ptr<PairFilter> filter;
-  if (options.strategy != JoinStrategy::kBrute) {
-    filter = MakeFilter(oracle, members, options);
+  if (options.strategy == JoinStrategy::kFiltered) {
+    filter = MakeFilter(oracle, members, cover);
   }
 
   if (filter == nullptr) {
-    PairSink sink(oracle, members, annotate, options.score_cover,
-                  options.deadline, aborted, builder, nullptr);
+    PairSink sink(oracle, members, cover, options.deadline, aborted, builder,
+                  nullptr);
     BruteJoin(members, options.tile_size, &sink);
     report.MergeFrom(sink.report());
     return report;
@@ -148,8 +139,8 @@ JoinReport SelfJoinPairs(const SimilarityOracle& oracle,
   const uint32_t threads =
       std::min<uint32_t>(std::max<uint32_t>(1, options.num_threads), parts);
   if (threads <= 1) {
-    PairSink sink(oracle, members, annotate, options.score_cover,
-                  options.deadline, aborted, builder, nullptr);
+    PairSink sink(oracle, members, cover, options.deadline, aborted, builder,
+                  nullptr);
     filter->Run(0, parts, &sink);
     report.MergeFrom(sink.report());
     return report;
@@ -157,7 +148,7 @@ JoinReport SelfJoinPairs(const SimilarityOracle& oracle,
 
   // Partition-parallel emission: each chunk fills a private replay buffer,
   // then the buffers are drained into the builder in chunk order. The pair
-  // *set* (and with it the built index — Build() sorts every row segment)
+  // *set* (and with it the built index — Build() sorts every row)
   // and all counters are chunking-independent, so results are identical
   // for every thread count.
   const uint32_t num_chunks = std::min(parts, threads * 4);
@@ -169,8 +160,8 @@ JoinReport SelfJoinPairs(const SimilarityOracle& oracle,
     TaskPool pool(threads);
     for (uint32_t c = 0; c < num_chunks; ++c) {
       pool.Submit([&, c]() {
-        PairSink sink(oracle, members, annotate, options.score_cover,
-                      options.deadline, aborted, nullptr, &buffers[c]);
+        PairSink sink(oracle, members, cover, options.deadline, aborted,
+                      nullptr, &buffers[c]);
         filter->Run(bounds[c], bounds[c + 1], &sink);
         chunk_reports[c] = sink.report();
       });
@@ -182,18 +173,7 @@ JoinReport SelfJoinPairs(const SimilarityOracle& oracle,
   }
   if (aborted->load(std::memory_order_relaxed)) return report;
   for (const auto& buffer : buffers) {
-    for (const PairSink::Rec& rec : buffer) {
-      switch (rec.kind) {
-        case PairSink::kActive:
-          builder->AddScoredPair(rec.a, rec.b, rec.score);
-          break;
-        case PairSink::kReserve:
-          builder->AddReservePair(rec.a, rec.b, rec.score);
-          break;
-        default:
-          builder->AddPair(rec.a, rec.b);
-      }
-    }
+    for (const PairSink::Rec& rec : buffer) PairSink::Replay(rec, builder);
   }
   return report;
 }

@@ -2,7 +2,6 @@
 #define KRCORE_SIMILARITY_JOIN_SELF_JOIN_H_
 
 #include <atomic>
-#include <cmath>
 #include <cstdint>
 #include <limits>
 #include <span>
@@ -25,33 +24,30 @@ namespace krcore {
 ///    bounding-box certificates for Euclidean distance; inverted-index
 ///    prefix/size/disjointness certificates for the token metrics); only the
 ///    surviving candidates are verified through SimilarityOracle::Score.
-///    Where no certified filter applies (no attribute table, a metric/
-///    attribute-kind mismatch, or a score-annotated token join, which needs
-///    every stored pair's exact score) the engine falls back to brute, so
-///    kFiltered is always safe to request.
-///  - kAuto: kFiltered. The alias exists so callers can pin the baseline
-///    (kBrute) or insist on filtering (kFiltered) explicitly while the
-///    default tracks whatever the engine considers best.
+///    Where no certified filter applies (no attribute table or a metric/
+///    attribute-kind mismatch) the engine falls back to brute, so kFiltered
+///    is always safe to request. It is the default.
 ///
 /// Every strategy produces the identical pair set with bit-identical stored
 /// scores: filters may only skip a pair with a certified threshold verdict
 /// (conservative margins push anything near the threshold to verification),
 /// so the brute/filtered choice is purely a performance knob.
-enum class JoinStrategy : uint8_t { kAuto, kBrute, kFiltered };
+enum class JoinStrategy : uint8_t { kBrute, kFiltered };
 
 std::string JoinStrategyName(JoinStrategy s);
-/// Parses "auto" / "brute" / "filtered". Returns false on anything else.
+/// Parses "brute" / "filtered". Returns false on anything else.
 bool ParseJoinStrategy(const std::string& name, JoinStrategy* out);
 
 /// Options for one SelfJoinPairs call.
 struct SelfJoinOptions {
-  JoinStrategy strategy = JoinStrategy::kAuto;
+  JoinStrategy strategy = JoinStrategy::kFiltered;
 
-  /// Score-annotation cover threshold; NaN (default) = unannotated join.
-  /// Mirrors PipelineOptions::score_cover: when set, every pair dissimilar
-  /// at this cover threshold is stored with its exact oracle score, so a
-  /// filter may only skip pairs it can certify similar at the *cover*
-  /// threshold (the loosest verdict the serve..cover band ever needs).
+  /// Cover threshold, at least as strict as the oracle's; NaN (default)
+  /// means the oracle's threshold, which stores no reserve pairs. Mirrors
+  /// PipelineOptions::score_cover: every pair similar at the oracle's
+  /// threshold but dissimilar at this cover is stored with its exact
+  /// oracle score, so a filter may only skip pairs it can certify similar
+  /// at the *cover* threshold.
   double score_cover = std::numeric_limits<double>::quiet_NaN();
 
   /// Rows per tile of the brute path (PreprocessOptions::tile_size).
@@ -65,8 +61,6 @@ struct SelfJoinOptions {
 
   /// Wall-clock budget, polled every few thousand pair operations.
   Deadline deadline;
-
-  bool annotate_scores() const { return !std::isnan(score_cover); }
 };
 
 /// Work accounting for one self-join. pruned_pairs + oracle_calls ==
@@ -102,16 +96,12 @@ struct JoinReport {
   }
 };
 
-/// Discovers every dissimilar pair among `members` (local id = position in
+/// Discovers every stored pair among `members` (local id = position in
 /// the span, attribute/oracle id = the stored VertexId) and records it into
-/// `builder`:
-///
-///  - unannotated (options.score_cover NaN): AddPair for every pair not
-///    similar at the oracle's threshold — exactly the brute sweep's output;
-///  - annotated: AddScoredPair for pairs dissimilar at the oracle's
-///    threshold, AddReservePair for pairs similar there but dissimilar at
-///    the cover threshold, both with the exact oracle score. The caller must
-///    have called builder->AnnotateScores() first.
+/// `builder`, under one rule for every cover: AddPair for each pair
+/// dissimilar at the oracle's threshold (certified or scored), and
+/// AddReservePair with the exact oracle score for each pair similar there
+/// but dissimilar at the cover threshold. Any other pair is not stored.
 ///
 /// On deadline expiry (or when *aborted is already set by another worker)
 /// the join stops early, sets *aborted, and the builder's contents must be

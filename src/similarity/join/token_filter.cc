@@ -41,10 +41,10 @@ namespace {
 /// ratio certificate (Jaccard / weighted Jaccard) and only the survivors
 /// reach the oracle. Partition = one row of the pair matrix.
 ///
-/// The filter is unannotated-only: a score-annotated join must store the
-/// exact metric score of every certified-dissimilar pair, which only an
-/// evaluation can produce — the factory refuses and the engine falls back
-/// to brute.
+/// A certified-dissimilar pair is an active pair, which carries no score,
+/// so the filter runs unchanged when the join also keeps reserve pairs up
+/// to a stricter cover threshold: those are similar at serve, hence always
+/// flagged, and the oracle scores them as candidates.
 class TokenPairFilter final : public PairFilter {
  public:
   TokenPairFilter(const AttributeTable& attrs,

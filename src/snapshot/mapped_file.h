@@ -10,7 +10,7 @@
 namespace krcore {
 
 /// Read-only owner of a snapshot file's bytes. Prefers a private read-only
-/// mmap (zero-copy: the v4 on-disk layout IS the in-memory CSR layout, so
+/// mmap (zero-copy: the on-disk layout IS the in-memory CSR layout, so
 /// pages fault in only when a component is first touched); when mmap is
 /// unavailable or fails — or the `snapshot/mmap` failpoint is armed — it
 /// falls back to a plain read into a 64-byte-aligned heap buffer, which

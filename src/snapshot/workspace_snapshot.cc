@@ -24,14 +24,13 @@ constexpr uint32_t kMetaSection = 1;
 constexpr uint32_t kComponentSection = 2;
 
 // Meta flag bits.
-constexpr uint32_t kFlagScored = 1u << 0;
-constexpr uint32_t kFlagDistance = 1u << 1;
+constexpr uint32_t kFlagDistance = 1u << 0;
 
-// v4 fixed-size regions.
-constexpr uint64_t kV4HeaderSize = 64;
-constexpr uint64_t kV4TailSize = 56;
-constexpr uint64_t kV4TableEntrySize = 64;
-constexpr char kV4FooterMagic[8] = {'K', 'R', '4', 'F', 'O', 'O', 'T', 'R'};
+// Fixed-size regions.
+constexpr uint64_t kHeaderSize = 64;
+constexpr uint64_t kTailSize = 56;
+constexpr uint64_t kTableEntrySize = 64;
+constexpr char kFooterMagic[8] = {'K', 'R', '5', 'F', 'O', 'O', 'T', 'R'};
 
 uint64_t Fnv1a64(const char* data, size_t len) {
   uint64_t h = 1469598103934665603ull;
@@ -84,12 +83,11 @@ Status Corrupt(const std::string& what) {
   return Status::InvalidArgument("corrupt workspace snapshot: " + what);
 }
 
-/// The 44-byte meta payload: k u32, threshold f64, reserved u32 (written
-/// 0, ignored on read; older builds wrote 64 there), graph version u64,
+/// The 40-byte meta payload: k u32, threshold f64, graph version u64,
 /// flags u32, score_cover f64, num_components u64.
 /// Parsing and semantic checking are split so InspectSnapshot can report
 /// what a damaged file *says* without judging it.
-constexpr uint64_t kMetaSize = 44;
+constexpr uint64_t kMetaSize = 40;
 
 struct MetaFields {
   uint32_t k = 0;
@@ -98,7 +96,6 @@ struct MetaFields {
   uint32_t flags = 0;
   double score_cover = 0.0;
   uint64_t num_components = 0;
-  bool scored = false;
   bool is_distance = false;
 };
 
@@ -106,27 +103,25 @@ bool ReadMetaFields(const uint8_t* p, uint64_t size, MetaFields* m) {
   if (size != kMetaSize) return false;
   m->k = ReadU32(p);
   m->threshold = ReadF64(p + 4);
-  m->version = ReadU64(p + 16);
-  m->flags = ReadU32(p + 24);
-  m->score_cover = ReadF64(p + 28);
-  m->num_components = ReadU64(p + 36);
-  m->scored = (m->flags & kFlagScored) != 0;
+  m->version = ReadU64(p + 12);
+  m->flags = ReadU32(p + 20);
+  m->score_cover = ReadF64(p + 24);
+  m->num_components = ReadU64(p + 32);
   m->is_distance = (m->flags & kFlagDistance) != 0;
   return true;
 }
 
 Status CheckMetaFields(const MetaFields& m) {
-  if ((m.flags & ~(kFlagScored | kFlagDistance)) != 0) {
+  if ((m.flags & ~kFlagDistance) != 0) {
     return Corrupt("unknown meta flag bits");
   }
-  if (m.scored) {
-    if (!std::isfinite(m.threshold) || !std::isfinite(m.score_cover) ||
-        !ThresholdAtLeastAsStrict(m.score_cover, m.threshold,
-                                  m.is_distance)) {
-      return Corrupt("score cover looser than the serving threshold");
-    }
-  } else if (m.score_cover != m.threshold) {
-    return Corrupt("unscored workspace with a widened score cover");
+  // A point interval (cover == threshold) is any threshold the oracle can
+  // hold; a widened one must order two finite thresholds.
+  if (m.score_cover != m.threshold &&
+      (!std::isfinite(m.threshold) || !std::isfinite(m.score_cover) ||
+       !ThresholdAtLeastAsStrict(m.score_cover, m.threshold,
+                                 m.is_distance))) {
+    return Corrupt("score cover looser than the serving threshold");
   }
   // No writer can produce k = 0 (PrepareWorkspace rejects it), and the
   // prepared-components mining overloads downstream of a load do not
@@ -139,7 +134,6 @@ void ApplyMeta(const MetaFields& m, PreparedWorkspace* out) {
   out->k = m.k;
   out->threshold = m.threshold;
   out->version = m.version;
-  out->scored = m.scored;
   out->is_distance = m.is_distance;
   out->score_cover = m.score_cover;
 }
@@ -148,104 +142,106 @@ std::string MetaPayloadBytes(const PreparedWorkspace& ws) {
   PayloadWriter meta;
   meta.PutU32(ws.k);
   meta.PutDouble(ws.threshold);
-  meta.PutU32(0);  // reserved
   meta.PutU64(ws.version);
-  uint32_t flags = 0;
-  if (ws.scored) flags |= kFlagScored;
-  if (ws.is_distance) flags |= kFlagDistance;
-  meta.PutU32(flags);
-  // Normalized to the serving threshold for unscored workspaces (a point
-  // serving interval), matching what PrepareWorkspace stamps.
-  meta.PutDouble(ws.scored ? ws.score_cover : ws.threshold);
+  meta.PutU32(ws.is_distance ? kFlagDistance : 0);
+  meta.PutDouble(ws.score_cover);
   meta.PutU64(ws.components.size());
   return meta.bytes();
 }
 
 constexpr uint64_t Align64(uint64_t x) { return (x + 63) & ~uint64_t{63}; }
 
-/// Byte offsets of each array inside one v4 component blob. The arrays are
+/// Byte offsets of each array inside one component blob. The arrays are
 /// the exact in-memory CSR layout — each starts on a 64-byte boundary and
 /// the blob is padded to a 64-byte multiple (the pad is inside blob_size
-/// and the checksum, so every stored byte is covered). `L` is the total id
-/// entry count, 2 * (num_pairs + num_reserve_pairs): every unordered pair
-/// appears in both endpoints' rows.
-struct V4Layout {
-  uint64_t graph_offsets = 0;  // (n+1) x u64
-  uint64_t neighbors = 0;      // 2m x u32
-  uint64_t to_parent = 0;      // n x u32
-  uint64_t d_offsets = 0;      // (n+1) x u64
-  uint64_t d_active_end = 0;   // n x u64
-  uint64_t d_ids = 0;          // L x u32
-  uint64_t d_scores = 0;       // L x f64, present iff scored
-  uint64_t total = 0;          // 64-byte multiple
+/// and the checksum, so every stored byte is covered). Every unordered pair
+/// appears in both endpoints' rows, so the active rows hold 2 * num_pairs
+/// ids and the reserve rows 2 * num_reserve_pairs (id, score) entries.
+struct BlobLayout {
+  uint64_t graph_offsets = 0;    // (n+1) x u64
+  uint64_t neighbors = 0;        // 2m x u32
+  uint64_t to_parent = 0;        // n x u32
+  uint64_t d_offsets = 0;        // (n+1) x u64
+  uint64_t d_ids = 0;            // 2 * num_pairs x u32
+  uint64_t r_offsets = 0;        // (n+1) x u64
+  uint64_t r_ids = 0;            // 2 * num_reserve x u32
+  uint64_t r_scores = 0;         // 2 * num_reserve x f64
+  uint64_t total = 0;            // 64-byte multiple
 };
 
-V4Layout ComputeV4Layout(uint64_t n, uint64_t num_edges, uint64_t L,
-                         bool scored) {
-  V4Layout l;
+BlobLayout ComputeBlobLayout(uint64_t n, uint64_t num_edges,
+                             uint64_t num_pairs, uint64_t num_reserve) {
+  BlobLayout l;
   uint64_t pos = 0;
-  l.graph_offsets = pos;
-  pos = Align64(pos + (n + 1) * 8);
-  l.neighbors = pos;
-  pos = Align64(pos + 2 * num_edges * 4);
-  l.to_parent = pos;
-  pos = Align64(pos + n * 4);
-  l.d_offsets = pos;
-  pos = Align64(pos + (n + 1) * 8);
-  l.d_active_end = pos;
-  pos = Align64(pos + n * 8);
-  l.d_ids = pos;
-  pos = Align64(pos + L * 4);
-  l.d_scores = pos;
-  if (scored) pos += L * 8;
-  l.total = Align64(pos);
+  const auto place = [&pos](uint64_t* field, uint64_t bytes) {
+    *field = pos;
+    pos = Align64(pos + bytes);
+  };
+  place(&l.graph_offsets, (n + 1) * 8);
+  place(&l.neighbors, 2 * num_edges * 4);
+  place(&l.to_parent, n * 4);
+  place(&l.d_offsets, (n + 1) * 8);
+  place(&l.d_ids, 2 * num_pairs * 4);
+  place(&l.r_offsets, (n + 1) * 8);
+  place(&l.r_ids, 2 * num_reserve * 4);
+  place(&l.r_scores, 2 * num_reserve * 8);
+  l.total = pos;
   return l;
 }
 
-std::string ComponentBlobV4(const ComponentContext& ctx, bool scored) {
+/// The typed array at `offset` inside a mapped blob.
+template <typename T>
+std::span<const T> BlobArray(const uint8_t* blob, uint64_t offset,
+                             uint64_t size) {
+  return {reinterpret_cast<const T*>(blob + offset),
+          static_cast<size_t>(size)};
+}
+
+std::string ComponentBlob(const ComponentContext& ctx) {
   const uint64_t n = ctx.size();
   const uint64_t num_edges = ctx.graph.num_edges();
-  const uint64_t L = ctx.dissimilar.ids_array().size();
-  const V4Layout l = ComputeV4Layout(n, num_edges, L, scored);
+  const DissimilarityIndex& d = ctx.dissimilar;
+  const BlobLayout l =
+      ComputeBlobLayout(n, num_edges, d.num_pairs(), d.num_reserve_pairs());
   std::string blob(static_cast<size_t>(l.total), '\0');
   // Zero-length spans may carry a null data pointer; the zero-filled blob
   // already holds the right bytes for them (an empty CSR's offsets row is
   // a single zero), so only non-empty sources are copied.
-  auto copy = [&blob](uint64_t off, const void* src, uint64_t bytes) {
-    if (bytes > 0 && src != nullptr) {
-      std::memcpy(blob.data() + off, src, static_cast<size_t>(bytes));
+  auto copy = [&blob](uint64_t off, const auto& src) {
+    const uint64_t bytes = src.size_bytes();
+    if (bytes > 0) {
+      std::memcpy(blob.data() + off, src.data(), static_cast<size_t>(bytes));
     }
   };
-  copy(l.graph_offsets, ctx.graph.offsets().data(), (n + 1) * 8);
-  copy(l.neighbors, ctx.graph.neighbor_array().data(), 2 * num_edges * 4);
-  copy(l.to_parent, ctx.to_parent.data(), n * 4);
-  copy(l.d_offsets, ctx.dissimilar.offsets_array().data(), (n + 1) * 8);
-  copy(l.d_active_end, ctx.dissimilar.active_end_array().data(), n * 8);
-  copy(l.d_ids, ctx.dissimilar.ids_array().data(), L * 4);
-  if (scored) {
-    copy(l.d_scores, ctx.dissimilar.scores_array().data(), L * 8);
-  }
+  copy(l.graph_offsets, ctx.graph.offsets());
+  copy(l.neighbors, ctx.graph.neighbor_array());
+  copy(l.to_parent, ctx.to_parent.span());
+  copy(l.d_offsets, d.offsets_array());
+  copy(l.d_ids, d.ids_array());
+  copy(l.r_offsets, d.reserve_offsets_array());
+  copy(l.r_ids, d.reserve_ids_array());
+  copy(l.r_scores, d.reserve_scores_array());
   return blob;
 }
 
 /// Streams the full snapshot body: header, component blobs, meta payload,
 /// section table, tail. The `snapshot/write_section` failpoint fires per
 /// component blob (section tag 2) and on the meta (tag 1).
-Status WriteSnapshotStreamV4(const PreparedWorkspace& ws, std::ofstream& out,
-                             const std::string& tmp_path) {
-  char header[kV4HeaderSize] = {};
+Status WriteSnapshotStream(const PreparedWorkspace& ws, std::ofstream& out,
+                           const std::string& tmp_path) {
+  char header[kHeaderSize] = {};
   std::memcpy(header, kSnapshotMagic, sizeof(kSnapshotMagic));
   const uint32_t version = kSnapshotVersion;
   std::memcpy(header + sizeof(kSnapshotMagic), &version, sizeof(version));
-  out.write(header, static_cast<std::streamsize>(kV4HeaderSize));
+  out.write(header, static_cast<std::streamsize>(kHeaderSize));
   if (!out.good()) {
     return Status::Internal("short write in snapshot header: " + tmp_path);
   }
 
   PayloadWriter table;
-  uint64_t pos = kV4HeaderSize;
+  uint64_t pos = kHeaderSize;
   for (const auto& ctx : ws.components) {
-    const std::string blob = ComponentBlobV4(ctx, ws.scored);
+    const std::string blob = ComponentBlob(ctx);
     if (Failpoints::ShouldFail("snapshot/write_section")) {
       // Mid-blob kill: leave the torn prefix a real crash would have left.
       out.write(blob.data(), static_cast<std::streamsize>(blob.size() / 2));
@@ -299,10 +295,10 @@ Status WriteSnapshotStreamV4(const PreparedWorkspace& ws, std::ofstream& out,
   tail.PutU64(Fnv1a64(meta.data(), meta.size()));
   tail.PutU64(table_offset);
   tail.PutU64(Fnv1a64(table.bytes().data(), table.bytes().size()));
-  tail.PutU64(table_offset + table.bytes().size() + kV4TailSize);
+  tail.PutU64(table_offset + table.bytes().size() + kTailSize);
   out.write(tail.bytes().data(),
             static_cast<std::streamsize>(tail.bytes().size()));
-  out.write(kV4FooterMagic, sizeof(kV4FooterMagic));
+  out.write(kFooterMagic, sizeof(kFooterMagic));
   if (!out.good()) {
     return Status::Internal("short write in snapshot footer: " + tmp_path);
   }
@@ -314,8 +310,8 @@ Status WriteSnapshotStreamV4(const PreparedWorkspace& ws, std::ofstream& out,
   return Status::OK();
 }
 
-/// One decoded v4 section-table entry.
-struct V4Entry {
+/// One decoded section-table entry.
+struct TableEntry {
   uint64_t blob_offset = 0;
   uint64_t blob_size = 0;
   uint64_t checksum = 0;
@@ -326,18 +322,18 @@ struct V4Entry {
   uint64_t num_reserve = 0;
 };
 
-/// Everything the eager structural pass over a v4 file establishes without
+/// Everything the eager structural pass over a file establishes without
 /// reading a single component blob: validated header/tail, checksummed meta
 /// and table, and a tiling-verified entry list whose declared counts fit
 /// their blobs exactly.
-struct V4FileView {
+struct FileView {
   MetaFields meta;
   uint64_t meta_offset = 0;
   uint64_t meta_size = 0;
   uint64_t meta_checksum = 0;
   uint64_t table_offset = 0;
   uint64_t table_checksum = 0;
-  std::vector<V4Entry> entries;
+  std::vector<TableEntry> entries;
 };
 
 /// The O(components) structural validation every load (lazy or eager) and
@@ -347,38 +343,38 @@ struct V4FileView {
 /// Deliberately never dereferences a blob byte — a lazy load must stay
 /// proportional to the component count, and InspectSnapshot must walk files
 /// whose blobs are corrupt.
-Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
-  if (size < kV4HeaderSize + kV4TailSize) {
-    return Corrupt("file shorter than the v4 footer");
+Status ParseFile(const uint8_t* base, uint64_t size, FileView* v) {
+  if (size < kHeaderSize + kTailSize) {
+    return Corrupt("file shorter than the footer");
   }
   // The header pad is the one region no checksum covers; requiring it zero
-  // keeps "every byte of a v4 file is validated" literally true.
-  for (uint64_t i = 12; i < kV4HeaderSize; ++i) {
-    if (base[i] != 0) return Corrupt("nonzero v4 header padding");
+  // keeps "every byte of a file is validated" literally true.
+  for (uint64_t i = 12; i < kHeaderSize; ++i) {
+    if (base[i] != 0) return Corrupt("nonzero header padding");
   }
 
-  const uint8_t* tail = base + size - kV4TailSize;
+  const uint8_t* tail = base + size - kTailSize;
   v->meta_offset = ReadU64(tail);
   v->meta_size = ReadU64(tail + 8);
   v->meta_checksum = ReadU64(tail + 16);
   v->table_offset = ReadU64(tail + 24);
   v->table_checksum = ReadU64(tail + 32);
   const uint64_t stored_file_size = ReadU64(tail + 40);
-  if (std::memcmp(tail + 48, kV4FooterMagic, sizeof(kV4FooterMagic)) != 0) {
-    return Corrupt("bad v4 footer magic");
+  if (std::memcmp(tail + 48, kFooterMagic, sizeof(kFooterMagic)) != 0) {
+    return Corrupt("bad footer magic");
   }
   if (stored_file_size != size) {
-    return Corrupt("v4 footer file size mismatch");
+    return Corrupt("footer file size mismatch");
   }
-  if (v->meta_offset < kV4HeaderSize || (v->meta_offset % 64) != 0 ||
-      v->meta_offset > size - kV4TailSize) {
-    return Corrupt("v4 meta offset out of range");
+  if (v->meta_offset < kHeaderSize || (v->meta_offset % 64) != 0 ||
+      v->meta_offset > size - kTailSize) {
+    return Corrupt("meta offset out of range");
   }
-  if (v->meta_size > size - kV4TailSize - v->meta_offset) {
-    return Corrupt("v4 meta overruns the footer");
+  if (v->meta_size > size - kTailSize - v->meta_offset) {
+    return Corrupt("meta overruns the footer");
   }
   if (v->table_offset != v->meta_offset + v->meta_size) {
-    return Corrupt("v4 table offset inconsistent");
+    return Corrupt("table offset inconsistent");
   }
   if (Fnv1a64(base + v->meta_offset, static_cast<size_t>(v->meta_size)) !=
       v->meta_checksum) {
@@ -389,12 +385,12 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
   }
   // Divide-first: a hostile count can never push the size arithmetic past
   // 64 bits.
-  const uint64_t table_bytes = size - kV4TailSize - v->table_offset;
-  if (v->meta.num_components > table_bytes / kV4TableEntrySize) {
+  const uint64_t table_bytes = size - kTailSize - v->table_offset;
+  if (v->meta.num_components > table_bytes / kTableEntrySize) {
     return Corrupt("declared component count exceeds the file");
   }
-  if (v->meta.num_components * kV4TableEntrySize != table_bytes) {
-    return Corrupt("v4 table size mismatch");
+  if (v->meta.num_components * kTableEntrySize != table_bytes) {
+    return Corrupt("table size mismatch");
   }
   if (Fnv1a64(base + v->table_offset, static_cast<size_t>(table_bytes)) !=
       v->table_checksum) {
@@ -402,10 +398,10 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
   }
 
   v->entries.reserve(static_cast<size_t>(v->meta.num_components));
-  uint64_t expected_offset = kV4HeaderSize;
+  uint64_t expected_offset = kHeaderSize;
   for (uint64_t i = 0; i < v->meta.num_components; ++i) {
-    const uint8_t* t = base + v->table_offset + i * kV4TableEntrySize;
-    V4Entry e;
+    const uint8_t* t = base + v->table_offset + i * kTableEntrySize;
+    TableEntry e;
     e.blob_offset = ReadU64(t);
     e.blob_size = ReadU64(t + 8);
     e.checksum = ReadU64(t + 16);
@@ -415,18 +411,18 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
     e.num_pairs = ReadU64(t + 40);
     e.num_reserve = ReadU64(t + 48);
     if (ReadU64(t + 56) != 0) {
-      return Corrupt("nonzero reserved field in v4 table entry");
+      return Corrupt("nonzero reserved field in table entry");
     }
     // Blobs must tile [header, meta) exactly — no gap can hide
     // unchecksummed bytes, no overlap can alias two components.
     if (e.blob_offset != expected_offset) {
-      return Corrupt("v4 blobs do not tile the file");
+      return Corrupt("blobs do not tile the file");
     }
     if (e.blob_size % 64 != 0) {
-      return Corrupt("v4 blob size not 64-byte aligned");
+      return Corrupt("blob size not 64-byte aligned");
     }
     if (e.blob_size > v->meta_offset - expected_offset) {
-      return Corrupt("v4 blob overruns the meta section");
+      return Corrupt("blob overruns the meta section");
     }
     expected_offset += e.blob_size;
     // Divide-first count bounds, then the exact layout equation: the
@@ -435,15 +431,14 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
         e.num_pairs > e.blob_size / 8 || e.num_reserve > e.blob_size / 8) {
       return Corrupt("declared counts exceed the payload");
     }
-    const uint64_t L = 2 * (e.num_pairs + e.num_reserve);
-    if (ComputeV4Layout(e.n, e.num_edges, L, v->meta.scored).total !=
-        e.blob_size) {
+    if (ComputeBlobLayout(e.n, e.num_edges, e.num_pairs, e.num_reserve)
+            .total != e.blob_size) {
       return Corrupt("component payload size mismatch");
     }
     v->entries.push_back(e);
   }
   if (expected_offset != v->meta_offset) {
-    return Corrupt("v4 blobs do not tile the file");
+    return Corrupt("blobs do not tile the file");
   }
   return Status::OK();
 }
@@ -452,46 +447,74 @@ Status ParseV4File(const uint8_t* base, uint64_t size, V4FileView* v) {
 /// keeps the bytes alive, the spans/counts say what to check. Deliberately
 /// no pointer to any component instance, so copied components stay
 /// coherent.
-struct V4ComponentCheck {
+struct ComponentCheck {
   std::shared_ptr<const SnapshotMapping> backing;
   std::span<const uint8_t> blob;
   uint64_t checksum = 0;
   uint32_t n = 0;
   uint32_t max_degree = 0;
   uint64_t num_edges = 0;
-  uint64_t num_pairs = 0;
-  uint64_t num_reserve = 0;
   std::span<const uint64_t> graph_offsets;
   std::span<const VertexId> neighbors;
   std::span<const VertexId> to_parent;
   std::span<const uint64_t> d_offsets;
-  std::span<const uint64_t> d_active_end;
   std::span<const VertexId> d_ids;
-  std::span<const double> d_scores;
-  bool scored = false;
+  std::span<const uint64_t> r_offsets;
+  std::span<const VertexId> r_ids;
+  std::span<const double> r_scores;
   bool is_distance = false;
   double threshold = 0.0;
   double score_cover = 0.0;
 };
 
+/// One CSR's offsets start at 0 and never decrease.
+bool Monotone(std::span<const uint64_t> offsets, uint32_t n) {
+  if (offsets[0] != 0) return false;
+  for (uint32_t u = 0; u < n; ++u) {
+    if (offsets[u + 1] < offsets[u]) return false;
+  }
+  return true;
+}
+
+/// Validates one dissimilarity CSR: in-range strictly ascending rows, each
+/// entry mirrored in its partner's row — with the same score when `scores`
+/// is non-empty (the reserve rows).
+Status CheckPairRows(uint32_t n, std::span<const uint64_t> offsets,
+                     std::span<const VertexId> ids,
+                     std::span<const double> scores, const char* unsorted) {
+  for (uint32_t u = 0; u < n; ++u) {
+    for (uint64_t i = offsets[u]; i < offsets[u + 1]; ++i) {
+      const VertexId v = ids[i];
+      if (v >= n || v == u) return Corrupt("dissimilar pair out of range");
+      if (i > offsets[u] && ids[i - 1] >= v) return Corrupt(unsorted);
+      const VertexId* row = ids.data() + offsets[v];
+      const VertexId* end = ids.data() + offsets[v + 1];
+      const VertexId* it = std::lower_bound(row, end, u);
+      if (it == end || *it != u) return Corrupt("asymmetric dissimilar pair");
+      if (!scores.empty() &&
+          scores[static_cast<uint64_t>(it - ids.data())] != scores[i]) {
+        return Corrupt("mirrored pair score mismatch");
+      }
+    }
+  }
+  return Status::OK();
+}
+
 /// The per-component battery, run over the mapped arrays: blob checksum,
-/// CSR integrity, adjacency symmetry, sorted to_parent, two-segment
-/// dissimilarity invariants with score classification, mirror consistency,
-/// and footer count agreement. A pure check: it reads the mapped bytes
-/// and returns the verdict, nothing else.
-Status RunV4ComponentCheck(const V4ComponentCheck& c) {
+/// CSR integrity, adjacency symmetry, sorted to_parent, sorted mirrored
+/// active and reserve rows, finite reserve scores inside the serve..cover
+/// band, no pair in both rows, and row lengths that add up to the table's
+/// pair counts (the layout sized both id arrays from them). A pure check:
+/// it reads the mapped bytes and returns the verdict, nothing else.
+Status RunComponentCheck(const ComponentCheck& c) {
   if (Fnv1a64(c.blob.data(), c.blob.size()) != c.checksum) {
     return Corrupt("section checksum mismatch");
   }
   const uint32_t n = c.n;
-  const uint64_t directed = 2 * c.num_edges;
-  if (c.graph_offsets[0] != 0) return Corrupt("graph offsets not monotone");
-  for (uint32_t u = 0; u < n; ++u) {
-    if (c.graph_offsets[u + 1] < c.graph_offsets[u]) {
-      return Corrupt("graph offsets not monotone");
-    }
+  if (!Monotone(c.graph_offsets, n)) {
+    return Corrupt("graph offsets not monotone");
   }
-  if (c.graph_offsets[n] != directed) {
+  if (c.graph_offsets[n] != 2 * c.num_edges) {
     return Corrupt("degree sum != edge count");
   }
   uint64_t max_degree = 0;
@@ -525,94 +548,44 @@ Status RunV4ComponentCheck(const V4ComponentCheck& c) {
     }
   }
 
-  const uint64_t L = c.d_ids.size();
-  if (c.d_offsets[0] != 0) return Corrupt("dissimilarity offsets not monotone");
-  for (uint32_t u = 0; u < n; ++u) {
-    if (c.d_offsets[u + 1] < c.d_offsets[u]) {
-      return Corrupt("dissimilarity offsets not monotone");
-    }
-    if (c.d_active_end[u] < c.d_offsets[u] ||
-        c.d_active_end[u] > c.d_offsets[u + 1]) {
-      return Corrupt("active segment out of row bounds");
+  if (!Monotone(c.d_offsets, n) || !Monotone(c.r_offsets, n)) {
+    return Corrupt("dissimilarity offsets not monotone");
+  }
+  if (c.d_offsets[n] != c.d_ids.size() || c.r_offsets[n] != c.r_ids.size()) {
+    return Corrupt("dissimilarity rows != pair count");
+  }
+  for (const double score : c.r_scores) {
+    if (!std::isfinite(score)) return Corrupt("non-finite pair score");
+    if (!ScoreSimilarUnder(score, c.threshold, c.is_distance) ||
+        ScoreSimilarUnder(score, c.score_cover, c.is_distance)) {
+      return Corrupt("reserve pair score outside the serve..cover band");
     }
   }
-  if (c.d_offsets[n] != L) return Corrupt("dissimilarity rows != pair count");
-  const bool have_scores = !c.d_scores.empty();
-  if (c.scored && L > 0 && !have_scores) {
-    return Corrupt("component payload size mismatch");
+  if (Status s = CheckPairRows(n, c.d_offsets, c.d_ids, {},
+                               "dissimilar pairs not sorted unique");
+      !s.ok()) {
+    return s;
   }
-  uint64_t fwd_active = 0;
-  uint64_t fwd_reserve = 0;
+  if (Status s = CheckPairRows(n, c.r_offsets, c.r_ids, c.r_scores,
+                               "reserve pairs not sorted unique");
+      !s.ok()) {
+    return s;
+  }
+  // The active and reserve rows of one vertex may not share an id (both
+  // sorted, so a two-pointer scan suffices).
   for (uint32_t u = 0; u < n; ++u) {
-    const uint64_t rb = c.d_offsets[u];
-    const uint64_t ae = c.d_active_end[u];
-    const uint64_t re = c.d_offsets[u + 1];
-    if (!c.scored && ae != re) {
-      return Corrupt("unscored workspace with reserve pairs");
-    }
-    for (uint64_t i = rb; i < re; ++i) {
-      const bool reserve = i >= ae;
-      const VertexId v = c.d_ids[i];
-      if (v >= n || v == u) return Corrupt("dissimilar pair out of range");
-      const uint64_t seg_begin = reserve ? ae : rb;
-      if (i > seg_begin && c.d_ids[i - 1] >= v) {
-        return Corrupt(reserve ? "reserve pairs not sorted unique"
-                               : "dissimilar pairs not sorted unique");
+    uint64_t i = c.d_offsets[u];
+    uint64_t j = c.r_offsets[u];
+    while (i < c.d_offsets[u + 1] && j < c.r_offsets[u + 1]) {
+      if (c.d_ids[i] == c.r_ids[j]) {
+        return Corrupt("pair listed in both active and reserve rows");
       }
-      double score = 0.0;
-      if (have_scores) {
-        score = c.d_scores[i];
-        if (!std::isfinite(score)) return Corrupt("non-finite pair score");
-        if (!reserve) {
-          if (ScoreSimilarUnder(score, c.threshold, c.is_distance)) {
-            return Corrupt(
-                "active pair score similar at the serving threshold");
-          }
-        } else if (!ScoreSimilarUnder(score, c.threshold, c.is_distance) ||
-                   ScoreSimilarUnder(score, c.score_cover, c.is_distance)) {
-          return Corrupt("reserve pair score outside the serve..cover band");
-        }
-      }
-      if (v > u) {
-        if (reserve) {
-          ++fwd_reserve;
-        } else {
-          ++fwd_active;
-        }
-      }
-      // Mirror probe: the pair must sit in the same segment of v's row
-      // with the same score, or a row could list a partner that does not
-      // list it back.
-      const uint64_t mb = reserve ? c.d_active_end[v] : c.d_offsets[v];
-      const uint64_t me = reserve ? c.d_offsets[v + 1] : c.d_active_end[v];
-      const VertexId* seg = c.d_ids.data();
-      const VertexId* it = std::lower_bound(seg + mb, seg + me,
-                                            static_cast<VertexId>(u));
-      if (it == seg + me || *it != u) {
-        return Corrupt("asymmetric dissimilar pair");
-      }
-      if (have_scores &&
-          c.d_scores[static_cast<uint64_t>(it - seg)] != score) {
-        return Corrupt("mirrored pair score mismatch");
-      }
-    }
-    // The two segments of one row may not share an id (sorted, so a
-    // two-pointer scan suffices).
-    uint64_t i = rb;
-    uint64_t j = ae;
-    while (i < ae && j < re) {
-      if (c.d_ids[i] == c.d_ids[j]) {
-        return Corrupt("pair listed in both active and reserve blocks");
-      }
-      if (c.d_ids[i] < c.d_ids[j]) {
+      if (c.d_ids[i] < c.r_ids[j]) {
         ++i;
       } else {
         ++j;
       }
     }
-  }
-  if (fwd_active != c.num_pairs || fwd_reserve != c.num_reserve) {
-    return Corrupt("stored pair counts mismatch the footer");
   }
   return Status::OK();
 }
@@ -659,7 +632,7 @@ Status SaveWorkspaceSnapshot(const PreparedWorkspace& ws,
   {
     std::ofstream out(tmp_path, std::ios::binary | std::ios::trunc);
     if (!out) return Status::NotFound("cannot open for write: " + tmp_path);
-    s = WriteSnapshotStreamV4(ws, out, tmp_path);
+    s = WriteSnapshotStream(ws, out, tmp_path);
     if (s.ok()) {
       out.close();
       if (out.fail()) {
@@ -688,8 +661,8 @@ Status LoadWorkspaceSnapshot(const std::string& path,
   Status s = OpenSnapshot(path, &mapping);
   if (!s.ok()) return s;
   KRCORE_FAILPOINT("snapshot/read_section");
-  V4FileView v;
-  s = ParseV4File(mapping->data(), mapping->size(), &v);
+  FileView v;
+  s = ParseFile(mapping->data(), mapping->size(), &v);
   if (!s.ok()) return s;
   s = CheckMetaFields(v.meta);
   if (!s.ok()) return s;
@@ -697,38 +670,26 @@ Status LoadWorkspaceSnapshot(const std::string& path,
 
   const uint8_t* base = mapping->data();
   out->components.reserve(v.entries.size());
-  for (const V4Entry& e : v.entries) {
+  for (const TableEntry& e : v.entries) {
     const uint8_t* blob = base + e.blob_offset;
-    const uint64_t L = 2 * (e.num_pairs + e.num_reserve);
-    const V4Layout l = ComputeV4Layout(e.n, e.num_edges, L, v.meta.scored);
-    V4ComponentCheck check;
+    const BlobLayout l =
+        ComputeBlobLayout(e.n, e.num_edges, e.num_pairs, e.num_reserve);
+    ComponentCheck check;
     check.backing = mapping;
     check.blob = {blob, static_cast<size_t>(e.blob_size)};
     check.checksum = e.checksum;
     check.n = e.n;
     check.max_degree = e.max_degree;
     check.num_edges = e.num_edges;
-    check.num_pairs = e.num_pairs;
-    check.num_reserve = e.num_reserve;
-    check.graph_offsets = {
-        reinterpret_cast<const uint64_t*>(blob + l.graph_offsets),
-        static_cast<size_t>(e.n) + 1};
-    check.neighbors = {reinterpret_cast<const VertexId*>(blob + l.neighbors),
-                       static_cast<size_t>(2 * e.num_edges)};
-    check.to_parent = {reinterpret_cast<const VertexId*>(blob + l.to_parent),
-                       static_cast<size_t>(e.n)};
-    check.d_offsets = {reinterpret_cast<const uint64_t*>(blob + l.d_offsets),
-                       static_cast<size_t>(e.n) + 1};
-    check.d_active_end = {
-        reinterpret_cast<const uint64_t*>(blob + l.d_active_end),
-        static_cast<size_t>(e.n)};
-    check.d_ids = {reinterpret_cast<const VertexId*>(blob + l.d_ids),
-                   static_cast<size_t>(L)};
-    if (v.meta.scored) {
-      check.d_scores = {reinterpret_cast<const double*>(blob + l.d_scores),
-                        static_cast<size_t>(L)};
-    }
-    check.scored = v.meta.scored;
+    check.graph_offsets =
+        BlobArray<uint64_t>(blob, l.graph_offsets, e.n + 1ull);
+    check.neighbors = BlobArray<VertexId>(blob, l.neighbors, 2 * e.num_edges);
+    check.to_parent = BlobArray<VertexId>(blob, l.to_parent, e.n);
+    check.d_offsets = BlobArray<uint64_t>(blob, l.d_offsets, e.n + 1ull);
+    check.d_ids = BlobArray<VertexId>(blob, l.d_ids, 2 * e.num_pairs);
+    check.r_offsets = BlobArray<uint64_t>(blob, l.r_offsets, e.n + 1ull);
+    check.r_ids = BlobArray<VertexId>(blob, l.r_ids, 2 * e.num_reserve);
+    check.r_scores = BlobArray<double>(blob, l.r_scores, 2 * e.num_reserve);
     check.is_distance = v.meta.is_distance;
     check.threshold = v.meta.threshold;
     check.score_cover = v.meta.score_cover;
@@ -739,10 +700,10 @@ Status LoadWorkspaceSnapshot(const std::string& path,
                             e.max_degree);
     ctx.to_parent = ArrayRef<VertexId>::Borrowed(check.to_parent);
     ctx.dissimilar = DissimilarityIndex::BorrowedView(
-        e.n, check.d_offsets, check.d_active_end, check.d_ids,
-        check.d_scores, e.num_pairs, e.num_reserve, v.meta.scored);
+        e.n, check.d_offsets, check.d_ids, check.r_offsets, check.r_ids,
+        check.r_scores);
     auto lazy_state = std::make_shared<LazyComponentValidation>();
-    lazy_state->validate = [check] { return RunV4ComponentCheck(check); };
+    lazy_state->validate = [check] { return RunComponentCheck(check); };
     ctx.lazy = std::move(lazy_state);
     out->components.push_back(std::move(ctx));
   }
@@ -776,18 +737,17 @@ Status InspectSnapshot(const std::string& path, SnapshotInfo* out) {
   out->format_version = kSnapshotVersion;
   out->file_size = size;
 
-  V4FileView v;
-  s = ParseV4File(base, size, &v);
+  FileView v;
+  s = ParseFile(base, size, &v);
   if (!s.ok()) return s;
   out->k = v.meta.k;
   out->threshold = v.meta.threshold;
   out->score_cover = v.meta.score_cover;
-  out->scored = v.meta.scored;
   out->is_distance = v.meta.is_distance;
   out->graph_version = v.meta.version;
   out->num_components = v.meta.num_components;
   out->sections.reserve(v.entries.size() + 2);
-  for (const V4Entry& e : v.entries) {
+  for (const TableEntry& e : v.entries) {
     SnapshotSectionInfo sec;
     sec.kind = "component";
     sec.offset = e.blob_offset;
@@ -809,14 +769,14 @@ Status InspectSnapshot(const std::string& path, SnapshotInfo* out) {
   meta_sec.offset = v.meta_offset;
   meta_sec.size = v.meta_size;
   meta_sec.checksum = v.meta_checksum;
-  meta_sec.checksum_ok = true;  // ParseV4File verified it
+  meta_sec.checksum_ok = true;  // ParseFile verified it
   out->sections.push_back(std::move(meta_sec));
   SnapshotSectionInfo table_sec;
   table_sec.kind = "table";
   table_sec.offset = v.table_offset;
-  table_sec.size = v.meta.num_components * kV4TableEntrySize;
+  table_sec.size = v.meta.num_components * kTableEntrySize;
   table_sec.checksum = v.table_checksum;
-  table_sec.checksum_ok = true;  // ParseV4File verified it
+  table_sec.checksum_ok = true;  // ParseFile verified it
   out->sections.push_back(std::move(table_sec));
   return Status::OK();
 }

@@ -19,48 +19,46 @@ namespace krcore {
 ///
 /// On-disk layout (little-endian, the only byte order the engine targets;
 /// full byte-level spec in docs/SNAPSHOT_FORMAT.md):
-///   header   64 bytes: magic "KRWSNAP1", version u32 = 4, zero padding
+///   header   64 bytes: magic "KRWSNAP1", version u32 = 5, zero padding
 ///   blobs    one per component, 64-byte aligned, 64-byte-aligned arrays
-///            inside (graph offsets/neighbors, to_parent, dissimilarity
-///            offsets/active_end/ids/scores) — the exact in-memory CSR
-///            layout, so a loaded file is served by pointing spans at it
-///   meta     44 bytes: k, threshold, a reserved u32 (written 0, ignored
-///            on read), graph version, flags (scored / distance),
+///            inside (graph offsets/neighbors, to_parent, active
+///            offsets/ids, reserve offsets/ids/scores) — the exact
+///            in-memory CSR layout, so a loaded file is served by pointing
+///            spans at it
+///   meta     40 bytes: k, threshold, graph version, flags (distance),
 ///            score_cover, component count
 ///   table    one 64-byte entry per component: blob offset/size, FNV-1a 64
 ///            checksum, and the counts (n, max_degree, edges, pairs,
 ///            reserve pairs) mining needs before touching the blob
 ///   tail     56 bytes: meta/table offsets + checksums, total file size,
-///            footer magic "KR4FOOTR"
+///            footer magic "KR5FOOTR"
 ///
 /// Every structural invariant the engine relies on (CSR monotonicity,
-/// sorted adjacency, symmetric edges, in-range ids, sorted unique
-/// dissimilar pairs, and for annotated files: finite scores classified on
-/// the correct side of the serve and cover thresholds, no pair listed in
-/// both segments) is re-validated on load, so a corrupt or truncated file
-/// yields a clean Status error — never UB: wrong magic, a version other
-/// than 4, short files, and checksum mismatches each produce a distinct
-/// InvalidArgument message. All declared counts are range-checked against
-/// the file size *before* any arithmetic that could wrap, so hostile
-/// headers cannot smuggle an overflowed size past the validators. Under a
-/// *lazy* load the per-component checks (blob checksum + structure) are
-/// deferred to first touch — see SnapshotLoadOptions — while the header,
-/// meta, table and tail are always verified up front.
+/// sorted adjacency, symmetric edges, in-range ids, sorted unique mirrored
+/// dissimilar pairs, finite reserve scores inside the serve..cover band,
+/// no pair in both rows) is re-validated on load, so a corrupt or
+/// truncated file yields a clean Status error — never UB: wrong magic, a
+/// version other than 5, short files, and checksum mismatches each produce
+/// a distinct InvalidArgument message. All declared counts are range-checked
+/// against the file size *before* any arithmetic that could wrap, so
+/// hostile headers cannot smuggle an overflowed size past the validators.
+/// Under a *lazy* load the per-component checks (blob checksum + structure)
+/// are deferred to first touch — see SnapshotLoadOptions — while the
+/// header, meta, table and tail are always verified up front.
 ///
-/// Version 4 is the only format this build reads or writes; earlier
-/// sectioned versions (1-3) are rejected with "unsupported snapshot
-/// version".
+/// Version 5 is the only format this build reads or writes; any other
+/// version is rejected with "unsupported snapshot version".
 ///
 /// Round trips are lossless: the loaded workspace's components are
 /// structurally identical to the saved ones, so mining results match fresh
-/// preprocessing byte for byte — and a loaded annotated workspace derives
-/// every (k, r) cell of its serving interval exactly like the original.
-/// Save → load → save reproduces the file byte for byte, reserve segments
+/// preprocessing byte for byte — and a loaded workspace derives every
+/// (k, r) cell of its serving interval exactly like the original.
+/// Save → load → save reproduces the file byte for byte, reserve rows
 /// included.
 
 inline constexpr char kSnapshotMagic[8] = {'K', 'R', 'W', 'S',
                                            'N', 'A', 'P', '1'};
-inline constexpr uint32_t kSnapshotVersion = 4;
+inline constexpr uint32_t kSnapshotVersion = 5;
 
 /// Serializes `ws` to `path`, crash-atomically: the snapshot is streamed
 /// into `path + ".tmp"` with every write checked, then renamed into place.
@@ -134,7 +132,6 @@ struct SnapshotInfo {
   uint32_t k = 0;
   double threshold = 0.0;
   double score_cover = 0.0;
-  bool scored = false;
   bool is_distance = false;
   uint64_t graph_version = 0;
   uint64_t num_components = 0;

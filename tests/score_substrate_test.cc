@@ -26,14 +26,14 @@ namespace krcore {
 namespace {
 
 /// Structural equality of the mining-visible substrate: component order,
-/// local ids, structure CSR, active dissimilarity rows, bitset layout. The
-/// cold side may be unannotated — reserve segments and scores are the
-/// derived side's extra capability, not part of the mining contract — but
-/// with `check_annotation` both sides must agree on those too (used for the
-/// updater and snapshot invariants, where both sides are annotated).
+/// local ids, structure CSR, active dissimilarity rows. The cold side may
+/// have a different cover — reserve rows and scores are the derived side's
+/// extra capability, not part of the mining contract — but with
+/// `check_reserve` both sides must agree on those too (used where both
+/// sides share a cover).
 void ExpectSameSubstrate(const std::vector<ComponentContext>& derived,
                          const std::vector<ComponentContext>& cold,
-                         bool check_annotation, const std::string& where) {
+                         bool check_reserve, const std::string& where) {
   ASSERT_EQ(derived.size(), cold.size()) << where;
   for (size_t c = 0; c < cold.size(); ++c) {
     const ComponentContext& a = derived[c];
@@ -43,8 +43,7 @@ void ExpectSameSubstrate(const std::vector<ComponentContext>& derived,
         << where << " component " << c;
     ASSERT_EQ(a.num_dissimilar_pairs(), b.num_dissimilar_pairs())
         << where << " component " << c;
-    if (check_annotation) {
-      ASSERT_EQ(a.dissimilar.has_scores(), b.dissimilar.has_scores());
+    if (check_reserve) {
       ASSERT_EQ(a.dissimilar.num_reserve_pairs(),
                 b.dissimilar.num_reserve_pairs())
           << where << " component " << c;
@@ -58,11 +57,7 @@ void ExpectSameSubstrate(const std::vector<ComponentContext>& derived,
       auto bd = b.dissimilar[u];
       ASSERT_TRUE(std::equal(ad.begin(), ad.end(), bd.begin(), bd.end()))
           << where << " component " << c << " vertex " << u;
-      if (!check_annotation) continue;
-      auto as = a.dissimilar.row_scores(u);
-      auto bs = b.dissimilar.row_scores(u);
-      ASSERT_TRUE(std::equal(as.begin(), as.end(), bs.begin(), bs.end()))
-          << where << " component " << c << " vertex " << u;
+      if (!check_reserve) continue;
       auto ar = a.dissimilar.reserve_row(u);
       auto br = b.dissimilar.reserve_row(u);
       ASSERT_TRUE(std::equal(ar.begin(), ar.end(), br.begin(), br.end()))
@@ -76,15 +71,14 @@ void ExpectSameSubstrate(const std::vector<ComponentContext>& derived,
   }
 }
 
-TEST(ScoredIndex, SegmentsKeepMiningSemantics) {
-  // 4 vertices; active pairs {0,1}@0.1, {2,3}@0.2; reserve {0,2}@0.6.
+TEST(ScoredIndex, ReserveRowsKeepMiningSemantics) {
+  // 4 vertices; active pairs {0,1}, {2,3}; reserve {0,2}@0.6.
   DissimilarityIndex::Builder builder(4);
-  builder.AddScoredPair(2, 3, 0.2);
-  builder.AddScoredPair(0, 1, 0.1);
+  builder.AddPair(2, 3);
+  builder.AddPair(0, 1);
   builder.AddReservePair(0, 2, 0.6);
   DissimilarityIndex index = builder.Build();
 
-  EXPECT_TRUE(index.has_scores());
   EXPECT_EQ(index.num_pairs(), 2u);
   EXPECT_EQ(index.num_reserve_pairs(), 1u);
   EXPECT_EQ(index.degree(0), 1u) << "reserve entries do not count";
@@ -94,17 +88,13 @@ TEST(ScoredIndex, SegmentsKeepMiningSemantics) {
       << "reserve pairs are similar at the serving threshold";
   ASSERT_EQ(index.row(0).size(), 1u);
   EXPECT_EQ(index.row(0)[0], 1u);
-  EXPECT_DOUBLE_EQ(index.row_scores(0)[0], 0.1);
   ASSERT_EQ(index.reserve_row(0).size(), 1u);
   EXPECT_EQ(index.reserve_row(0)[0], 2u);
   EXPECT_DOUBLE_EQ(index.reserve_scores(0)[0], 0.6);
-
-  double score = 0.0;
-  EXPECT_TRUE(index.LookupScore(0, 2, &score));
-  EXPECT_DOUBLE_EQ(score, 0.6);
-  EXPECT_TRUE(index.LookupScore(1, 0, &score));
-  EXPECT_DOUBLE_EQ(score, 0.1);
-  EXPECT_FALSE(index.LookupScore(1, 2, &score));
+  ASSERT_EQ(index.reserve_row(2).size(), 1u);
+  EXPECT_EQ(index.reserve_row(2)[0], 0u);
+  EXPECT_DOUBLE_EQ(index.reserve_scores(2)[0], 0.6);
+  EXPECT_TRUE(index.reserve_row(1).empty());
 
   // Deriving at a stricter similarity threshold activates the reserve pair
   // (similarity direction: dissimilar means score < r). Serve 0.5 < 0.6 <
@@ -115,7 +105,6 @@ TEST(ScoredIndex, SegmentsKeepMiningSemantics) {
   ws.k = 1;
   ws.threshold = 0.5;
   ws.score_cover = 0.8;
-  ws.scored = true;
   ComponentContext comp;
   comp.graph = MakeGraph(4, {{0, 2}, {0, 3}, {1, 2}, {1, 3}});
   comp.to_parent = std::vector<VertexId>{0, 1, 2, 3};
@@ -134,26 +123,18 @@ TEST(ScoredIndex, SegmentsKeepMiningSemantics) {
   EXPECT_EQ(tight.dissimilar.num_pairs(), 3u);
   EXPECT_EQ(tight.dissimilar.num_reserve_pairs(), 0u);
   EXPECT_TRUE(tight.dissimilar.Dissimilar(0, 2));
-  ASSERT_TRUE(tight.dissimilar.LookupScore(2, 0, &score));
-  EXPECT_DOUBLE_EQ(score, 0.6);
 }
 
-TEST(ScoredIndex, UnscoredBuilderIsUnchanged) {
+TEST(ScoredIndex, ActiveOnlyBuilderHasEmptyReserveRows) {
   DissimilarityIndex::Builder builder(3);
   builder.AddPair(0, 2);
   DissimilarityIndex index = builder.Build();
-  EXPECT_FALSE(index.has_scores());
   EXPECT_EQ(index.num_reserve_pairs(), 0u);
   EXPECT_TRUE(index.Dissimilar(0, 2));
-  EXPECT_TRUE(index.row_scores(0).empty());
-}
-
-TEST(ScoredIndex, EmptyAnnotatedIndexStillAdvertisesScores) {
-  DissimilarityIndex::Builder builder(2);
-  builder.AnnotateScores();
-  DissimilarityIndex index = builder.Build();
-  EXPECT_TRUE(index.has_scores());
-  EXPECT_EQ(index.num_pairs(), 0u);
+  for (VertexId u = 0; u < 3; ++u) {
+    EXPECT_TRUE(index.reserve_row(u).empty());
+    EXPECT_TRUE(index.reserve_scores(u).empty());
+  }
 }
 
 TEST(PrepareWorkspace, RejectsCoverLooserThanServe) {
@@ -218,7 +199,6 @@ void RunDeriveGridEquivalence(Dataset dataset, std::vector<uint32_t> ks,
   base_opts.score_cover = r_cover;
   PreparedWorkspace base;
   ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, base_opts, &base).ok());
-  ASSERT_TRUE(base.scored);
   EXPECT_DOUBLE_EQ(base.threshold, r_serve);
   EXPECT_DOUBLE_EQ(base.score_cover, r_cover);
 
@@ -245,7 +225,7 @@ void RunDeriveGridEquivalence(Dataset dataset, std::vector<uint32_t> ks,
       EXPECT_EQ(report.pairs_evaluated, 0u)
           << where << ": derivation must never consult the oracle";
       ExpectSameSubstrate(derived.components, cold.components,
-                          /*check_annotation=*/true, where);
+                          /*check_reserve=*/true, where);
       EXPECT_EQ(test::DiffWorkspaces(derived, cold), "") << where;
       EXPECT_TRUE(derived.Serves(k, r)) << where;
       if (r == r_serve) {
@@ -316,7 +296,6 @@ TEST(DeriveWorkspaceR, ChainedDerivationStaysExact) {
   hop.k = 3;
   PreparedWorkspace mid;
   ASSERT_TRUE(DeriveWorkspace(base, 3, 0.32, hop, &mid).ok());
-  EXPECT_TRUE(mid.scored);
   EXPECT_DOUBLE_EQ(mid.score_cover, 0.25) << "cover survives derivation";
 
   hop.k = 4;
@@ -331,7 +310,7 @@ TEST(DeriveWorkspaceR, ChainedDerivationStaysExact) {
   ASSERT_TRUE(
       PrepareWorkspace(dataset.graph, leaf_oracle, cold_opts, &cold).ok());
   ExpectSameSubstrate(leaf.components, cold.components,
-                      /*check_annotation=*/true, "chained leaf");
+                      /*check_reserve=*/true, "chained leaf");
   EXPECT_EQ(test::DiffWorkspaces(leaf, cold), "");
 }
 
@@ -485,9 +464,13 @@ TEST(DeriveWorkspaceR, OutOfIntervalAndUnscoredAreRejected) {
   ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, opts, &scored).ok());
   PipelineOptions derive_opts;
   PreparedWorkspace out;
-  // Looser than serve and stricter than cover (distance metric).
-  EXPECT_TRUE(
-      DeriveWorkspace(scored, 2, 0.5, derive_opts, &out).IsInvalidArgument());
+  // Looser than serve and stricter than cover (distance metric). The
+  // message orders the interval for the metric direction.
+  Status outside = DeriveWorkspace(scored, 2, 0.5, derive_opts, &out);
+  EXPECT_TRUE(outside.IsInvalidArgument());
+  EXPECT_NE(outside.message().find("r in [0.300000, 0.400000]"),
+            std::string::npos)
+      << outside.message();
   EXPECT_TRUE(
       DeriveWorkspace(scored, 2, 0.2, derive_opts, &out).IsInvalidArgument());
   // Endpoints are servable.
@@ -501,7 +484,8 @@ TEST(DeriveWorkspaceR, OutOfIntervalAndUnscoredAreRejected) {
       PrepareWorkspace(dataset.graph, oracle, unscored_opts, &unscored).ok());
   Status s = DeriveWorkspace(unscored, 2, 0.35, derive_opts, &out);
   EXPECT_TRUE(s.IsInvalidArgument());
-  EXPECT_NE(s.message().find("no score annotation"), std::string::npos);
+  EXPECT_NE(s.message().find("r in [0.400000, 0.400000]"), std::string::npos)
+      << s.message();
 }
 
 /// The acceptance criterion: a full (k,r) grid sweep performs exactly one
@@ -597,7 +581,6 @@ TEST(ScoredSnapshot, RoundTripPreservesAnnotationAndDerivation) {
   opts.score_cover = 0.26;
   PreparedWorkspace ws;
   ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, opts, &ws).ok());
-  ASSERT_TRUE(ws.scored);
 
   const std::string path = ::testing::TempDir() + "scored_roundtrip.krws";
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, path).ok());
@@ -605,12 +588,11 @@ TEST(ScoredSnapshot, RoundTripPreservesAnnotationAndDerivation) {
   ASSERT_TRUE(LoadWorkspaceSnapshot(path, &loaded).ok());
   std::remove(path.c_str());
 
-  EXPECT_TRUE(loaded.scored);
   EXPECT_EQ(loaded.is_distance, ws.is_distance);
   EXPECT_DOUBLE_EQ(loaded.threshold, ws.threshold);
   EXPECT_DOUBLE_EQ(loaded.score_cover, ws.score_cover);
   ExpectSameSubstrate(loaded.components, ws.components,
-                      /*check_annotation=*/true, "loaded");
+                      /*check_reserve=*/true, "loaded");
 
   for (double r : {0.4, 0.33, 0.26}) {
     PipelineOptions derive_opts;
@@ -618,7 +600,7 @@ TEST(ScoredSnapshot, RoundTripPreservesAnnotationAndDerivation) {
     ASSERT_TRUE(DeriveWorkspace(ws, 3, r, derive_opts, &from_ws).ok());
     ASSERT_TRUE(DeriveWorkspace(loaded, 3, r, derive_opts, &from_loaded).ok());
     ExpectSameSubstrate(from_loaded.components, from_ws.components,
-                        /*check_annotation=*/true, "r=" + std::to_string(r));
+                        /*check_reserve=*/true, "r=" + std::to_string(r));
   }
 }
 
@@ -701,13 +683,12 @@ void RunScoredUpdateSequence(Dataset dataset, double r_serve, double r_cover,
     for (const EdgeUpdate& upd : batch) edges.Apply(upd);
     ASSERT_TRUE(updater.ApplyEdgeUpdates(batch, options).ok())
         << "batch " << b;
-    EXPECT_TRUE(maintained.scored);
 
     Graph updated = edges.Build();
     PreparedWorkspace fresh;
     ASSERT_TRUE(PrepareWorkspace(updated, oracle, prep, &fresh).ok());
     ExpectSameSubstrate(maintained.components, fresh.components,
-                        /*check_annotation=*/true,
+                        /*check_reserve=*/true,
                         "batch " + std::to_string(b));
 
     // Full-grid servability after the batch: derive a stricter cell from
@@ -725,7 +706,7 @@ void RunScoredUpdateSequence(Dataset dataset, double r_serve, double r_cover,
     PreparedWorkspace cold;
     ASSERT_TRUE(PrepareWorkspace(updated, mid_oracle, cold_opts, &cold).ok());
     ExpectSameSubstrate(derived.components, cold.components,
-                        /*check_annotation=*/false,
+                        /*check_reserve=*/false,
                         "derived cell, batch " + std::to_string(b));
     auto mined = EnumerateMaximalCores(derived.components,
                                        AdvEnumOptions(k + 1));

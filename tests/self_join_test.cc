@@ -33,7 +33,7 @@ struct JoinOutcome {
 };
 
 /// Runs one self-join over the identity member set [0, n) and builds the
-/// resulting index. NaN cover = unannotated.
+/// resulting index. NaN cover = the oracle's threshold (no reserve pairs).
 JoinOutcome RunJoin(const SimilarityOracle& oracle, VertexId n,
                     JoinStrategy strategy,
                     double cover = std::numeric_limits<double>::quiet_NaN(),
@@ -45,7 +45,6 @@ JoinOutcome RunJoin(const SimilarityOracle& oracle, VertexId n,
   options.strategy = strategy;
   options.score_cover = cover;
   options.num_threads = threads;
-  if (options.annotate_scores()) builder.AnnotateScores();
   std::atomic<bool> aborted{false};
   JoinOutcome out;
   out.report = SelfJoinPairs(oracle, members, options, &aborted, &builder);
@@ -54,15 +53,14 @@ JoinOutcome RunJoin(const SimilarityOracle& oracle, VertexId n,
   return out;
 }
 
-/// The differential bar: identical pair sets, bit-identical stored scores,
-/// identical reserve bands.
+/// The differential bar: identical active rows, identical reserve rows with
+/// bit-identical reserve scores.
 void ExpectIndexIdentical(const DissimilarityIndex& a,
                           const DissimilarityIndex& b,
                           const std::string& where) {
   ASSERT_EQ(a.num_vertices(), b.num_vertices()) << where;
   ASSERT_EQ(a.num_pairs(), b.num_pairs()) << where;
   ASSERT_EQ(a.num_reserve_pairs(), b.num_reserve_pairs()) << where;
-  ASSERT_EQ(a.has_scores(), b.has_scores()) << where;
   for (VertexId u = 0; u < a.num_vertices(); ++u) {
     auto ar = a.row(u);
     auto br = b.row(u);
@@ -72,21 +70,12 @@ void ExpectIndexIdentical(const DissimilarityIndex& a,
     auto brr = b.reserve_row(u);
     ASSERT_TRUE(std::equal(arr.begin(), arr.end(), brr.begin(), brr.end()))
         << where << " reserve row " << u;
-    if (a.has_scores()) {
-      auto as = a.row_scores(u);
-      auto bs = b.row_scores(u);
-      ASSERT_EQ(as.size(), bs.size()) << where;
-      for (size_t i = 0; i < as.size(); ++i) {
-        ASSERT_TRUE(SameBits(as[i], bs[i]))
-            << where << " score row " << u << " entry " << i;
-      }
-      auto ars = a.reserve_scores(u);
-      auto brs = b.reserve_scores(u);
-      ASSERT_EQ(ars.size(), brs.size()) << where;
-      for (size_t i = 0; i < ars.size(); ++i) {
-        ASSERT_TRUE(SameBits(ars[i], brs[i]))
-            << where << " reserve score row " << u << " entry " << i;
-      }
+    auto ars = a.reserve_scores(u);
+    auto brs = b.reserve_scores(u);
+    ASSERT_EQ(ars.size(), brs.size()) << where;
+    for (size_t i = 0; i < ars.size(); ++i) {
+      ASSERT_TRUE(SameBits(ars[i], brs[i]))
+          << where << " reserve score row " << u << " entry " << i;
     }
   }
 }
@@ -203,15 +192,18 @@ TEST(SelfJoin, TokenDifferentialAllMetrics) {
   }
 }
 
-TEST(SelfJoin, AnnotatedTokenJoinFallsBackToBrute) {
-  // Token certificates cannot produce exact scores, so an annotated token
-  // join must take the brute path — and still be correct.
+TEST(SelfJoin, AnnotatedTokenJoinRunsFiltered) {
+  // A certified-dissimilar pair is an active pair, which carries no score,
+  // so a token join with a widened cover still prunes — and stores the
+  // same active ids, reserve ids and reserve scores as brute.
   AttributeTable sets = RandomSetTable(120, 11, 30, 4);
   SimilarityOracle oracle(&sets, Metric::kJaccard, 0.3);
   ExpectBruteAndFilteredIdentical(oracle, 120, 0.6, "annotated token");
   JoinOutcome filtered = RunJoin(oracle, 120, JoinStrategy::kFiltered, 0.6);
-  EXPECT_FALSE(filtered.report.filtered);
-  EXPECT_EQ(filtered.report.oracle_calls, filtered.report.total_pairs);
+  EXPECT_TRUE(filtered.report.filtered);
+  EXPECT_GT(filtered.report.pruned_pairs, 0u);
+  EXPECT_GT(filtered.index.num_pairs(), 0u);
+  EXPECT_GT(filtered.index.num_reserve_pairs(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -405,25 +397,15 @@ TEST(SelfJoin, ParallelJoinIsDeterministic) {
 // ---------------------------------------------------------------------------
 
 TEST(SelfJoin, StrategyNamesRoundTrip) {
-  for (JoinStrategy s :
-       {JoinStrategy::kAuto, JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
+  for (JoinStrategy s : {JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
     JoinStrategy parsed;
     ASSERT_TRUE(ParseJoinStrategy(JoinStrategyName(s), &parsed));
     EXPECT_EQ(parsed, s);
   }
   JoinStrategy parsed;
+  EXPECT_FALSE(ParseJoinStrategy("auto", &parsed));
   EXPECT_FALSE(ParseJoinStrategy("grid", &parsed));
   EXPECT_FALSE(ParseJoinStrategy("", &parsed));
-}
-
-TEST(SelfJoin, AutoMatchesFiltered) {
-  AttributeTable attrs = AttributeTable::ForGeo(RandomPoints(150, 31));
-  SimilarityOracle oracle(&attrs, Metric::kEuclideanDistance, 0.2);
-  JoinOutcome a = RunJoin(oracle, 150, JoinStrategy::kAuto);
-  JoinOutcome f = RunJoin(oracle, 150, JoinStrategy::kFiltered);
-  EXPECT_TRUE(a.report.filtered);
-  EXPECT_EQ(a.report.oracle_calls, f.report.oracle_calls);
-  ExpectIndexIdentical(a.index, f.index, "auto vs filtered");
 }
 
 TEST(SelfJoin, PipelineReportThreadsJoinCounters) {

@@ -543,7 +543,7 @@ TEST(ServerIntegrationTest, ConcurrentClientsMatchDirectLibraryCalls) {
   prep.score_cover = 0.2;
   PreparedWorkspace ws;
   ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, prep, &ws).ok());
-  ASSERT_TRUE(ws.scored);
+  ASSERT_NE(ws.score_cover, ws.threshold);
 
   TempFile snap("server_integration.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, snap.path()).ok());

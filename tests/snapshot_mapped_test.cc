@@ -56,7 +56,7 @@ uint64_t Fnv1a64(const char* data, size_t size) {
 }
 
 /// Scored geo fixture with a widened cover so the snapshot carries reserve
-/// segments — the part of the substrate v4 must round-trip losslessly.
+/// rows — the part of the substrate a mapped file must round-trip losslessly.
 PreparedWorkspace ScoredFixture(const Dataset& dataset, uint32_t k, double r,
                                 double cover) {
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, r);
@@ -111,13 +111,13 @@ Dataset TwoClusterGeo(uint32_t per_cluster, uint32_t edges_per_cluster,
   return d;
 }
 
-TEST(SnapshotV4, RoundTripLosslessEagerAndLazy) {
+TEST(SnapshotMapped, RoundTripLosslessEagerAndLazy) {
   auto dataset = test::MakeRandomGeo(140, 800, 21);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  ASSERT_TRUE(ws.scored);
+  ASSERT_NE(ws.score_cover, ws.threshold);
 
-  TempFile file("v4_roundtrip.krws");
+  TempFile file("mapped_roundtrip.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
 
   PreparedWorkspace eager;
@@ -125,7 +125,7 @@ TEST(SnapshotV4, RoundTripLosslessEagerAndLazy) {
   ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), SnapshotLoadOptions{},
                                     &eager, &eager_info)
                   .ok());
-  EXPECT_EQ(eager_info.format_version, 4u);
+  EXPECT_EQ(eager_info.format_version, kSnapshotVersion);
   EXPECT_FALSE(eager_info.lazy);
   EXPECT_EQ(test::DiffWorkspaces(ws, eager), "");
 
@@ -133,13 +133,13 @@ TEST(SnapshotV4, RoundTripLosslessEagerAndLazy) {
   SnapshotLoadInfo lazy_info;
   ASSERT_TRUE(
       LoadWorkspaceSnapshot(file.path(), Lazy(), &lazy, &lazy_info).ok());
-  EXPECT_EQ(lazy_info.format_version, 4u);
+  EXPECT_EQ(lazy_info.format_version, kSnapshotVersion);
   EXPECT_TRUE(lazy_info.lazy);
   ASSERT_TRUE(lazy.EnsureAllValid().ok());
   EXPECT_EQ(test::DiffWorkspaces(ws, lazy), "");
 }
 
-TEST(SnapshotV4, LazyServesIdenticallyToEagerAndCold) {
+TEST(SnapshotMapped, LazyServesIdenticallyToEagerAndCold) {
   auto dataset = test::MakeRandomGeo(150, 1100, 7);
   const uint32_t k = 3;
   const double r = 0.35;
@@ -147,7 +147,7 @@ TEST(SnapshotV4, LazyServesIdenticallyToEagerAndCold) {
   PreparedWorkspace ws = ScoredFixture(dataset, k, r, 0.2);
   ASSERT_FALSE(ws.components.empty());
 
-  TempFile file("v4_serve.krws");
+  TempFile file("mapped_serve.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   PreparedWorkspace eager;
   ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &eager).ok());
@@ -200,11 +200,11 @@ TEST(SnapshotV4, LazyServesIdenticallyToEagerAndCold) {
 /// four threads race the first-touch EnsureValid of every component and
 /// each derives a distinct cell. Each result must equal a sequential
 /// derivation from the in-memory base. Runs under TSan in CI.
-TEST(SnapshotV4, ConcurrentDerivationsFromOneLazyBase) {
+TEST(SnapshotMapped, ConcurrentDerivationsFromOneLazyBase) {
   Dataset dataset = TwoClusterGeo(80, 600, 29);
   PreparedWorkspace ws = ScoredFixture(dataset, 2, 0.4, 0.2);
   ASSERT_GE(ws.components.size(), 2u);
-  TempFile file("v4_concurrent_derive.krws");
+  TempFile file("mapped_concurrent_derive.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   PreparedWorkspace lazy;
   ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), Lazy(), &lazy, nullptr).ok());
@@ -239,7 +239,7 @@ TEST(SnapshotV4, ConcurrentDerivationsFromOneLazyBase) {
   }
 }
 
-TEST(SnapshotV4, UpdaterPromotesLazyComponentsBeforeMutating) {
+TEST(SnapshotMapped, UpdaterPromotesLazyComponentsBeforeMutating) {
   auto dataset = test::MakeRandomGeo(120, 900, 33);
   const uint32_t k = 3;
   const double r = 0.35;
@@ -247,7 +247,7 @@ TEST(SnapshotV4, UpdaterPromotesLazyComponentsBeforeMutating) {
   PreparedWorkspace ws = ScoredFixture(dataset, k, r, 0.2);
   ASSERT_FALSE(ws.components.empty());
 
-  TempFile file("v4_update.krws");
+  TempFile file("mapped_update.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   PreparedWorkspace eager;
   ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &eager).ok());
@@ -285,14 +285,14 @@ TEST(SnapshotV4, UpdaterPromotesLazyComponentsBeforeMutating) {
   EXPECT_EQ(test::DiffWorkspaces(eager, lazy), "");
 }
 
-TEST(SnapshotV4, SaveLoadSaveIsByteIdenticalIncludingReserveSegments) {
+TEST(SnapshotMapped, SaveLoadSaveIsByteIdenticalIncludingReserveRows) {
   auto dataset = test::MakeRandomGeo(130, 750, 9);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   size_t reserve_pairs = 0;
   for (const auto& c : ws.components) {
     reserve_pairs += c.dissimilar.num_reserve_pairs();
   }
-  ASSERT_GT(reserve_pairs, 0u) << "fixture must exercise reserve segments";
+  ASSERT_GT(reserve_pairs, 0u) << "fixture must exercise reserve rows";
 
   TempFile first("rt_first.krws"), second("rt_second.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, first.path()).ok());
@@ -301,18 +301,18 @@ TEST(SnapshotV4, SaveLoadSaveIsByteIdenticalIncludingReserveSegments) {
   ASSERT_TRUE(LoadWorkspaceSnapshot(first.path(), SnapshotLoadOptions{},
                                     &loaded, &info)
                   .ok());
-  EXPECT_EQ(info.format_version, 4u);
+  EXPECT_EQ(info.format_version, kSnapshotVersion);
   EXPECT_EQ(test::DiffWorkspaces(ws, loaded), "");
 
   ASSERT_TRUE(SaveWorkspaceSnapshot(loaded, second.path()).ok());
   EXPECT_EQ(ReadAll(first.path()), ReadAll(second.path()));
 }
 
-TEST(SnapshotV4, TornFooterIsRejected) {
+TEST(SnapshotMapped, TornFooterIsRejected) {
   auto dataset = test::MakeRandomGeo(120, 700, 11);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  TempFile file("v4_torn.krws");
+  TempFile file("mapped_torn.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   const std::string bytes = ReadAll(file.path());
 
@@ -330,12 +330,12 @@ TEST(SnapshotV4, TornFooterIsRejected) {
   }
 }
 
-TEST(SnapshotV4, BitFlipFailsOnlyTheComponentThatIsTouched) {
+TEST(SnapshotMapped, BitFlipFailsOnlyTheComponentThatIsTouched) {
   Dataset dataset = TwoClusterGeo(80, 600, 19);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_GE(ws.components.size(), 2u);
 
-  TempFile file("v4_flip.krws");
+  TempFile file("mapped_flip.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
 
   SnapshotInfo info;
@@ -379,11 +379,11 @@ TEST(SnapshotV4, BitFlipFailsOnlyTheComponentThatIsTouched) {
   EXPECT_TRUE(bad_run.status.IsInvalidArgument());
 }
 
-TEST(SnapshotV4, MmapFailureFallsBackToEagerStyleRead) {
+TEST(SnapshotMapped, MmapFailureFallsBackToEagerStyleRead) {
   auto dataset = test::MakeRandomGeo(100, 700, 23);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  TempFile file("v4_mmap.krws");
+  TempFile file("mapped_mmap.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
 
   Failpoints::Enable("snapshot/mmap", FailpointSpec::Once());
@@ -398,11 +398,11 @@ TEST(SnapshotV4, MmapFailureFallsBackToEagerStyleRead) {
   EXPECT_EQ(test::DiffWorkspaces(ws, lazy), "");
 }
 
-TEST(SnapshotV4, FailedSaveLeavesExistingFileUntouched) {
+TEST(SnapshotMapped, FailedSaveLeavesExistingFileUntouched) {
   auto dataset = test::MakeRandomGeo(90, 700, 29);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  TempFile file("v4_atomic.krws");
+  TempFile file("mapped_atomic.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   const std::string good = ReadAll(file.path());
 
@@ -418,16 +418,16 @@ TEST(SnapshotV4, FailedSaveLeavesExistingFileUntouched) {
   EXPECT_TRUE(LoadWorkspaceSnapshot(file.path(), &reloaded).ok());
 }
 
-TEST(SnapshotV4, HostileTableEntryReservedFieldIsRejected) {
+TEST(SnapshotMapped, HostileTableEntryReservedFieldIsRejected) {
   auto dataset = test::MakeRandomGeo(90, 700, 31);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  TempFile file("v4_hostile.krws");
+  TempFile file("mapped_hostile.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   std::string bytes = ReadAll(file.path());
 
   // The 56-byte tail: meta_offset, meta_size, meta_checksum, table_offset,
-  // table_checksum, file_size, "KR4FOOTR". Patch the first table entry's
+  // table_checksum, file_size, "KR5FOOTR". Patch the first table entry's
   // reserved field (offset 56 inside the entry) and RE-SIGN the table, so
   // only the dedicated reserved-field check can catch it.
   const size_t tail = bytes.size() - 56;
@@ -448,32 +448,32 @@ TEST(SnapshotV4, HostileTableEntryReservedFieldIsRejected) {
   EXPECT_NE(s.message().find("reserved"), std::string::npos) << s.message();
 }
 
-TEST(SnapshotV4, RegistryRecordsLoadModeVersionAndTiming) {
+TEST(SnapshotMapped, RegistryRecordsLoadModeVersionAndTiming) {
   auto dataset = test::MakeRandomGeo(100, 700, 37);
   PreparedWorkspace ws = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_FALSE(ws.components.empty());
-  TempFile v4("reg_v4.krws");
-  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, v4.path()).ok());
+  TempFile file("registry.krws");
+  ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
 
   WorkspaceRegistry registry;
   ASSERT_TRUE(registry
-                  .AddFromSnapshot("lazy4", v4.path(),
+                  .AddFromSnapshot("lazy", file.path(),
                                    WorkspaceRegistry::SnapshotLoadMode::kLazy)
                   .ok());
   ASSERT_TRUE(registry
-                  .AddFromSnapshot("eager4", v4.path(),
+                  .AddFromSnapshot("eager", file.path(),
                                    WorkspaceRegistry::SnapshotLoadMode::kEager)
                   .ok());
   PreparedWorkspace built = ScoredFixture(dataset, 3, 0.35, 0.2);
   ASSERT_TRUE(registry.Add("inproc", std::move(built)).ok());
 
   for (const auto& e : registry.List()) {
-    if (e.name == "lazy4") {
-      EXPECT_EQ(e.snapshot_version, 4u);
+    if (e.name == "lazy") {
+      EXPECT_EQ(e.snapshot_version, kSnapshotVersion);
       EXPECT_TRUE(e.lazy_loaded);
       EXPECT_GE(e.load_seconds, 0.0);
-    } else if (e.name == "eager4") {
-      EXPECT_EQ(e.snapshot_version, 4u);
+    } else if (e.name == "eager") {
+      EXPECT_EQ(e.snapshot_version, kSnapshotVersion);
       EXPECT_FALSE(e.lazy_loaded);
       EXPECT_GE(e.load_seconds, 0.0);
     } else {

@@ -119,12 +119,14 @@ TEST(Snapshot, EmptyWorkspaceRoundTrips) {
   PreparedWorkspace ws;
   ws.k = 7;
   ws.threshold = 2.5;
+  ws.score_cover = 2.5;
   TempFile file("empty.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   PreparedWorkspace loaded;
   ASSERT_TRUE(LoadWorkspaceSnapshot(file.path(), &loaded).ok());
   EXPECT_EQ(loaded.k, 7u);
   EXPECT_DOUBLE_EQ(loaded.threshold, 2.5);
+  EXPECT_DOUBLE_EQ(loaded.score_cover, 2.5);
   EXPECT_TRUE(loaded.components.empty());
 }
 
@@ -154,14 +156,14 @@ TEST(Snapshot, UnsupportedVersionIsRejected) {
   TempFile file("version.krws");
   ASSERT_TRUE(SaveWorkspaceSnapshot(ws, file.path()).ok());
   const std::string good = ReadAll(file.path());
-  for (uint32_t version : {1u, 2u, 3u, 5u, 0xEEu}) {
+  for (uint32_t version : {1u, 2u, 3u, 4u, 6u, 0xEEu}) {
     SCOPED_TRACE("version " + std::to_string(version));
     std::string bytes = good;
     // The version u32 follows the 8-byte magic.
     std::memcpy(bytes.data() + 8, &version, sizeof(version));
     WriteAll(file.path(), bytes);
     std::string expect = "unsupported snapshot version ";
-    expect += std::to_string(version) + " (this build reads version 4)";
+    expect += std::to_string(version) + " (this build reads version 5)";
     for (bool lazy : {false, true}) {
       SnapshotLoadOptions options;
       options.lazy = lazy;
@@ -254,14 +256,12 @@ uint64_t Fnv(const std::string& s) {
   return h;
 }
 
-/// The 44-byte meta payload, graph version 0. `reserved` fills the u32
-/// after the threshold, which the loader ignores.
+/// The 40-byte meta payload, graph version 0.
 std::string MetaBytes(uint64_t num_components, uint32_t k, double threshold,
-                      uint32_t flags, double cover, uint32_t reserved = 0) {
+                      uint32_t flags, double cover) {
   std::string meta;
   Put<uint32_t>(&meta, k);
   Put<double>(&meta, threshold);
-  Put<uint32_t>(&meta, reserved);
   Put<uint64_t>(&meta, 0);  // graph version
   Put<uint32_t>(&meta, flags);
   Put<double>(&meta, cover);
@@ -269,33 +269,33 @@ std::string MetaBytes(uint64_t num_components, uint32_t k, double threshold,
   return meta;
 }
 
-/// Unscored meta: flags 0, cover == threshold.
-std::string UnscoredMeta(uint64_t num_components, uint32_t k = 2) {
+/// Point-interval meta: flags 0, cover == threshold.
+std::string PointMeta(uint64_t num_components, uint32_t k = 2) {
   return MetaBytes(num_components, k, 1.0, 0, 1.0);
 }
 
-/// Scored similarity-metric meta: serve r=0.5, cover r=0.8.
+/// Similarity-metric meta (flags 0): serve r=0.5, cover r=0.8.
 std::string ScoredMeta(uint64_t num_components, double threshold = 0.5,
-                       double cover = 0.8, uint32_t flags = 1) {
+                       double cover = 0.8, uint32_t flags = 0) {
   return MetaBytes(num_components, 2, threshold, flags, cover);
 }
 
-/// One dissimilarity-row entry: the partner and, in scored files, its score.
+/// One reserve-row entry: the partner and its score.
 struct Entry {
   uint32_t v = 0;
   double score = 0.0;
 };
 
 /// A component given by its in-memory rows (local ids, identity to_parent).
-/// The builder derives the section-table counts from the rows unless a
-/// hostile case pins one.
+/// The builder derives the section-table counts and the reserve offsets
+/// from the rows unless a hostile case pins one.
 struct HandComponent {
   std::vector<std::vector<uint32_t>> adjacency;
-  std::vector<std::vector<Entry>> active;   // one row per vertex
-  std::vector<std::vector<Entry>> reserve;  // one row per vertex
+  std::vector<std::vector<uint32_t>> active;  // one row per vertex
+  std::vector<std::vector<Entry>> reserve;    // one row per vertex
   std::optional<uint32_t> table_max_degree;
   std::optional<uint64_t> table_num_pairs;
-  std::optional<uint64_t> table_num_reserve;
+  std::optional<std::vector<uint64_t>> reserve_offsets;
 };
 
 /// The triangle 0-1-2 with empty dissimilarity rows.
@@ -307,22 +307,26 @@ HandComponent Triangle() {
   return c;
 }
 
-/// The triangle with active pair {0,1} and reserve pair {1,2}.
-HandComponent ScoredTriangle(double active_score, double reserve_score) {
+/// The triangle with active pair {0,1} and reserve pair {1,2}, whose two
+/// directions store `score` and `mirror_score`.
+HandComponent ScoredTriangle(double score, double mirror_score) {
   HandComponent c = Triangle();
-  c.active[0] = {{1, active_score}};
-  c.active[1] = {{0, active_score}};
-  c.reserve[1] = {{2, reserve_score}};
-  c.reserve[2] = {{1, reserve_score}};
+  c.active[0] = {1};
+  c.active[1] = {0};
+  c.reserve[1] = {{2, score}};
+  c.reserve[2] = {{1, mirror_score}};
   return c;
 }
 
-/// Serializes a complete v4 file: the 64-byte header, one blob per
+HandComponent ScoredTriangle(double score) {
+  return ScoredTriangle(score, score);
+}
+
+/// Serializes a complete v5 file: the 64-byte header, one blob per
 /// component with every array 64-byte aligned, the meta, the section table
 /// and the 56-byte tail, with valid FNV-1a checksums throughout.
 std::string HandBuiltFile(const std::string& meta,
-                          const std::vector<HandComponent>& comps,
-                          bool scored) {
+                          const std::vector<HandComponent>& comps) {
   std::string file(kSnapshotMagic, sizeof(kSnapshotMagic));
   Put<uint32_t>(&file, kSnapshotVersion);
   file.resize(64, '\0');
@@ -331,29 +335,23 @@ std::string HandBuiltFile(const std::string& meta,
     const uint32_t n = static_cast<uint32_t>(c.adjacency.size());
     std::vector<uint64_t> graph_offsets = {0};
     std::vector<uint64_t> d_offsets = {0};
-    std::vector<uint64_t> d_active_end;
-    std::vector<uint32_t> neighbors, to_parent, ids;
-    std::vector<double> scores;
+    std::vector<uint64_t> r_offsets = {0};
+    std::vector<uint32_t> neighbors, to_parent, ids, r_ids;
+    std::vector<double> r_scores;
     uint32_t max_degree = 0;
-    uint64_t num_pairs = 0, num_reserve = 0;
-    uint32_t u = 0;
-    auto append_row = [&](const std::vector<Entry>& row, uint64_t* forward) {
-      for (const Entry& e : row) {
-        ids.push_back(e.v);
-        scores.push_back(e.score);
-        if (e.v > u) ++*forward;
-      }
-    };
-    for (u = 0; u < n; ++u) {
+    for (uint32_t u = 0; u < n; ++u) {
       const auto& row = c.adjacency[u];
       neighbors.insert(neighbors.end(), row.begin(), row.end());
       graph_offsets.push_back(neighbors.size());
       max_degree = std::max(max_degree, static_cast<uint32_t>(row.size()));
       to_parent.push_back(u);
-      append_row(c.active[u], &num_pairs);
-      d_active_end.push_back(ids.size());
-      append_row(c.reserve[u], &num_reserve);
+      ids.insert(ids.end(), c.active[u].begin(), c.active[u].end());
       d_offsets.push_back(ids.size());
+      for (const Entry& e : c.reserve[u]) {
+        r_ids.push_back(e.v);
+        r_scores.push_back(e.score);
+      }
+      r_offsets.push_back(r_ids.size());
     }
     std::string blob;
     auto put_array = [&blob](const auto& values) {
@@ -367,9 +365,10 @@ std::string HandBuiltFile(const std::string& meta,
     put_array(neighbors);
     put_array(to_parent);
     put_array(d_offsets);
-    put_array(d_active_end);
     put_array(ids);
-    if (scored) put_array(scores);
+    put_array(c.reserve_offsets.value_or(r_offsets));
+    put_array(r_ids);
+    put_array(r_scores);
 
     Put<uint64_t>(&table, file.size());
     Put<uint64_t>(&table, blob.size());
@@ -377,8 +376,8 @@ std::string HandBuiltFile(const std::string& meta,
     Put<uint32_t>(&table, n);
     Put<uint32_t>(&table, c.table_max_degree.value_or(max_degree));
     Put<uint64_t>(&table, neighbors.size() / 2);
-    Put<uint64_t>(&table, c.table_num_pairs.value_or(num_pairs));
-    Put<uint64_t>(&table, c.table_num_reserve.value_or(num_reserve));
+    Put<uint64_t>(&table, c.table_num_pairs.value_or(ids.size() / 2));
+    Put<uint64_t>(&table, r_ids.size() / 2);
     Put<uint64_t>(&table, 0);  // reserved
     file += blob;
   }
@@ -392,7 +391,7 @@ std::string HandBuiltFile(const std::string& meta,
   Put<uint64_t>(&file, table_offset);
   Put<uint64_t>(&file, Fnv(table));
   Put<uint64_t>(&file, table_offset + table.size() + 56);
-  file.append("KR4FOOTR", 8);
+  file.append("KR5FOOTR", 8);
   return file;
 }
 
@@ -444,36 +443,26 @@ TEST(Snapshot, HandBuiltFileLoads) {
   // and {1,2,3}.
   HandComponent comp;
   comp.adjacency = {{1, 2, 3}, {0, 2, 3}, {0, 1, 3}, {0, 1, 2}};
-  comp.active = {{{1, 0.3}}, {{0, 0.3}}, {}, {}};
+  comp.active = {{1}, {0}, {}, {}};
   comp.reserve = {{}, {}, {{3, 0.6}}, {{2, 0.6}}};
-  // The meta's reserved u32 is written 0; files saved by older builds have
-  // 64 there. Both load and mine the same cores.
-  std::vector<VertexSet> cores_at_zero;
-  for (uint32_t reserved : {0u, 64u}) {
-    TempFile file("hand_built.krws");
-    WriteAll(file.path(),
-             HandBuiltFile(MetaBytes(1, 2, 0.5, 1, 0.8, reserved), {comp},
-                           true));
-    for (bool lazy : {false, true}) {
-      SCOPED_TRACE(std::string(lazy ? "lazy" : "eager") +
-                   " load, reserved=" + std::to_string(reserved));
-      SnapshotLoadOptions options;
-      options.lazy = lazy;
-      PreparedWorkspace loaded;
-      Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
-      ASSERT_TRUE(s.ok()) << s.ToString();
-      ASSERT_TRUE(loaded.EnsureAllValid().ok());
-      EXPECT_TRUE(loaded.scored);
-      ASSERT_EQ(loaded.components.size(), 1u);
-      EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 1u);
-      EXPECT_EQ(loaded.components[0].dissimilar.num_reserve_pairs(), 1u);
-      auto mined = EnumerateMaximalCores(loaded.components, AdvEnumOptions(2));
-      ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
-      if (reserved == 0 && !lazy) cores_at_zero = mined.cores;
-      EXPECT_EQ(mined.cores, cores_at_zero);
-    }
+  TempFile file("hand_built.krws");
+  WriteAll(file.path(), HandBuiltFile(ScoredMeta(1), {comp}));
+  for (bool lazy : {false, true}) {
+    SCOPED_TRACE(lazy ? "lazy load" : "eager load");
+    SnapshotLoadOptions options;
+    options.lazy = lazy;
+    PreparedWorkspace loaded;
+    Status s = LoadWorkspaceSnapshot(file.path(), options, &loaded);
+    ASSERT_TRUE(s.ok()) << s.ToString();
+    ASSERT_TRUE(loaded.EnsureAllValid().ok());
+    EXPECT_DOUBLE_EQ(loaded.score_cover, 0.8);
+    ASSERT_EQ(loaded.components.size(), 1u);
+    EXPECT_EQ(loaded.components[0].num_dissimilar_pairs(), 1u);
+    EXPECT_EQ(loaded.components[0].dissimilar.num_reserve_pairs(), 1u);
+    auto mined = EnumerateMaximalCores(loaded.components, AdvEnumOptions(2));
+    ASSERT_TRUE(mined.status.ok()) << mined.status.ToString();
+    EXPECT_EQ(mined.cores, (std::vector<VertexSet>{{0, 2, 3}, {1, 2, 3}}));
   }
-  EXPECT_EQ(cores_at_zero, (std::vector<VertexSet>{{0, 2, 3}, {1, 2, 3}}));
 }
 
 TEST(Snapshot, AsymmetricAdjacencyIsRejected) {
@@ -483,7 +472,7 @@ TEST(Snapshot, AsymmetricAdjacencyIsRejected) {
   c.adjacency = {{}, {0}, {0}};
   c.active.resize(3);
   c.reserve.resize(3);
-  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  const std::string bytes = HandBuiltFile(PointMeta(1), {c});
   ExpectComponentRejected(bytes, "asymmetric adjacency");
 }
 
@@ -496,7 +485,7 @@ TEST(Snapshot, OverflowCraftedPairCountIsRejected) {
   c.active.resize(3);
   c.reserve.resize(3);
   c.table_num_pairs = uint64_t{1} << 61;
-  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  const std::string bytes = HandBuiltFile(PointMeta(1), {c});
   ExpectFileRejected(bytes, "declared counts exceed the payload");
 }
 
@@ -504,7 +493,7 @@ TEST(Snapshot, KZeroMetaIsRejected) {
   // No writer produces k = 0 (PrepareWorkspace rejects it), and the
   // prepared-components mining overloads downstream of a load never
   // re-validate k — the loader is the ingress that must close the hole.
-  const std::string bytes = HandBuiltFile(UnscoredMeta(0, /*k=*/0), {}, false);
+  const std::string bytes = HandBuiltFile(PointMeta(0, /*k=*/0), {});
   ExpectFileRejected(bytes, "k must be a positive");
 }
 
@@ -513,80 +502,83 @@ TEST(Snapshot, HostileComponentCountIsRejectedUpFront) {
   // fail from the table bound, not by walking (or reserving) that many
   // entries.
   const uint64_t hostile = uint64_t{1} << 62;
-  const std::string bytes = HandBuiltFile(UnscoredMeta(hostile), {}, false);
+  const std::string bytes = HandBuiltFile(PointMeta(hostile), {});
   ExpectFileRejected(bytes, "component count exceeds the file");
 }
 
-TEST(Snapshot, ScoredPairOnWrongSideOfThresholdIsRejected) {
-  struct Case {
-    double active, reserve;
-    const char* expect;
+TEST(Snapshot, ReserveScoreOutsideTheBandIsRejected) {
+  // Similarity metric, serve 0.5, cover 0.8: a reserve pair needs
+  // 0.5 <= score < 0.8, and a finite score.
+  const std::pair<double, const char*> cases[] = {
+      {0.9, "outside the serve..cover band"},
+      {0.3, "outside the serve..cover band"},
+      {std::numeric_limits<double>::quiet_NaN(), "non-finite"},
+      {std::numeric_limits<double>::infinity(), "non-finite"},
   };
-  // Similarity metric, serve 0.5, cover 0.8: active needs score < 0.5,
-  // reserve needs 0.5 <= score < 0.8.
-  const Case cases[] = {
-      {0.6, 0.6, "active pair score similar"},
-      {0.3, 0.9, "outside the serve..cover band"},
-      {0.3, 0.3, "outside the serve..cover band"},
-      {std::numeric_limits<double>::quiet_NaN(), 0.6, "non-finite"},
-      {0.3, std::numeric_limits<double>::infinity(), "non-finite"},
-  };
-  for (size_t i = 0; i < std::size(cases); ++i) {
-    SCOPED_TRACE("case " + std::to_string(i));
-    const Case& c = cases[i];
-    const HandComponent comp = ScoredTriangle(c.active, c.reserve);
-    const std::string bytes = HandBuiltFile(ScoredMeta(1), {comp}, true);
-    ExpectComponentRejected(bytes, c.expect);
+  for (const auto& [score, expect] : cases) {
+    SCOPED_TRACE("score " + std::to_string(score));
+    ExpectComponentRejected(
+        HandBuiltFile(ScoredMeta(1), {ScoredTriangle(score)}), expect);
   }
 }
 
-TEST(Snapshot, PairListedInBothBlocksIsRejected) {
-  // {0,1} active at 0.3 and again reserve at 0.6, mirrored consistently.
+TEST(Snapshot, PairListedInBothRowsIsRejected) {
+  // {0,1} active and again reserve at 0.6, mirrored consistently.
   HandComponent c = Triangle();
-  c.active[0] = {{1, 0.3}};
-  c.active[1] = {{0, 0.3}};
+  c.active[0] = {1};
+  c.active[1] = {0};
   c.reserve[0] = {{1, 0.6}};
   c.reserve[1] = {{0, 0.6}};
-  const std::string bytes = HandBuiltFile(ScoredMeta(1), {c}, true);
-  ExpectComponentRejected(bytes, "both active and reserve");
+  ExpectComponentRejected(HandBuiltFile(ScoredMeta(1), {c}),
+                          "both active and reserve");
 }
 
 TEST(Snapshot, MalformedScoredMetaIsRejected) {
-  // Cover looser than serve (similarity metric: smaller), unknown flag
-  // bits, and a widened cover on an unscored file.
-  const std::string bad_metas[] = {
-      ScoredMeta(0, /*threshold=*/0.5, /*cover=*/0.3, /*flags=*/1),
-      ScoredMeta(0, 0.5, 0.8, /*flags=*/8),
-      ScoredMeta(0, 0.5, 0.8, /*flags=*/0),
+  // Cover looser than serve under either metric direction, and unknown
+  // flag bits.
+  const std::pair<std::string, const char*> cases[] = {
+      {ScoredMeta(0, /*threshold=*/0.5, /*cover=*/0.3), "score cover looser"},
+      {ScoredMeta(0, 0.5, 0.8, /*flags=*/1), "score cover looser"},
+      {ScoredMeta(0, 0.5, 0.8, /*flags=*/2), "unknown meta flag bits"},
   };
-  const char* expects[] = {
-      "score cover looser",
-      "unknown meta flag bits",
-      "unscored workspace with a widened score cover",
-  };
-  for (size_t i = 0; i < 3; ++i) {
+  for (size_t i = 0; i < std::size(cases); ++i) {
     SCOPED_TRACE("case " + std::to_string(i));
-    ExpectFileRejected(HandBuiltFile(bad_metas[i], {}, true), expects[i]);
+    ExpectFileRejected(HandBuiltFile(cases[i].first, {}), cases[i].second);
   }
 }
 
 TEST(Snapshot, AsymmetricDissimilarPairIsRejected) {
   // Rows {0: [1], 1: [], 2: [1]}: 0 lists 1, which does not list it back.
   HandComponent c = Triangle();
-  c.active[0] = {{1}};
-  c.active[2] = {{1}};
-  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
-  ExpectComponentRejected(bytes, "asymmetric dissimilar pair");
+  c.active[0] = {1};
+  c.active[2] = {1};
+  ExpectComponentRejected(HandBuiltFile(PointMeta(1), {c}),
+                          "asymmetric dissimilar pair");
 }
 
-TEST(Snapshot, MirroredPairScoreMismatchIsRejected) {
-  // Both directions of {0,1} are active and dissimilar, but disagree on
-  // the score.
+TEST(Snapshot, AsymmetricReservePairIsRejected) {
+  // Reserve rows {0: [1], 1: [], 2: [1]}, every score in the band.
   HandComponent c = Triangle();
-  c.active[0] = {{1, 0.3}};
-  c.active[1] = {{0, 0.2}};
-  const std::string bytes = HandBuiltFile(ScoredMeta(1), {c}, true);
-  ExpectComponentRejected(bytes, "mirrored pair score mismatch");
+  c.reserve[0] = {{1, 0.6}};
+  c.reserve[2] = {{1, 0.6}};
+  ExpectComponentRejected(HandBuiltFile(ScoredMeta(1), {c}),
+                          "asymmetric dissimilar pair");
+}
+
+TEST(Snapshot, MirroredReserveScoreMismatchIsRejected) {
+  // Both directions of reserve pair {1,2} sit in the band, but disagree.
+  ExpectComponentRejected(
+      HandBuiltFile(ScoredMeta(1), {ScoredTriangle(0.6, 0.7)}),
+      "mirrored pair score mismatch");
+}
+
+TEST(Snapshot, NonMonotoneReserveOffsetsAreRejected) {
+  // Reserve pair {1,2}: rows [0,1) and [1,2), stored as offsets
+  // {0, 1, 0, 2} instead of {0, 0, 1, 2}.
+  HandComponent c = ScoredTriangle(0.6);
+  c.reserve_offsets = std::vector<uint64_t>{0, 1, 0, 2};
+  ExpectComponentRejected(HandBuiltFile(ScoredMeta(1), {c}),
+                          "dissimilarity offsets not monotone");
 }
 
 TEST(Snapshot, StoredMaxDegreeMismatchIsRejected) {
@@ -594,18 +586,17 @@ TEST(Snapshot, StoredMaxDegreeMismatchIsRejected) {
   // still be the truth.
   HandComponent c = Triangle();
   c.table_max_degree = 3;
-  const std::string bytes = HandBuiltFile(UnscoredMeta(1), {c}, false);
+  const std::string bytes = HandBuiltFile(PointMeta(1), {c});
   ExpectComponentRejected(bytes, "stored max degree mismatch");
 }
 
 TEST(Snapshot, StoredPairCountsMismatchIsRejected) {
-  // One active and one reserve pair declared as two active ones: the blob
-  // layout is the same (L = 4), so only the final count check sees it.
-  HandComponent c = ScoredTriangle(0.3, 0.6);
+  // One active pair declared as two: both id arrays pad to one 64-byte
+  // line, so the layout matches and only the row-length check sees it.
+  HandComponent c = ScoredTriangle(0.6);
   c.table_num_pairs = 2;
-  c.table_num_reserve = 0;
-  const std::string bytes = HandBuiltFile(ScoredMeta(1), {c}, true);
-  ExpectComponentRejected(bytes, "stored pair counts mismatch the footer");
+  ExpectComponentRejected(HandBuiltFile(ScoredMeta(1), {c}),
+                          "dissimilarity rows != pair count");
 }
 
 TEST(Snapshot, TrailingGarbageIsRejected) {

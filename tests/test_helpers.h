@@ -91,8 +91,8 @@ inline Dataset MakeRandomKeyword(uint32_t n, uint32_t m, uint64_t seed,
 }
 
 /// Bit-identical workspace comparison: every identity field, every
-/// component's parent map, structure CSR, and dissimilarity rows including
-/// stored scores and the reserve segment. Returns "" when identical, else a
+/// component's parent map, structure CSR, and active and reserve rows
+/// including the reserve scores. Returns "" when identical, else a
 /// one-line description of the first difference — gtest-free so both the
 /// rollback tests and the chaos harness can assert on it directly. This is
 /// the lock for the transactional contracts: a rolled-back update and a
@@ -103,7 +103,6 @@ inline std::string DiffWorkspaces(const PreparedWorkspace& a,
   if (a.k != b.k) return "k differs";
   if (a.threshold != b.threshold) return "threshold differs";
   if (a.score_cover != b.score_cover) return "score_cover differs";
-  if (a.scored != b.scored) return "scored flag differs";
   if (a.is_distance != b.is_distance) return "is_distance flag differs";
   if (a.version != b.version) {
     return "version differs (" + std::to_string(a.version) + " vs " +
@@ -139,11 +138,6 @@ inline std::string DiffWorkspaces(const PreparedWorkspace& a,
       auto yd = y.dissimilar[u];
       if (!std::equal(xd.begin(), xd.end(), yd.begin(), yd.end())) {
         return at + ": dissimilar row differs";
-      }
-      auto xs = x.dissimilar.row_scores(u);
-      auto ys = y.dissimilar.row_scores(u);
-      if (!std::equal(xs.begin(), xs.end(), ys.begin(), ys.end())) {
-        return at + ": row scores differ";
       }
       auto xr = x.dissimilar.reserve_row(u);
       auto yr = y.dissimilar.reserve_row(u);

@@ -591,29 +591,28 @@ TEST_F(UpdateRollback, RolledBackBatchesAccumulateAcrossFaults) {
 
 // --- DiffWorkspaces: the comparator behind the equivalence tests ---------
 
-/// Rebuilds `c`'s score-annotated dissimilarity index pair by pair. Each
-/// active pair {u, v} (u < v) passes through `edit(u, &v, &score)`, which
-/// may move its far endpoint or change its score; reserve pairs are copied.
+/// Rebuilds `c`'s dissimilarity index pair by pair. Each stored pair
+/// {u, v} (u < v) passes through `edit(reserve, u, &v, &score)`, which may
+/// move its far endpoint or change its score (reserve pairs only; active
+/// pairs carry none).
 template <typename Edit>
-DissimilarityIndex RebuildScoredIndex(const ComponentContext& c, Edit edit) {
+DissimilarityIndex RebuildIndex(const ComponentContext& c, Edit edit) {
   DissimilarityIndex::Builder builder(c.size());
-  builder.AnnotateScores();
   for (VertexId u = 0; u < c.size(); ++u) {
-    auto row = c.dissimilar[u];
-    auto scores = c.dissimilar.row_scores(u);
-    for (size_t i = 0; i < row.size(); ++i) {
-      if (row[i] < u) continue;
-      VertexId v = row[i];
-      double score = scores[i];
-      edit(u, &v, &score);
-      builder.AddScoredPair(u, v, score);
+    for (VertexId v : c.dissimilar[u]) {
+      if (v < u) continue;
+      double no_score = 0.0;
+      edit(/*reserve=*/false, u, &v, &no_score);
+      builder.AddPair(u, v);
     }
     auto reserve = c.dissimilar.reserve_row(u);
     auto reserve_scores = c.dissimilar.reserve_scores(u);
     for (size_t i = 0; i < reserve.size(); ++i) {
-      if (reserve[i] > u) {
-        builder.AddReservePair(u, reserve[i], reserve_scores[i]);
-      }
+      if (reserve[i] < u) continue;
+      VertexId v = reserve[i];
+      double score = reserve_scores[i];
+      edit(/*reserve=*/true, u, &v, &score);
+      builder.AddReservePair(u, v, score);
     }
   }
   return builder.Build();
@@ -642,7 +641,6 @@ TEST(DiffWorkspaces, NamesEachPerturbedField) {
   prep.score_cover = 0.25;
   PreparedWorkspace ws;
   ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, prep, &ws).ok());
-  ASSERT_TRUE(ws.scored);
   ASSERT_FALSE(ws.components.empty());
   const ComponentContext& c0 = ws.components[0];
 
@@ -650,7 +648,7 @@ TEST(DiffWorkspaces, NamesEachPerturbedField) {
   {
     PreparedWorkspace copy = ws;
     copy.components[0].dissimilar =
-        RebuildScoredIndex(c0, [](VertexId, VertexId*, double*) {});
+        RebuildIndex(c0, [](bool, VertexId, VertexId*, double*) {});
     ASSERT_EQ(test::DiffWorkspaces(ws, copy), "");
   }
   {
@@ -694,8 +692,8 @@ TEST(DiffWorkspaces, NamesEachPerturbedField) {
               "component 0 vertex 0: adjacency differs");
   }
 
-  // Dissimilarity: move one active pair {u, v} to {u, w}, then flip its
-  // stored score by one ULP. u is the first row holding a pair v > u.
+  // Dissimilarity: move one active pair {u, v} to {u, w}. u is the first
+  // row holding a pair v > u.
   VertexId u = 0;
   while (u < c0.size() &&
          (c0.dissimilar[u].empty() || c0.dissimilar[u].back() < u)) {
@@ -714,20 +712,30 @@ TEST(DiffWorkspaces, NamesEachPerturbedField) {
   {
     PreparedWorkspace copy = ws;
     copy.components[0].dissimilar =
-        RebuildScoredIndex(c0, [&](VertexId a, VertexId* b, double*) {
-          if (a == u && *b == v) *b = w;
+        RebuildIndex(c0, [&](bool reserve, VertexId a, VertexId* b, double*) {
+          if (!reserve && a == u && *b == v) *b = w;
         });
     EXPECT_EQ(test::DiffWorkspaces(ws, copy), at + ": dissimilar row differs");
   }
+
+  // Reserve: flip the first reserve pair's score {x, y} (x < y) by one ULP.
+  VertexId x = 0;
+  while (x < c0.size() && (c0.dissimilar.reserve_row(x).empty() ||
+                           c0.dissimilar.reserve_row(x).back() < x)) {
+    ++x;
+  }
+  ASSERT_LT(x, c0.size()) << "component 0 has no reserve pair";
   {
     PreparedWorkspace copy = ws;
     copy.components[0].dissimilar =
-        RebuildScoredIndex(c0, [&](VertexId a, VertexId* b, double* s) {
-          if (a == u && *b == v) {
+        RebuildIndex(c0, [&](bool reserve, VertexId a, VertexId*, double* s) {
+          if (reserve && a == x) {
             *s = std::nextafter(*s, std::numeric_limits<double>::infinity());
           }
         });
-    EXPECT_EQ(test::DiffWorkspaces(ws, copy), at + ": row scores differ");
+    EXPECT_EQ(test::DiffWorkspaces(ws, copy),
+              "component 0 vertex " + std::to_string(x) +
+                  ": reserve scores differ");
   }
 }
 

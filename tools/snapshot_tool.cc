@@ -34,7 +34,7 @@ void PrintInfoText(const std::string& path, const SnapshotInfo& info) {
   std::printf("  k=%u r=%g cover=%g scored=%s distance=%s version=%" PRIu64
               "\n",
               info.k, info.threshold, info.score_cover,
-              info.scored ? "true" : "false",
+              info.score_cover != info.threshold ? "true" : "false",
               info.is_distance ? "true" : "false", info.graph_version);
   std::printf("  components=%" PRIu64 ", sections=%zu\n", info.num_components,
               info.sections.size());
@@ -59,7 +59,7 @@ void PrintInfoJson(const std::string& path, const SnapshotInfo& info) {
               ",\"components\":%" PRIu64 ",\"sections\":[",
               JsonEscape(path).c_str(), info.format_version, info.file_size,
               info.k, info.threshold, info.score_cover,
-              info.scored ? "true" : "false",
+              info.score_cover != info.threshold ? "true" : "false",
               info.is_distance ? "true" : "false", info.graph_version,
               info.num_components);
   bool first = true;
