@@ -58,10 +58,13 @@ struct EnumOptions {
   /// Parallel search: component roots plus intra-component subtree tasks
   /// (forked down to parallel.split_depth) on one shared work-stealing
   /// pool. Completed runs return an identical result set for every thread
-  /// count and split depth. Deadline-expired runs return a partial,
+  /// count and split depth: every split explores the same search space, and
+  /// the final maximal filter and sort canonicalise the cores whatever order
+  /// the tasks found them in. Deadline-expired runs return a partial,
   /// schedule-dependent set: concurrent tasks each emit until their own
   /// deadline check fires, so the partial set can differ from — and with
-  /// subtree splitting even exceed — the sequential partial set.
+  /// subtree splitting even exceed — the sequential partial set. It keeps
+  /// the cores of the components up to the first failed one.
   ParallelOptions parallel;
 };
 

@@ -64,7 +64,6 @@ void MiningStats::MergeFrom(const MiningStats& other) {
   bound_expensive_prunes += other.bound_expensive_prunes;
   bound_recomputes += other.bound_recomputes;
   promotions += other.promotions;
-  retained_skips += other.retained_skips;
   maximal_check_calls += other.maximal_check_calls;
   maximal_check_nodes += other.maximal_check_nodes;
   components += other.components;
@@ -75,9 +74,6 @@ void MiningStats::MergeFrom(const MiningStats& other) {
   oracle_calls += other.oracle_calls;
   derive_r_restrictions += other.derive_r_restrictions;
   score_filtered_pairs += other.score_filtered_pairs;
-  update_batches += other.update_batches;
-  updated_rows += other.updated_rows;
-  update_seconds += other.update_seconds;
   // Wall-clock fields: workers of one run overlap in time, so the merged
   // wall estimate is the max, never the sum (see the header comment).
   prepare_seconds = std::max(prepare_seconds, other.prepare_seconds);
@@ -100,10 +96,6 @@ std::string MiningStats::ToString() const {
      << " derived=" << prepare_derivations
      << " r_restrict=" << derive_r_restrictions
      << " score_filtered=" << score_filtered_pairs;
-  if (update_batches > 0) {
-    os << " upd_batches=" << update_batches << " upd_rows=" << updated_rows
-       << " upd_sec=" << update_seconds;
-  }
   os << " prep_sec=" << prepare_seconds << " sec=" << seconds;
   return os.str();
 }

@@ -63,7 +63,6 @@ struct MiningStats {
   // Expensive-tier evaluations actually run (vs. served from the cache).
   uint64_t bound_recomputes = 0;
   uint64_t promotions = 0;         // Remark 1 direct moves C -> M
-  uint64_t retained_skips = 0;     // SF(C) vertices never branched on
   uint64_t maximal_check_calls = 0;
   uint64_t maximal_check_nodes = 0;
   uint64_t components = 0;         // components searched after preprocessing
@@ -91,13 +90,6 @@ struct MiningStats {
   // filters consulted. Both 0 for fresh sweeps and k-only derivations.
   uint64_t derive_r_restrictions = 0;
   uint64_t score_filtered_pairs = 0;
-  // Incremental-maintenance accounting (core/workspace_update.h): update
-  // batches applied to the substrate this result was mined from, the
-  // dissimilarity rows those batches rebuilt, and the wall time they took
-  // (NOT included in `seconds`, which times the mining call itself).
-  uint64_t update_batches = 0;
-  uint64_t updated_rows = 0;
-  double update_seconds = 0.0;
   double prepare_seconds = 0.0;
   double seconds = 0.0;
 
@@ -107,8 +99,6 @@ struct MiningStats {
   /// them overstates wall time under parallelism. Sequential phase times
   /// must be accumulated explicitly by the caller instead (the drivers
   /// overwrite `seconds` from a single Timer for exactly this reason).
-  /// `update_seconds` is summed: it is a cumulative counter across batches,
-  /// not a per-worker share of one wall interval.
   void MergeFrom(const MiningStats& other);
   std::string ToString() const;
 };

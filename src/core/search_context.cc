@@ -125,15 +125,6 @@ SearchContext SearchContext::Fork() const {
   return copy;
 }
 
-VertexId SearchContext::sf_count() const {
-  VertexId sf = 0;
-  for (VertexId u = c_list_.First(); u != kInvalidVertex;
-       u = c_list_.Next(u)) {
-    sf += !HasDissimilarInC(u);
-  }
-  return sf;
-}
-
 // ---- low-level journaled mutators ----------------------------------------
 
 void SearchContext::ApplyState(VertexId u, VertexState s) {

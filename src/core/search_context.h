@@ -184,8 +184,6 @@ class SearchContext {
   uint64_t dissimilar_pairs_c() const { return dp_pairs_c_; }
   /// |E(M ∪ C)|: edges with both endpoints in M ∪ C.
   uint64_t edges_mc() const { return edges_mc_; }
-  /// |SF(C)|: candidates similar to every other candidate (Thm 4). O(|C|).
-  VertexId sf_count() const;
 
   bool dead() const { return dead_; }
 

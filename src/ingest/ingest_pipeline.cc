@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "snapshot/workspace_snapshot.h"
+#include "util/json.h"
 
 namespace krcore {
 namespace {
@@ -37,9 +38,9 @@ std::string IngestStatsSnapshot::ToJson() const {
   out << ",\"applied_batches\":" << applied_batches;
   out << ",\"rolled_back_batches\":" << rolled_back_batches;
   out << ",\"fallback_rebuilds\":" << fallback_rebuilds;
-  out << ",\"apply_seconds\":" << apply_seconds;
+  out << ",\"apply_seconds\":" << JsonDouble(apply_seconds);
   out << ",\"publishes\":" << publishes;
-  out << ",\"publish_seconds\":" << publish_seconds;
+  out << ",\"publish_seconds\":" << JsonDouble(publish_seconds);
   out << ",\"published_epoch\":" << published_epoch;
   out << ",\"published_stream_batches\":" << published_stream_batches;
   out << ",\"published_stream_updates\":" << published_stream_updates;
@@ -48,9 +49,9 @@ std::string IngestStatsSnapshot::ToJson() const {
   out << ",\"queued_updates\":" << queued_updates;
   out << ",\"batch_target\":" << batch_target;
   out << ",\"staleness_batches\":" << staleness_batches;
-  out << ",\"staleness_seconds\":" << staleness_seconds;
-  out << ",\"max_staleness_seconds\":" << max_staleness_seconds;
-  out << ",\"updates_per_second\":" << UpdatesPerSecond();
+  out << ",\"staleness_seconds\":" << JsonDouble(staleness_seconds);
+  out << ",\"max_staleness_seconds\":" << JsonDouble(max_staleness_seconds);
+  out << ",\"updates_per_second\":" << JsonDouble(UpdatesPerSecond());
   out << "}";
   return out.str();
 }

@@ -2,10 +2,11 @@
 
 #include <cctype>
 #include <cerrno>
-#include <cstdio>
 #include <cstdlib>
 #include <sstream>
 #include <unordered_set>
+
+#include "util/json.h"
 
 namespace krcore {
 namespace {
@@ -151,51 +152,6 @@ Status ParseRequestLine(const std::string& line, QueryRequest* out,
   if (!have_op) return BadRequest("missing op=enum|max|derive");
   if (!have_k) return BadRequest("missing k=<positive integer>");
   return Status::OK();
-}
-
-std::string JsonEscape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
-std::string JsonDouble(double v) {
-  if (!std::isfinite(v)) return "null";
-  char buf[32];
-  // %.17g round-trips every double; try the shorter %.15g first and keep it
-  // when it parses back exactly (keeps 0.25 as "0.25", not 17 digits).
-  std::snprintf(buf, sizeof(buf), "%.15g", v);
-  if (std::strtod(buf, nullptr) != v) {
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-  }
-  return buf;
 }
 
 std::string SerializeResponse(const QueryResponse& response) {

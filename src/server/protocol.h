@@ -111,14 +111,6 @@ Status ParseRequestLine(const std::string& line, QueryRequest* out,
 /// with `error` only present on failure; cores as arrays of vertex ids.
 std::string SerializeResponse(const QueryResponse& response);
 
-/// Escapes `s` for inclusion in a JSON string literal (quotes, backslashes,
-/// control characters).
-std::string JsonEscape(const std::string& s);
-
-/// Formats a double for JSON round-tripping (shortest form preserving the
-/// exact value; NaN/Inf — which JSON lacks — render as null).
-std::string JsonDouble(double v);
-
 }  // namespace krcore
 
 #endif  // KRCORE_SERVER_PROTOCOL_H_

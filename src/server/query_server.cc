@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/failpoint.h"
+#include "util/json.h"
 #include "util/timer.h"
 
 namespace krcore {

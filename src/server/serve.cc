@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "server/protocol.h"
+#include "util/json.h"
 
 namespace krcore {
 namespace {

@@ -3,6 +3,7 @@
 #include <atomic>
 #include <chrono>
 #include <cstdio>
+#include <cstdlib>
 #include <set>
 #include <string>
 #include <thread>
@@ -550,6 +551,7 @@ TEST(IngestPipeline, StatsSnapshotSerializesEveryCounter) {
   stats.submitted_batches = 3;
   stats.published_stream_updates = 14;
   stats.apply_seconds = 0.5;
+  stats.max_staleness_seconds = 1.2345678901234;  // > 6 significant digits
   const std::string json = stats.ToJson();
   for (const char* key :
        {"submitted_batches", "rejected_updates", "annihilated_updates",
@@ -561,6 +563,14 @@ TEST(IngestPipeline, StatsSnapshotSerializesEveryCounter) {
         << key;
   }
   EXPECT_DOUBLE_EQ(stats.UpdatesPerSecond(), 28.0);
+
+  // Doubles round-trip exactly, not at the stream's default 6 digits.
+  const std::string key = "\"max_staleness_seconds\":";
+  const size_t at = json.find(key);
+  ASSERT_NE(at, std::string::npos);
+  EXPECT_EQ(std::strtod(json.c_str() + at + key.size(), nullptr),
+            stats.max_staleness_seconds)
+      << json;
 }
 
 }  // namespace

@@ -8,6 +8,8 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
+#include <iterator>
 #include <string>
 #include <vector>
 
@@ -43,19 +45,32 @@ constexpr uint32_t kThreads[] = {1, 2};
 
 /// The counters that describe the search tree; two runs with equal counters
 /// made the same decisions at every node.
+struct TreeCounter {
+  const char* name;
+  uint64_t MiningStats::*field;
+};
+constexpr TreeCounter kTreeCounters[] = {
+    {"search_nodes", &MiningStats::search_nodes},
+    {"expand_branches", &MiningStats::expand_branches},
+    {"shrink_branches", &MiningStats::shrink_branches},
+    {"emitted_candidates", &MiningStats::emitted_candidates},
+    {"early_terminations", &MiningStats::early_terminations},
+    {"promotions", &MiningStats::promotions},
+    {"maximal_check_calls", &MiningStats::maximal_check_calls},
+    {"maximal_check_nodes", &MiningStats::maximal_check_nodes},
+    {"bound_prunes", &MiningStats::bound_prunes},
+    {"bound_naive_prunes", &MiningStats::bound_naive_prunes},
+    {"bound_cache_hits", &MiningStats::bound_cache_hits},
+    {"bound_expensive_prunes", &MiningStats::bound_expensive_prunes},
+    {"bound_recomputes", &MiningStats::bound_recomputes},
+};
+constexpr size_t kNumTreeCounters = std::size(kTreeCounters);
+
 void ExpectSameTree(const MiningStats& a, const MiningStats& b,
                     const std::string& what) {
-  EXPECT_EQ(a.search_nodes, b.search_nodes) << what;
-  EXPECT_EQ(a.expand_branches, b.expand_branches) << what;
-  EXPECT_EQ(a.shrink_branches, b.shrink_branches) << what;
-  EXPECT_EQ(a.emitted_candidates, b.emitted_candidates) << what;
-  EXPECT_EQ(a.early_terminations, b.early_terminations) << what;
-  EXPECT_EQ(a.bound_prunes, b.bound_prunes) << what;
-  EXPECT_EQ(a.bound_recomputes, b.bound_recomputes) << what;
-  EXPECT_EQ(a.promotions, b.promotions) << what;
-  EXPECT_EQ(a.retained_skips, b.retained_skips) << what;
-  EXPECT_EQ(a.maximal_check_calls, b.maximal_check_calls) << what;
-  EXPECT_EQ(a.maximal_check_nodes, b.maximal_check_nodes) << what;
+  for (const TreeCounter& c : kTreeCounters) {
+    EXPECT_EQ(a.*c.field, b.*c.field) << what << " " << c.name;
+  }
 }
 
 /// Runs every enumeration and maximum variant under both kernels on one
@@ -230,6 +245,46 @@ TEST(KernelDifferential, ComponentAboveDenseLimit) {
 
   RunAllVariants(dataset.graph, oracle, k, {}, /*have_expected=*/false,
                  /*with_basic_enum=*/false);
+}
+
+/// The search tree of each paper variant on one fixed input, recorded on one
+/// thread: a refactor of the search drivers must reproduce every counter.
+/// (The dense/sparse comparisons above only show the two kernels agree with
+/// each other, not that either kept its tree.)
+TEST(KernelDifferential, PinnedSearchTrees) {
+  const uint64_t seed = 9201;
+  const uint32_t k = 3;
+  Dataset dataset = test::MakeRandomGeo(90, 450, seed);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.63);
+
+  struct Pinned {
+    const char* variant;
+    std::array<uint64_t, kNumTreeCounters> counters;
+  };
+  const Pinned kExpected[] = {
+      {"AdvEnum", {251, 198, 198, 49, 3, 11, 49, 54, 0, 0, 0, 0, 0}},
+      {"BasicEnum", {82540, 68678, 68678, 13861, 0, 0, 0, 0, 0, 0, 0, 0, 0}},
+      {"AdvMax", {339, 194, 194, 1, 5, 90, 0, 0, 139, 54, 1, 84, 90}},
+      {"BasicMax", {654, 409, 409, 1, 22, 154, 0, 0, 222, 222, 0, 0, 0}},
+  };
+  std::vector<MiningStats> runs;
+  for (const EnumOptions& opts : {AdvEnumOptions(k), BasicEnumOptions(k)}) {
+    MaximalCoresResult result = EnumerateMaximalCores(dataset.graph, oracle,
+                                                      opts);
+    ASSERT_TRUE(result.status.ok());
+    runs.push_back(result.stats);
+  }
+  for (const MaxOptions& opts : {AdvMaxOptions(k), BasicMaxOptions(k)}) {
+    MaximumCoreResult result = FindMaximumCore(dataset.graph, oracle, opts);
+    ASSERT_TRUE(result.status.ok());
+    runs.push_back(result.stats);
+  }
+  for (size_t v = 0; v < runs.size(); ++v) {
+    for (size_t c = 0; c < kNumTreeCounters; ++c) {
+      EXPECT_EQ(runs[v].*kTreeCounters[c].field, kExpected[v].counters[c])
+          << kExpected[v].variant << " " << kTreeCounters[c].name;
+    }
+  }
 }
 
 }  // namespace

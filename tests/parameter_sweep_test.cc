@@ -251,12 +251,10 @@ TEST(ParameterSweep, MergeFromTakesMaxOfWallClockFields) {
   b.seconds = 3.0;
   b.prepare_seconds = 0.25;
   b.search_nodes = 7;
-  b.update_seconds = 1.0;
   a.MergeFrom(b);
   EXPECT_DOUBLE_EQ(a.seconds, 3.0) << "overlapping workers: max, not sum";
   EXPECT_DOUBLE_EQ(a.prepare_seconds, 0.5);
   EXPECT_EQ(a.search_nodes, 17u) << "counters still sum";
-  EXPECT_DOUBLE_EQ(a.update_seconds, 1.0) << "cumulative counter: sums";
 }
 
 TEST(ParameterSweep, GridWithZeroKIsRejectedConsistently) {

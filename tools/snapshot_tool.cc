@@ -9,14 +9,14 @@
 // first tool to reach for on a torn-file report.
 //
 // Exits 0 on success, 1 on any error (unreadable file, bad magic, a
-// version other than 4, damaged header/meta/table/tail).
+// version other than 5, damaged header/meta/table/tail).
 
 #include <cinttypes>
 #include <cstdio>
 #include <string>
 
-#include "server/protocol.h"
 #include "snapshot/workspace_snapshot.h"
+#include "util/json.h"
 #include "util/options.h"
 
 using namespace krcore;
@@ -31,9 +31,10 @@ int Fail(const std::string& message) {
 void PrintInfoText(const std::string& path, const SnapshotInfo& info) {
   std::printf("%s: snapshot v%u, %" PRIu64 " bytes\n", path.c_str(),
               info.format_version, info.file_size);
-  std::printf("  k=%u r=%g cover=%g scored=%s distance=%s version=%" PRIu64
+  std::printf("  k=%u r=%s cover=%s scored=%s distance=%s version=%" PRIu64
               "\n",
-              info.k, info.threshold, info.score_cover,
+              info.k, JsonDouble(info.threshold).c_str(),
+              JsonDouble(info.score_cover).c_str(),
               info.score_cover != info.threshold ? "true" : "false",
               info.is_distance ? "true" : "false", info.graph_version);
   std::printf("  components=%" PRIu64 ", sections=%zu\n", info.num_components,
@@ -54,11 +55,12 @@ void PrintInfoText(const std::string& path, const SnapshotInfo& info) {
 
 void PrintInfoJson(const std::string& path, const SnapshotInfo& info) {
   std::printf("{\"path\":\"%s\",\"format_version\":%u,\"file_size\":%" PRIu64
-              ",\"k\":%u,\"r\":%g,\"cover\":%g,\"scored\":%s,"
+              ",\"k\":%u,\"r\":%s,\"cover\":%s,\"scored\":%s,"
               "\"distance_metric\":%s,\"version\":%" PRIu64
               ",\"components\":%" PRIu64 ",\"sections\":[",
               JsonEscape(path).c_str(), info.format_version, info.file_size,
-              info.k, info.threshold, info.score_cover,
+              info.k, JsonDouble(info.threshold).c_str(),
+              JsonDouble(info.score_cover).c_str(),
               info.score_cover != info.threshold ? "true" : "false",
               info.is_distance ? "true" : "false", info.graph_version,
               info.num_components);
