@@ -58,7 +58,7 @@ int main(int argc, char** argv) {
 
   PipelineOptions popts;
   popts.k = k;
-  popts.preprocess.num_threads = env.threads;
+  popts.num_threads = env.threads;
   std::vector<ComponentContext> comps;
   PreprocessReport report;
   Status s = PrepareComponents(d.graph, oracle, popts, &comps, &report);

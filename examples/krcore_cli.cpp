@@ -303,6 +303,12 @@ int main(int argc, char** argv) {
                          &join_strategy)) {
     return Fail("unknown --join (use filtered or brute)");
   }
+  if (options.Has("permille")) {
+    const double permille = options.GetDouble("permille", 3.0);
+    if (!(permille > 0.0 && permille < 1000.0)) {
+      return Fail("--permille must lie strictly between 0 and 1000");
+    }
+  }
 
   auto MakeEnumOptions = [&](uint32_t k) {
     EnumOptions opts = AdvEnumOptions(k);
@@ -497,7 +503,7 @@ int main(int argc, char** argv) {
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
     pipe.join_strategy = join_strategy;
-    pipe.preprocess.num_threads = threads;
+    pipe.num_threads = threads;
     if (options.Has("cover")) {
       pipe.score_cover = options.GetDouble("cover", r);
     }
@@ -665,7 +671,7 @@ int main(int argc, char** argv) {
       pipe.k = *std::min_element(grid.ks.begin(), grid.ks.end());
       pipe.deadline = Deadline::AfterSeconds(timeout);
       pipe.join_strategy = join_strategy;
-      pipe.preprocess.num_threads = threads;
+      pipe.num_threads = threads;
       pipe.score_cover = r_cover;
       PreparedWorkspace ws;
       Status s = PrepareWorkspace(
@@ -698,7 +704,7 @@ int main(int argc, char** argv) {
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
     pipe.join_strategy = join_strategy;
-    pipe.preprocess.num_threads = threads;
+    pipe.num_threads = threads;
     if (options.Has("cover")) {
       pipe.score_cover = options.GetDouble("cover", r);
     }

@@ -10,6 +10,13 @@
 #include "util/logging.h"
 
 namespace krcore {
+namespace {
+
+/// Memory guard: the most vertex pairs, summed over components, whose
+/// similarity graphs the baseline will materialize.
+constexpr uint64_t kMaxSimilarityGraphPairs = 64ull << 20;
+
+}  // namespace
 
 MaximalCoresResult EnumerateByCliqueMethod(const Graph& g,
                                            const SimilarityOracle& oracle,
@@ -49,15 +56,12 @@ MaximalCoresResult EnumerateByCliqueMethod(const Graph& g,
 
   auto components = ComponentsOfSubset(structure, core_vertices);
 
-  // Pairwise-similarity budget guard (same role as the pipeline's; 0 means
-  // unlimited).
-  uint64_t pair_budget = 0;
+  uint64_t pairs = 0;
   for (const auto& comp : components) {
     const uint64_t sz = comp.size();
-    pair_budget += sz * (sz - 1) / 2;
+    pairs += sz * (sz - 1) / 2;
   }
-  if (options.preprocess.max_pair_budget > 0 &&
-      pair_budget > options.preprocess.max_pair_budget) {
+  if (pairs > kMaxSimilarityGraphPairs) {
     result.status = Status::ResourceExhausted(
         "clique method similarity-graph budget exceeded");
     return result;

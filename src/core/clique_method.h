@@ -2,7 +2,6 @@
 #define KRCORE_CORE_CLIQUE_METHOD_H_
 
 #include "core/krcore_types.h"
-#include "core/preprocess_options.h"
 #include "graph/graph.h"
 #include "similarity/similarity_oracle.h"
 #include "util/timer.h"
@@ -12,11 +11,6 @@ namespace krcore {
 struct CliqueMethodOptions {
   uint32_t k = 3;
   Deadline deadline;
-  /// Shared preprocessing knobs; only max_pair_budget applies here. Unlike
-  /// the pipeline, the clique method materializes each component's full
-  /// similarity *graph* in memory (nothing is streamed), so the legacy 64M
-  /// default guard is kept; set 0 explicitly for unlimited.
-  PreprocessOptions preprocess{.max_pair_budget = 64ull << 20};
 };
 
 /// The improved clique-based baseline of Sec 3 (Clique+): after the shared
@@ -26,7 +20,9 @@ struct CliqueMethodOptions {
 /// induced by each maximal clique yields candidate (k,r)-cores, which are
 /// then maximal-filtered. All three Sec 3 improvements are included. The
 /// paper shows this is dominated by BasicEnum (Fig 8); the bench reproduces
-/// that comparison.
+/// that comparison. Unlike the pipeline, it materializes each component's
+/// whole similarity *graph* in memory, so inputs whose components hold more
+/// than 64M vertex pairs in total fail with ResourceExhausted.
 MaximalCoresResult EnumerateByCliqueMethod(const Graph& g,
                                            const SimilarityOracle& oracle,
                                            const CliqueMethodOptions& options);

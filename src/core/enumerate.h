@@ -6,7 +6,6 @@
 #include "core/krcore_types.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
-#include "core/preprocess_options.h"
 #include "graph/graph.h"
 #include "similarity/similarity_oracle.h"
 #include "util/timer.h"
@@ -47,9 +46,6 @@ struct EnumOptions {
   /// Status::DeadlineExceeded (rendered as INF by the benches).
   Deadline deadline;
 
-  /// Shared preprocessing knobs (blocked pair builder, optional budget).
-  PreprocessOptions preprocess;
-
   /// Pair-discovery strategy for the preparation's similarity self-join
   /// (forwarded to PipelineOptions::join_strategy; results are identical
   /// for every strategy).
@@ -78,8 +74,8 @@ MaximalCoresResult EnumerateMaximalCores(const Graph& g,
 /// point the parameter-sweep engine and snapshot consumers use to skip the
 /// O(n^2) preprocessing. `options.k` must equal the k the components were
 /// prepared at (and the oracle threshold they were filtered with is baked
-/// in); options.preprocess is ignored. Results are identical to the
-/// (graph, oracle) overload run with the same options.
+/// in). Results are identical to the (graph, oracle) overload run with the
+/// same options.
 MaximalCoresResult EnumerateMaximalCores(
     const std::vector<ComponentContext>& components,
     const EnumOptions& options);

@@ -51,7 +51,9 @@ struct MiningStats {
   uint64_t expand_branches = 0;    // expand recursions taken
   uint64_t shrink_branches = 0;    // shrink recursions taken
   uint64_t emitted_candidates = 0; // (k,r)-cores reached (pre maximal check)
-  uint64_t maximal_found = 0;      // cores surviving the maximal check
+  // Cores surviving the maximal check (enumeration only: the maximum
+  // search runs no maximal check and leaves this 0).
+  uint64_t maximal_found = 0;
   uint64_t early_terminations = 0; // Theorem 5 hits
   uint64_t bound_prunes = 0;       // upper-bound cutoffs, all tiers summed
   // Tiered-bound breakdown of bound_prunes (maximum search): the free

@@ -175,7 +175,6 @@ MaximumCoreResult FindMaximumCore(
       },
       &result.stats, &result.status);
   result.best = best.Take();
-  result.stats.maximal_found = result.best.empty() ? 0 : 1;
   result.stats.seconds = timer.ElapsedSeconds();
   return result;
 }

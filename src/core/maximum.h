@@ -6,7 +6,6 @@
 #include "core/krcore_types.h"
 #include "core/parallel.h"
 #include "core/pipeline.h"
-#include "core/preprocess_options.h"
 #include "graph/graph.h"
 #include "similarity/similarity_oracle.h"
 #include "util/timer.h"
@@ -47,9 +46,6 @@ struct MaxOptions {
 
   Deadline deadline;
 
-  /// Shared preprocessing knobs (blocked pair builder, optional budget).
-  PreprocessOptions preprocess;
-
   /// Pair-discovery strategy for the preparation's similarity self-join
   /// (forwarded to PipelineOptions::join_strategy; results are identical
   /// for every strategy).
@@ -76,8 +72,8 @@ MaximumCoreResult FindMaximumCore(const Graph& g,
 /// PrepareComponents / PrepareWorkspace / a loaded snapshot — the entry
 /// point the parameter-sweep engine and snapshot consumers use to skip the
 /// O(n^2) preprocessing. `options.k` must equal the k the components were
-/// prepared at; options.preprocess is ignored. The maximum size matches the
-/// (graph, oracle) overload run with the same options.
+/// prepared at. The maximum size matches the (graph, oracle) overload run
+/// with the same options.
 MaximumCoreResult FindMaximumCore(
     const std::vector<ComponentContext>& components, const MaxOptions& options);
 

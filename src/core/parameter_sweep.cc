@@ -10,19 +10,12 @@
 namespace krcore {
 namespace {
 
-/// Builds the PipelineOptions the sweep's shared preparation runs with,
-/// mirroring what the cold mining entry points construct internally.
+/// The PipelineOptions the sweep's shared preparation runs with: the same
+/// ones the cold mining entry points build.
 PipelineOptions BasePipelineOptions(const SweepOptions& options, uint32_t k) {
-  const bool enumerate = options.mode == SweepMode::kEnumerate;
-  PipelineOptions pipe;
-  pipe.k = k;
-  pipe.preprocess = enumerate ? options.enumerate.preprocess
-                              : options.maximum.preprocess;
-  pipe.join_strategy = enumerate ? options.enumerate.join_strategy
-                                 : options.maximum.join_strategy;
-  pipe.deadline =
-      enumerate ? options.enumerate.deadline : options.maximum.deadline;
-  return pipe;
+  return options.mode == SweepMode::kEnumerate
+             ? MiningPipelineOptions(options.enumerate, k)
+             : MiningPipelineOptions(options.maximum, k);
 }
 
 /// Mines one cell on components already extracted at (k, r). `derive`

@@ -43,8 +43,9 @@ enum class SweepMode {
 struct SweepOptions {
   SweepMode mode = SweepMode::kEnumerate;
   /// Per-cell search configuration. The cell's k and the engine-level
-  /// deadline/threads are taken from here too; `k` is overwritten per cell
-  /// and `preprocess` configures the shared pair sweeps.
+  /// deadline/threads are taken from here too (the shared pair sweeps run
+  /// with the mode's join strategy, deadline and threads); `k` is
+  /// overwritten per cell.
   EnumOptions enumerate;
   MaxOptions maximum;
   /// false = run every cell cold from the raw graph (the baseline the

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <atomic>
 #include <cmath>
+#include <cstdio>
 #include <functional>
 #include <numeric>
 #include <string>
@@ -38,7 +39,6 @@ ComponentContext BuildComponent(const Graph& similar_only,
                                 std::atomic<bool>* aborted,
                                 uint64_t* transient_bytes,
                                 JoinReport* join_report) {
-  const PreprocessOptions& opts = options.preprocess;
   ComponentContext ctx;
   auto induced = BuildInducedSubgraph(similar_only, comp);
   ctx.graph = std::move(induced.graph);
@@ -48,7 +48,6 @@ ComponentContext BuildComponent(const Graph& similar_only,
   SelfJoinOptions join;
   join.strategy = options.join_strategy;
   join.score_cover = options.score_cover;
-  join.tile_size = opts.tile_size;
   join.num_threads = join_threads;
   join.deadline = options.deadline;
   *join_report = SelfJoinPairs(oracle, ctx.to_parent, join, aborted, &builder);
@@ -66,24 +65,34 @@ ComponentContext BuildComponent(const Graph& similar_only,
 
 }  // namespace
 
-void SortComponents(bool order_by_max_degree,
-                    std::vector<ComponentContext>* components) {
-  const auto min_parent_before = [](const ComponentContext& a,
-                                    const ComponentContext& b) {
-    return a.to_parent.front() < b.to_parent.front();
-  };
-  if (!order_by_max_degree) {
-    std::sort(components->begin(), components->end(), min_parent_before);
-    return;
-  }
+std::string PreprocessReport::ToString() const {
+  char buf[512];
+  std::snprintf(
+      buf, sizeof(buf),
+      "components=%llu vertices=%llu edges=%llu pairs_evaluated=%llu "
+      "candidates=%llu pruned=%llu oracle_calls=%llu "
+      "dissimilar_pairs=%llu reserve_pairs=%llu score_filtered=%llu "
+      "density=%.4f index_bytes=%llu peak_bytes=%llu seconds=%.3f",
+      (unsigned long long)components, (unsigned long long)vertices,
+      (unsigned long long)edges, (unsigned long long)pairs_evaluated,
+      (unsigned long long)candidate_pairs, (unsigned long long)pruned_pairs,
+      (unsigned long long)oracle_calls,
+      (unsigned long long)dissimilar_pairs, (unsigned long long)reserve_pairs,
+      (unsigned long long)score_filtered_pairs, dissimilar_density,
+      (unsigned long long)index_bytes, (unsigned long long)peak_bytes,
+      seconds);
+  return buf;
+}
+
+void SortComponents(std::vector<ComponentContext>* components) {
   // Search the component with the highest-degree vertex first: the maximum
   // search seeds its incumbent from a large core quickly.
   std::sort(components->begin(), components->end(),
-            [&](const ComponentContext& a, const ComponentContext& b) {
+            [](const ComponentContext& a, const ComponentContext& b) {
               if (a.graph.max_degree() != b.graph.max_degree()) {
                 return a.graph.max_degree() > b.graph.max_degree();
               }
-              return min_parent_before(a, b);
+              return a.to_parent.front() < b.to_parent.front();
             });
 }
 
@@ -128,19 +137,10 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
   // Line 4: connected components (within the k-core).
   auto components = ComponentsOfSubset(similar_only, core_vertices);
 
-  // Optional legacy guard on the O(|comp|^2) pairwise work. The blocked
-  // builder below streams tiles, so by default (budget 0) any component
-  // size is accepted.
   uint64_t total_pairs = 0;
   for (const auto& comp : components) {
     const uint64_t sz = comp.size();
     total_pairs += sz * (sz - 1) / 2;
-  }
-  if (options.preprocess.max_pair_budget > 0 &&
-      total_pairs > options.preprocess.max_pair_budget) {
-    return Status::ResourceExhausted(
-        "component pairwise-similarity budget exceeded; raise or zero "
-        "PreprocessOptions::max_pair_budget (0 = unlimited)");
   }
 
   // Components are independent: build their contexts in parallel. Each slot
@@ -151,7 +151,7 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
   std::vector<JoinReport> joins(components.size());
   std::atomic<bool> aborted{false};
   ParallelOptions par;
-  par.num_threads = options.preprocess.num_threads;
+  par.num_threads = options.num_threads;
   const uint32_t threads = par.Resolve();
   // With several components the parallelism lives at the component level;
   // a lone component hands the full thread budget to its join instead.
@@ -183,7 +183,7 @@ Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
         "preprocessing budget expired during the pairwise similarity sweep");
   }
 
-  SortComponents(options.order_by_max_degree, out);
+  SortComponents(out);
 
   if (report != nullptr) {
     *report = PreprocessReport{};
@@ -544,7 +544,7 @@ Status DeriveWorkspace(const PreparedWorkspace& base, uint32_t k, double r,
     DeriveOneComponent(comp, k, restrict_r, r, base.is_distance, &scratch,
                        &out->components, &score_tests);
   }
-  SortComponents(options.order_by_max_degree, &out->components);
+  SortComponents(&out->components);
 
   if (report != nullptr) {
     *report = PreprocessReport{};

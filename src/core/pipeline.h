@@ -1,6 +1,7 @@
 #ifndef KRCORE_CORE_PIPELINE_H_
 #define KRCORE_CORE_PIPELINE_H_
 
+#include <cstdint>
 #include <functional>
 #include <limits>
 #include <memory>
@@ -10,12 +11,12 @@
 
 #include "core/dissimilarity_index.h"
 #include "core/krcore_types.h"
-#include "core/preprocess_options.h"
 #include "graph/graph.h"
 #include "similarity/join/self_join.h"
 #include "similarity/similarity_oracle.h"
 #include "util/array_ref.h"
 #include "util/status.h"
+#include "util/timer.h"
 
 namespace krcore {
 
@@ -81,23 +82,25 @@ struct ComponentContext {
 };
 
 /// Puts `components` in the canonical order every preparation path
-/// produces. With order_by_max_degree: max structure degree descending,
-/// ties by ascending minimum parent id. Without it: ascending minimum
-/// parent id, the discovery order of a cold preparation. Component min ids
-/// are distinct (to_parent is sorted), so both are strict orders. Shared by
+/// produces: max structure degree descending, so the component holding the
+/// highest-degree vertex is searched first (Sec 6.1's seeding rule for
+/// FindMaximum), ties by ascending minimum parent id. Component min ids are
+/// distinct (to_parent is sorted), so the order is strict. Shared by
 /// PrepareComponents, DeriveWorkspace and the incremental update engine, so
 /// derived and maintained orders equal a fresh preparation's by
 /// construction.
-void SortComponents(bool order_by_max_degree,
-                    std::vector<ComponentContext>* components);
+void SortComponents(std::vector<ComponentContext>* components);
 
+/// The one preparation configuration. Algorithm 1 itself depends only on k
+/// and r (the oracle's threshold); the other fields say what else to store
+/// (the cover), how fast to build it (threads, join strategy — neither
+/// changes the output) and when to give up.
 struct PipelineOptions {
   uint32_t k = 1;
-  /// Blocked-builder knobs shared with every mining entry point.
-  PreprocessOptions preprocess;
-  /// Sort components so the one containing the globally highest-degree
-  /// vertex is searched first (Sec 6.1's seeding rule for FindMaximum).
-  bool order_by_max_degree = true;
+  /// Threads building per-component indexes (components are independent;
+  /// a lone component hands them to its join instead). 0 = hardware
+  /// concurrency. The output is identical for every thread count.
+  uint32_t num_threads = 1;
   /// Cover threshold of the score substrate. NaN (the default) means the
   /// oracle's threshold: the substrate serves that threshold only and
   /// stores no reserve pairs. Set to a threshold at least as strict as the
@@ -116,17 +119,69 @@ struct PipelineOptions {
   /// the identical substrate — bit-identical pair sets and stored scores —
   /// so this is purely a performance knob.
   JoinStrategy join_strategy = JoinStrategy::kFiltered;
-  /// Wall-clock budget for the pair sweep itself: with no default pair
-  /// budget the O(n^2) evaluation can be long, so the mining entry points
-  /// forward their deadline here and expiry yields DeadlineExceeded.
+  /// Wall-clock budget for the pair sweep itself: the O(n^2) evaluation can
+  /// be long, so the mining entry points forward their deadline here and
+  /// expiry yields DeadlineExceeded.
   Deadline deadline;
+};
+
+/// The preparation a mining call with `options` (EnumOptions or MaxOptions)
+/// runs at `k`: the search's resolved thread count, join strategy and
+/// deadline. The cold entry points and the parameter sweep both prepare
+/// through this, so their substrates cannot drift.
+template <typename MiningOptions>
+PipelineOptions MiningPipelineOptions(const MiningOptions& options,
+                                      uint32_t k) {
+  PipelineOptions pipe;
+  pipe.k = k;
+  pipe.num_threads = options.parallel.Resolve();
+  pipe.join_strategy = options.join_strategy;
+  pipe.deadline = options.deadline;
+  return pipe;
+}
+
+/// Accounting emitted by PrepareComponents: how much similarity work the
+/// preprocessing did and how big the resulting substrate is.
+struct PreprocessReport {
+  uint64_t components = 0;
+  uint64_t vertices = 0;          // across surviving components
+  uint64_t edges = 0;             // structure edges across components
+  /// Intra-component unordered pairs the join had to settle (the full pair
+  /// space, for every strategy).
+  uint64_t pairs_evaluated = 0;
+  /// Pairs the join filter emitted for individual verification (equals
+  /// pairs_evaluated on the brute path).
+  uint64_t candidate_pairs = 0;
+  /// Pairs settled by a certified bound with no metric evaluation
+  /// (0 on the brute path). pruned_pairs + oracle_calls == pairs_evaluated.
+  uint64_t pruned_pairs = 0;
+  /// Metric evaluations actually performed by the join.
+  uint64_t oracle_calls = 0;
+  uint64_t dissimilar_pairs = 0;  // pairs that violated r
+  /// Reserve pairs stored by a preparation with a cover: similar at the
+  /// serving threshold but dissimilar at the cover threshold, kept so any
+  /// threshold in between is a pure score filter of this substrate.
+  uint64_t reserve_pairs = 0;
+  /// Stored scores consulted by a threshold-restricting derivation (0 for
+  /// fresh preparations and k-only derivations).
+  uint64_t score_filtered_pairs = 0;
+  /// dissimilar_pairs / pairs_evaluated (0 when nothing was evaluated).
+  double dissimilar_density = 0.0;
+  uint64_t index_bytes = 0;       // final CSR + score footprint
+  /// Estimated peak transient footprint: final indexes plus the largest
+  /// concurrent builder pair buffer.
+  uint64_t peak_bytes = 0;
+  double seconds = 0.0;
+
+  std::string ToString() const;
 };
 
 /// Runs the shared preprocessing of Algorithm 1 (lines 1-4): removes edges
 /// between dissimilar endpoints, extracts the k-core, splits into connected
-/// components and materializes per-component dissimilarity with the blocked
-/// (tiled) pair evaluator. `report`, when non-null, receives the work and
-/// memory accounting of the run.
+/// components and materializes per-component dissimilarity with the
+/// similarity self-join. Any component size is accepted: the join streams
+/// its pairs. `report`, when non-null, receives the work and memory
+/// accounting of the run.
 Status PrepareComponents(const Graph& g, const SimilarityOracle& oracle,
                          const PipelineOptions& options,
                          std::vector<ComponentContext>* out,

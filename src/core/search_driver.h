@@ -294,16 +294,11 @@ template <typename Result, typename Options, typename Search>
 Result PrepareAndSearch(const Graph& g, const SimilarityOracle& oracle,
                         const Options& options, Search search) {
   Timer timer;
-  PipelineOptions pipe;
-  pipe.k = options.k;
-  pipe.preprocess = options.preprocess;
-  pipe.preprocess.num_threads = options.parallel.Resolve();
-  pipe.join_strategy = options.join_strategy;
-  pipe.deadline = options.deadline;
   std::vector<ComponentContext> components;
   PreprocessReport prep_report;
   Status prepared =
-      PrepareComponents(g, oracle, pipe, &components, &prep_report);
+      PrepareComponents(g, oracle, MiningPipelineOptions(options, options.k),
+                        &components, &prep_report);
   const double prepare_seconds = timer.ElapsedSeconds();
   Result result;
   if (prepared.ok()) {

@@ -612,7 +612,7 @@ Status WorkspaceUpdater::ApplyEdgeUpdates(std::span<const EdgeUpdate> updates,
     }
     for (auto& ctx : rebuilt) next.push_back(std::move(ctx));
     // The exact order every preparation path produces.
-    SortComponents(options.order_by_max_degree, &next);
+    SortComponents(&next);
     ws_->components = std::move(next);
     // Incremental comp_of_ refresh: the re-sort renumbers every component,
     // so all present entries are rewritten (O(core), not O(n)); only

@@ -83,11 +83,6 @@ struct UpdateOptions {
   /// loop. Results are identical for every strategy.
   JoinStrategy join_strategy = JoinStrategy::kFiltered;
 
-  /// Must match the PipelineOptions::order_by_max_degree the workspace was
-  /// prepared with, so the maintained component order keeps matching what a
-  /// fresh preparation would produce.
-  bool order_by_max_degree = true;
-
   /// Wall-clock budget for the whole batch, polled in every repair loop
   /// (replay, peel/promotion cascades, dirty BFS, component rebuilds, and
   /// the fallback resweep's pair engine). Expiry aborts the batch with

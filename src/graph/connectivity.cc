@@ -4,32 +4,6 @@
 
 namespace krcore {
 
-std::vector<VertexId> ConnectedComponents(const Graph& g,
-                                          VertexId* num_components) {
-  const VertexId n = g.num_vertices();
-  std::vector<VertexId> label(n, kInvalidVertex);
-  std::vector<VertexId> stack;
-  VertexId next_label = 0;
-  for (VertexId s = 0; s < n; ++s) {
-    if (label[s] != kInvalidVertex) continue;
-    label[s] = next_label;
-    stack.push_back(s);
-    while (!stack.empty()) {
-      VertexId u = stack.back();
-      stack.pop_back();
-      for (VertexId v : g.neighbors(u)) {
-        if (label[v] == kInvalidVertex) {
-          label[v] = next_label;
-          stack.push_back(v);
-        }
-      }
-    }
-    ++next_label;
-  }
-  if (num_components != nullptr) *num_components = next_label;
-  return label;
-}
-
 std::vector<std::vector<VertexId>> ComponentsOfSubset(
     const Graph& g, const std::vector<VertexId>& subset,
     std::vector<char>& in_subset) {

@@ -7,12 +7,6 @@
 
 namespace krcore {
 
-/// Connected components of the whole graph. Returns a label per vertex in
-/// [0, num_components) and writes the component count to *num_components
-/// (may be null).
-std::vector<VertexId> ConnectedComponents(const Graph& g,
-                                          VertexId* num_components);
-
 /// Connected components restricted to `subset` (induced subgraph semantics):
 /// returns one vector of vertex ids per component; ids are from the parent
 /// graph. `in_subset` is scratch of size g.num_vertices(), all false on entry

@@ -17,12 +17,6 @@ void GraphBuilder::AddEdges(
   for (auto [u, v] : edges) AddEdge(u, v);
 }
 
-bool GraphBuilder::HasPendingEdge(VertexId u, VertexId v) const {
-  if (u > v) std::swap(u, v);
-  return std::find(edges_.begin(), edges_.end(), std::make_pair(u, v)) !=
-         edges_.end();
-}
-
 Graph GraphBuilder::Build() const {
   // Deduplicate.
   std::vector<std::pair<VertexId, VertexId>> edges = edges_;

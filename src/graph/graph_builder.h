@@ -24,10 +24,6 @@ class GraphBuilder {
   size_t num_pending_edges() const { return edges_.size(); }
   VertexId num_vertices() const { return num_vertices_; }
 
-  /// True iff {u,v} was already added (linear scan; use only in generators
-  /// guarding small candidate sets — prefer deduplication in Build()).
-  bool HasPendingEdge(VertexId u, VertexId v) const;
-
   /// Finalizes into an immutable Graph. The builder may be reused afterwards
   /// (its edge list is left intact).
   Graph Build() const;

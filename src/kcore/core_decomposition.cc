@@ -76,49 +76,6 @@ std::vector<VertexId> KCoreVertices(const Graph& g, uint32_t k) {
   return result;
 }
 
-std::vector<VertexId> AnchoredKCore(const Graph& g,
-                                    const std::vector<VertexId>& subset,
-                                    const std::vector<VertexId>& anchored,
-                                    uint32_t k) {
-  // States: 0 = outside, 1 = active subset member, 2 = anchored.
-  std::vector<uint8_t> state(g.num_vertices(), 0);
-  for (VertexId u : subset) {
-    KRCORE_DCHECK(state[u] == 0);
-    state[u] = 1;
-  }
-  for (VertexId u : anchored) {
-    KRCORE_DCHECK(state[u] == 0) << "subset and anchored must be disjoint";
-    state[u] = 2;
-  }
-
-  // Induced degree w.r.t. subset ∪ anchored.
-  std::vector<uint32_t> deg(g.num_vertices(), 0);
-  std::vector<VertexId> worklist;
-  for (VertexId u : subset) {
-    for (VertexId v : g.neighbors(u)) {
-      if (state[v] != 0) ++deg[u];
-    }
-    if (deg[u] < k) worklist.push_back(u);
-  }
-
-  // Peel subset vertices below k; anchored vertices never enter the list.
-  for (size_t head = 0; head < worklist.size(); ++head) {
-    VertexId u = worklist[head];
-    if (state[u] != 1) continue;
-    state[u] = 0;
-    for (VertexId v : g.neighbors(u)) {
-      if (state[v] == 1 && deg[v]-- == k) worklist.push_back(v);
-    }
-  }
-
-  std::vector<VertexId> survivors;
-  for (VertexId u : subset) {
-    if (state[u] == 1) survivors.push_back(u);
-  }
-  std::sort(survivors.begin(), survivors.end());
-  return survivors;
-}
-
 std::vector<VertexId> DegeneracyOrdering(const Graph& g) {
   const VertexId n = g.num_vertices();
   std::vector<uint32_t> deg(n);

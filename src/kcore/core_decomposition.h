@@ -18,19 +18,6 @@ uint32_t Degeneracy(const Graph& g);
 /// Vertices of the k-core of `g` (ascending ids). Linear-time peeling.
 std::vector<VertexId> KCoreVertices(const Graph& g, uint32_t k);
 
-/// Restricted k-core: peels vertices of `subset` with induced degree < k,
-/// never removing vertices of `anchored` (whose degrees still count and who
-/// are exempt from the degree requirement). This implements the "compute the
-/// k-core of M ∪ X with M pinned" primitive of the early-termination rule
-/// (Theorem 5(ii)) and of candidate pruning.
-///
-/// `subset` and `anchored` must be disjoint; returns the surviving vertices
-/// of `subset` (ascending). All vertices must be ids of `g`.
-std::vector<VertexId> AnchoredKCore(const Graph& g,
-                                    const std::vector<VertexId>& subset,
-                                    const std::vector<VertexId>& anchored,
-                                    uint32_t k);
-
 /// A degeneracy ordering of g (vertices in the order removed by repeatedly
 /// deleting a minimum-degree vertex). Used by the Bron–Kerbosch driver.
 std::vector<VertexId> DegeneracyOrdering(const Graph& g);

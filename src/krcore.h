@@ -30,7 +30,6 @@
 #include "core/parallel.h"
 #include "core/parameter_sweep.h"
 #include "core/pipeline.h"
-#include "core/preprocess_options.h"
 #include "core/verify.h"
 #include "datasets/generators.h"
 #include "graph/connectivity.h"

@@ -50,7 +50,8 @@ struct SelfJoinOptions {
   /// at the *cover* threshold.
   double score_cover = std::numeric_limits<double>::quiet_NaN();
 
-  /// Rows per tile of the brute path (PreprocessOptions::tile_size).
+  /// Rows per tile of the brute path: tiles keep both attribute ranges hot
+  /// in cache. Every caller in the library uses this default.
   VertexId tile_size = 4096;
 
   /// Worker threads for the filtered join's partition-parallel phase

@@ -1,36 +1,10 @@
 #include "util/stats.h"
 
-#include <sstream>
+#include <algorithm>
 
 #include "util/logging.h"
 
 namespace krcore {
-
-void StatsAccumulator::Add(double x) {
-  if (count_ == 0) {
-    min_ = max_ = x;
-  } else {
-    min_ = std::min(min_, x);
-    max_ = std::max(max_, x);
-  }
-  ++count_;
-  sum_ += x;
-  sum_sq_ += x * x;
-}
-
-double StatsAccumulator::variance() const {
-  if (count_ < 2) return 0.0;
-  double m = mean();
-  double v = sum_sq_ / count_ - m * m;
-  return v < 0.0 ? 0.0 : v;
-}
-
-std::string StatsAccumulator::ToString() const {
-  std::ostringstream os;
-  os << "n=" << count_ << " mean=" << mean() << " min=" << min()
-     << " max=" << max() << " sd=" << stddev();
-  return os.str();
-}
 
 double Quantile(std::vector<double> values, double q) {
   KRCORE_CHECK(!values.empty());
@@ -42,29 +16,6 @@ double Quantile(std::vector<double> values, double q) {
   double frac = pos - idx;
   if (idx + 1 >= values.size()) return values.back();
   return values[idx] * (1.0 - frac) + values[idx + 1] * frac;
-}
-
-Histogram::Histogram(double lo, double hi, int bins)
-    : lo_(lo), hi_(hi), counts_(bins, 0) {
-  KRCORE_CHECK(bins > 0 && hi > lo);
-}
-
-void Histogram::Add(double x) {
-  double t = (x - lo_) / (hi_ - lo_);
-  int i = static_cast<int>(t * counts_.size());
-  i = std::clamp(i, 0, static_cast<int>(counts_.size()) - 1);
-  ++counts_[i];
-  ++total_;
-}
-
-std::string Histogram::ToString() const {
-  std::ostringstream os;
-  double width = (hi_ - lo_) / counts_.size();
-  for (size_t i = 0; i < counts_.size(); ++i) {
-    os << "[" << lo_ + width * i << "," << lo_ + width * (i + 1)
-       << "): " << counts_[i] << "\n";
-  }
-  return os.str();
 }
 
 }  // namespace krcore

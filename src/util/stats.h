@@ -1,59 +1,14 @@
 #ifndef KRCORE_UTIL_STATS_H_
 #define KRCORE_UTIL_STATS_H_
 
-#include <algorithm>
-#include <cmath>
-#include <cstdint>
-#include <string>
 #include <vector>
 
 namespace krcore {
-
-/// Streaming accumulator for min/max/mean/stddev over doubles.
-class StatsAccumulator {
- public:
-  void Add(double x);
-
-  int64_t count() const { return count_; }
-  double sum() const { return sum_; }
-  double min() const { return count_ ? min_ : 0.0; }
-  double max() const { return count_ ? max_ : 0.0; }
-  double mean() const { return count_ ? sum_ / count_ : 0.0; }
-  double variance() const;
-  double stddev() const { return std::sqrt(variance()); }
-
-  std::string ToString() const;
-
- private:
-  int64_t count_ = 0;
-  double sum_ = 0.0;
-  double sum_sq_ = 0.0;
-  double min_ = 0.0;
-  double max_ = 0.0;
-};
 
 /// Exact quantile over a materialized sample (used for the paper's
 /// "top x per-mille of the pairwise similarity distribution" thresholds).
 /// `q` in [0,1]; q=0 -> min, q=1 -> max. Sorts a copy.
 double Quantile(std::vector<double> values, double q);
-
-/// Histogram with fixed-width bins over [lo, hi]; out-of-range values are
-/// clamped into the edge bins. Used by dataset-statistics reporting.
-class Histogram {
- public:
-  Histogram(double lo, double hi, int bins);
-
-  void Add(double x);
-  int64_t bin_count(int i) const { return counts_[i]; }
-  int num_bins() const { return static_cast<int>(counts_.size()); }
-  int64_t total() const { return total_; }
-  std::string ToString() const;
-
- private:
-  double lo_, hi_;
-  std::vector<int64_t> counts_;
-  int64_t total_ = 0;
-};
 
 }  // namespace krcore
 

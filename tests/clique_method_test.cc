@@ -59,5 +59,21 @@ TEST(CliqueMethod, DeadlinePropagates) {
   EXPECT_TRUE(result.status.IsDeadlineExceeded());
 }
 
+TEST(CliqueMethod, SimilarityGraphAbove64MPairsIsRefused) {
+  // A ring of 12000 all-similar vertices is one k=2 component with about
+  // 72M vertex pairs: materializing its similarity graph is refused.
+  const VertexId n = 12000;
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  edges.reserve(n);
+  for (VertexId u = 0; u < n; ++u) edges.emplace_back(u, (u + 1) % n);
+  auto fixture = test::MakeGrouped(n, edges, std::vector<uint32_t>(n, 0));
+  auto oracle = fixture.MakeOracle();
+  CliqueMethodOptions copts;
+  copts.k = 2;
+  auto result = EnumerateByCliqueMethod(fixture.graph, oracle, copts);
+  EXPECT_TRUE(result.status.IsResourceExhausted());
+  EXPECT_TRUE(result.cores.empty());
+}
+
 }  // namespace
 }  // namespace krcore

@@ -87,24 +87,6 @@ TEST(InducedSubgraph, MapsIdsAndKeepsOnlyInternalEdges) {
   EXPECT_EQ(induced.to_parent[2], 3u);
 }
 
-TEST(Connectivity, SingleComponent) {
-  VertexId n = 0;
-  auto label = ConnectedComponents(Triangle(), &n);
-  EXPECT_EQ(n, 1u);
-  EXPECT_EQ(label[0], label[2]);
-}
-
-TEST(Connectivity, MultipleComponentsAndIsolated) {
-  Graph g = MakeGraph(5, {{0, 1}, {2, 3}});
-  VertexId n = 0;
-  auto label = ConnectedComponents(g, &n);
-  EXPECT_EQ(n, 3u);
-  EXPECT_EQ(label[0], label[1]);
-  EXPECT_EQ(label[2], label[3]);
-  EXPECT_NE(label[0], label[2]);
-  EXPECT_NE(label[4], label[0]);
-}
-
 TEST(Connectivity, SubsetComponents) {
   // 0-1-2-3-4 path; subset {0,1,3,4} splits into two.
   Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {3, 4}});

@@ -123,41 +123,5 @@ TEST(DegeneracyOrdering, IsPermutationAndRespectsDegeneracy) {
   }
 }
 
-TEST(AnchoredKCore, AnchorsAreExemptButCount) {
-  // Star: center 0, leaves 1..4; k=2. Without anchoring everything peels.
-  Graph g = MakeGraph(5, {{0, 1}, {0, 2}, {0, 3}, {0, 4}, {1, 2}});
-  // Anchor {0}; subset {1,2}: each of 1,2 has deg 2 (anchor + each other).
-  auto survivors = AnchoredKCore(g, {1, 2}, {0}, 2);
-  EXPECT_EQ(survivors, (std::vector<VertexId>{1, 2}));
-  // Subset {3,4}: only anchored neighbor 0; deg 1 < 2 -> both peel.
-  EXPECT_TRUE(AnchoredKCore(g, {3, 4}, {0}, 2).empty());
-}
-
-TEST(AnchoredKCore, CascadePropagates) {
-  // Chain where each vertex depends on the next: 0-1-2-3 with k=2 and
-  // extra edges making 1,2 initially degree 2.
-  Graph g = MakeGraph(5, {{0, 1}, {1, 2}, {2, 3}, {1, 4}, {2, 4}});
-  // No anchors, subset {0,1,2,3,4}, k=2: 0 and 3 peel (deg 1), then the rest
-  // retain degree 2 through the 1-2-4 triangle.
-  auto survivors = AnchoredKCore(g, {0, 1, 2, 3, 4}, {}, 2);
-  EXPECT_EQ(survivors, (std::vector<VertexId>{1, 2, 4}));
-}
-
-TEST(AnchoredKCore, EmptySubset) {
-  Graph g = MakeGraph(3, {{0, 1}, {1, 2}});
-  EXPECT_TRUE(AnchoredKCore(g, {}, {0, 1, 2}, 1).empty());
-}
-
-TEST(AnchoredKCore, MatchesPlainKCoreWithoutAnchors) {
-  for (uint64_t seed = 10; seed < 15; ++seed) {
-    Graph g = RandomGraph(40, 100, seed);
-    std::vector<VertexId> all(g.num_vertices());
-    for (VertexId u = 0; u < g.num_vertices(); ++u) all[u] = u;
-    for (uint32_t k = 1; k <= 4; ++k) {
-      EXPECT_EQ(AnchoredKCore(g, all, {}, k), KCoreVertices(g, k));
-    }
-  }
-}
-
 }  // namespace
 }  // namespace krcore

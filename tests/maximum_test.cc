@@ -38,6 +38,9 @@ TEST(Maximum, PicksLargerOfTwoGroups) {
   auto result = FindMaximumCore(fixture.graph, oracle, AdvMaxOptions(2));
   ASSERT_TRUE(result.status.ok());
   EXPECT_EQ(result.best, (VertexSet{4, 5, 6, 7, 8}));
+  // The maximum search runs no maximal check, so no core survived one.
+  EXPECT_EQ(result.stats.maximal_check_calls, 0u);
+  EXPECT_EQ(result.stats.maximal_found, 0u);
 }
 
 TEST(Maximum, EmptyWhenNoCore) {

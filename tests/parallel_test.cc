@@ -139,7 +139,7 @@ TEST(ParallelPipeline, ThreadCountDoesNotChangeComponents) {
   opts.k = 2;
   std::vector<ComponentContext> seq, par;
   ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &seq).ok());
-  opts.preprocess.num_threads = 4;
+  opts.num_threads = 4;
   ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &par).ok());
   ASSERT_EQ(seq.size(), par.size());
   for (size_t i = 0; i < seq.size(); ++i) {

@@ -121,24 +121,10 @@ TEST(Pipeline, DissimilarNonEdgesKept) {
       l0, (l0 + 1) % 4 == l2 ? (l0 + 2) % 4 : (l0 + 1) % 4));
 }
 
-TEST(Pipeline, ExplicitPairBudgetStillEnforced) {
-  // A positive budget keeps the legacy hard-refusal semantics for callers
-  // that want a latency guard; the default (0) is unlimited.
-  auto fixture = MakeGrouped(3, {{0, 1}, {1, 2}, {0, 2}}, {0, 0, 0});
-  auto oracle = fixture.MakeOracle();
-  PipelineOptions opts;
-  opts.k = 2;
-  opts.preprocess.max_pair_budget = 1;
-  std::vector<ComponentContext> comps;
-  EXPECT_TRUE(PrepareComponents(fixture.graph, oracle, opts, &comps)
-                  .IsResourceExhausted());
-}
-
-TEST(Pipeline, LargeComponentAboveLegacyBudgetIsHandled) {
+TEST(Pipeline, ComponentAbove64MPairsIsHandled) {
   // A ring of n vertices, all similar, is one k=2 component with
-  // n*(n-1)/2 pairwise evaluations — above the old hard-coded 64M-pair
-  // refusal threshold for n = 12000. The blocked builder must stream
-  // through it instead of refusing.
+  // n*(n-1)/2 pairwise evaluations — above 64M pairs for n = 12000. The
+  // join must stream through it instead of refusing.
   const VertexId n = 12000;
   std::vector<std::pair<VertexId, VertexId>> edges;
   edges.reserve(n);
@@ -197,30 +183,6 @@ TEST(Pipeline, ExpiredDeadlineAbortsPairSweep) {
   EXPECT_TRUE(PrepareComponents(fixture.graph, oracle, opts, &comps)
                   .IsDeadlineExceeded());
   EXPECT_TRUE(comps.empty());
-}
-
-TEST(Pipeline, TinyTilesMatchDefaultTiling) {
-  // The tiled evaluator must visit every unordered pair exactly once for
-  // any tile size.
-  auto dataset = test::MakeRandomGeo(40, 160, 9);
-  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.5);
-  PipelineOptions opts;
-  opts.k = 2;
-  std::vector<ComponentContext> base, tiled;
-  ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &base).ok());
-  opts.preprocess.tile_size = 3;
-  ASSERT_TRUE(PrepareComponents(dataset.graph, oracle, opts, &tiled).ok());
-  ASSERT_EQ(base.size(), tiled.size());
-  for (size_t i = 0; i < base.size(); ++i) {
-    ASSERT_EQ(base[i].size(), tiled[i].size());
-    EXPECT_EQ(base[i].num_dissimilar_pairs(), tiled[i].num_dissimilar_pairs());
-    for (VertexId u = 0; u < base[i].size(); ++u) {
-      auto a = base[i].dissimilar[u];
-      auto b = tiled[i].dissimilar[u];
-      ASSERT_TRUE(std::equal(a.begin(), a.end(), b.begin(), b.end()))
-          << "row " << u << " differs";
-    }
-  }
 }
 
 TEST(Pipeline, MaxDegreeOrdering) {

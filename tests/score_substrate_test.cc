@@ -414,44 +414,38 @@ Dataset InterleavedClusters(uint64_t seed) {
   return d;
 }
 
-/// Without the max-degree rule a cold preparation lists components by
-/// ascending minimum parent id; a derived workspace must too, whatever
-/// order its base was in.
-TEST(DeriveWorkspaceR, UnorderedDerivationKeepsColdComponentOrder) {
+/// A derived workspace lists its components in the cold preparation's
+/// order even where several components share a cell.
+TEST(DeriveWorkspaceR, DerivationKeepsColdComponentOrder) {
   auto dataset = InterleavedClusters(83);
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.4);
-  PipelineOptions unordered;
-  unordered.order_by_max_degree = false;
-  for (bool base_ordered : {true, false}) {
-    PipelineOptions base_opts;
-    base_opts.k = 2;
-    base_opts.score_cover = 0.2;
-    base_opts.order_by_max_degree = base_ordered;
-    PreparedWorkspace base;
-    ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, base_opts, &base).ok());
-    size_t multi_component_cells = 0;
-    for (uint32_t k : {2u, 3u, 4u}) {
-      for (double r : {0.4, 0.3, 0.2}) {
-        const std::string where =
-            "base ordered " + std::to_string(base_ordered) + ", cell (k=" +
-            std::to_string(k) + ", r=" + std::to_string(r) + ")";
-        PipelineOptions cold_opts = unordered;
-        cold_opts.k = k;
-        cold_opts.score_cover = 0.2;
-        PreparedWorkspace cold;
-        ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle.WithThreshold(r),
-                                     cold_opts, &cold)
-                        .ok())
-            << where;
-        PreparedWorkspace derived;
-        ASSERT_TRUE(DeriveWorkspace(base, k, r, unordered, &derived).ok())
-            << where;
-        EXPECT_EQ(test::DiffWorkspaces(derived, cold), "") << where;
-        multi_component_cells += cold.components.size() > 1;
-      }
+  PipelineOptions base_opts;
+  base_opts.k = 2;
+  base_opts.score_cover = 0.2;
+  PreparedWorkspace base;
+  ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle, base_opts, &base).ok());
+  size_t multi_component_cells = 0;
+  for (uint32_t k : {2u, 3u, 4u}) {
+    for (double r : {0.4, 0.3, 0.2}) {
+      const std::string where =
+          "cell (k=" + std::to_string(k) + ", r=" + std::to_string(r) + ")";
+      PipelineOptions cold_opts;
+      cold_opts.k = k;
+      cold_opts.score_cover = 0.2;
+      PreparedWorkspace cold;
+      ASSERT_TRUE(PrepareWorkspace(dataset.graph, oracle.WithThreshold(r),
+                                   cold_opts, &cold)
+                      .ok())
+          << where;
+      PreparedWorkspace derived;
+      ASSERT_TRUE(
+          DeriveWorkspace(base, k, r, PipelineOptions{}, &derived).ok())
+          << where;
+      EXPECT_EQ(test::DiffWorkspaces(derived, cold), "") << where;
+      multi_component_cells += cold.components.size() > 1;
     }
-    EXPECT_GT(multi_component_cells, 0u) << "the order was never exercised";
   }
+  EXPECT_GT(multi_component_cells, 0u) << "the order was never exercised";
 }
 
 TEST(DeriveWorkspaceR, OutOfIntervalAndUnscoredAreRejected) {

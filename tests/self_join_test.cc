@@ -37,7 +37,8 @@ struct JoinOutcome {
 JoinOutcome RunJoin(const SimilarityOracle& oracle, VertexId n,
                     JoinStrategy strategy,
                     double cover = std::numeric_limits<double>::quiet_NaN(),
-                    uint32_t threads = 1) {
+                    uint32_t threads = 1,
+                    VertexId tile_size = SelfJoinOptions{}.tile_size) {
   std::vector<VertexId> members(n);
   std::iota(members.begin(), members.end(), 0);
   DissimilarityIndex::Builder builder(n);
@@ -45,6 +46,7 @@ JoinOutcome RunJoin(const SimilarityOracle& oracle, VertexId n,
   options.strategy = strategy;
   options.score_cover = cover;
   options.num_threads = threads;
+  options.tile_size = tile_size;
   std::atomic<bool> aborted{false};
   JoinOutcome out;
   out.report = SelfJoinPairs(oracle, members, options, &aborted, &builder);
@@ -364,6 +366,29 @@ TEST(SelfJoin, NonFiniteCoordinatesFallBackToBrute) {
   EXPECT_FALSE(filtered.report.filtered);
   ExpectBruteAndFilteredIdentical(
       oracle, 50, std::numeric_limits<double>::quiet_NaN(), "non-finite");
+}
+
+TEST(SelfJoin, BruteTilingIsInvisible) {
+  // The brute sweep must visit every unordered pair exactly once for any
+  // tile size: 3-row tiles cut 40 members into 14 blocks, the last ragged.
+  constexpr VertexId kN = 40;
+  AttributeTable attrs = AttributeTable::ForGeo(RandomPoints(kN, 9));
+  SimilarityOracle oracle(&attrs, Metric::kEuclideanDistance, 0.5);
+  for (double cover : {std::numeric_limits<double>::quiet_NaN(), 0.3}) {
+    const std::string where = "cover=" + std::to_string(cover);
+    JoinOutcome whole = RunJoin(oracle, kN, JoinStrategy::kBrute, cover);
+    JoinOutcome tiled = RunJoin(oracle, kN, JoinStrategy::kBrute, cover,
+                                /*threads=*/1, /*tile_size=*/3);
+    ASSERT_FALSE(whole.aborted) << where;
+    ASSERT_FALSE(tiled.aborted) << where;
+    EXPECT_FALSE(whole.report.filtered) << where;
+    EXPECT_FALSE(tiled.report.filtered) << where;
+    ExpectCounterInvariants(tiled.report, kN, where + " tiled");
+    EXPECT_GT(whole.index.num_pairs(), 0u) << where;
+    EXPECT_EQ(whole.index.num_reserve_pairs() > 0, !std::isnan(cover))
+        << where;
+    ExpectIndexIdentical(whole.index, tiled.index, where);
+  }
 }
 
 // ---------------------------------------------------------------------------

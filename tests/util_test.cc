@@ -121,25 +121,6 @@ TEST(Rng, ShuffleIsPermutation) {
   EXPECT_EQ(v, orig);
 }
 
-TEST(Stats, AccumulatorBasics) {
-  StatsAccumulator acc;
-  acc.Add(1.0);
-  acc.Add(3.0);
-  acc.Add(5.0);
-  EXPECT_EQ(acc.count(), 3);
-  EXPECT_DOUBLE_EQ(acc.mean(), 3.0);
-  EXPECT_DOUBLE_EQ(acc.min(), 1.0);
-  EXPECT_DOUBLE_EQ(acc.max(), 5.0);
-  EXPECT_NEAR(acc.variance(), 8.0 / 3.0, 1e-9);
-}
-
-TEST(Stats, EmptyAccumulatorIsZero) {
-  StatsAccumulator acc;
-  EXPECT_EQ(acc.count(), 0);
-  EXPECT_EQ(acc.mean(), 0.0);
-  EXPECT_EQ(acc.stddev(), 0.0);
-}
-
 TEST(Stats, QuantileEndpointsAndMedian) {
   std::vector<double> v{5.0, 1.0, 3.0, 2.0, 4.0};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.0), 1.0);
@@ -150,17 +131,6 @@ TEST(Stats, QuantileEndpointsAndMedian) {
 TEST(Stats, QuantileInterpolates) {
   std::vector<double> v{0.0, 10.0};
   EXPECT_DOUBLE_EQ(Quantile(v, 0.25), 2.5);
-}
-
-TEST(Stats, HistogramBinsAndClamps) {
-  Histogram h(0.0, 10.0, 5);
-  h.Add(-1.0);   // clamped into bin 0
-  h.Add(0.5);
-  h.Add(9.9);
-  h.Add(25.0);   // clamped into last bin
-  EXPECT_EQ(h.total(), 4);
-  EXPECT_EQ(h.bin_count(0), 2);
-  EXPECT_EQ(h.bin_count(4), 2);
 }
 
 TEST(Timer, MeasuresElapsed) {

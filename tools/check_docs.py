@@ -1,7 +1,7 @@
 #!/usr/bin/env python3
 """Documentation consistency checks, run by the CI docs-check job.
 
-Four passes over README.md and docs/*.md:
+Five passes over README.md and docs/*.md:
 
 1. Relative markdown links resolve to files that exist.
 2. Every --flag used in a documented command line for one of this repo's
@@ -12,6 +12,10 @@ Four passes over README.md and docs/*.md:
 4. Every ``bench_*`` program a document names has a ``bench/<name>.cc``
    source, and every ``BENCH_*.json`` file it names exists at the repo
    root, so prose cannot outlive a deleted harness or baseline.
+5. Every backticked ``Type::member`` reference names a struct, class or
+   enum declared under src/ and a member declared in its body, so prose
+   cannot outlive a deleted option or method (``std::`` names are
+   skipped).
 
 Exit status is non-zero iff any check fails; findings are printed one per
 line as ``file: message``.
@@ -51,6 +55,8 @@ LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--([A-Za-z][A-Za-z0-9_]*)")
 BENCH_PROGRAM_RE = re.compile(r"\b(bench_[A-Za-z0-9_]+)")
 BENCH_JSON_RE = re.compile(r"\b(BENCH_[A-Za-z0-9_]+\.json)")
+MEMBER_REF_RE = re.compile(r"`([A-Za-z_][A-Za-z0-9_]*)::([A-Za-z_][A-Za-z0-9_]*)")
+COMMENT_RE = re.compile(r"//[^\n]*|/\*.*?\*/", re.S)
 
 
 def parsed_flags(rel_paths):
@@ -96,6 +102,47 @@ def check_bench_names(doc, text, problems):
         if not os.path.exists(os.path.join(REPO, name)):
             problems.append(f"{doc}: names {name}, which is not at the "
                             f"repo root")
+
+
+def source_texts():
+    """Every header and source under src/, with comments stripped."""
+    texts = []
+    for root, _, files in os.walk(os.path.join(REPO, "src")):
+        for f in sorted(files):
+            if f.endswith((".h", ".cc")):
+                with open(os.path.join(root, f), encoding="utf-8") as fh:
+                    texts.append(COMMENT_RE.sub("", fh.read()))
+    return texts
+
+
+def type_bodies(name, texts):
+    """The brace-delimited bodies of every struct/class/enum `name`
+    definition in `texts` (forward declarations have none)."""
+    decl = re.compile(r"\b(?:struct|class|enum)\s+" + re.escape(name) +
+                      r"\b[^;{()]*\{")
+    bodies = []
+    for text in texts:
+        for m in decl.finditer(text):
+            depth, i = 1, m.end()
+            while depth and i < len(text):
+                depth += {"{": 1, "}": -1}.get(text[i], 0)
+                i += 1
+            bodies.append(text[m.end():i])
+    return bodies
+
+
+def check_member_refs(doc, text, texts, problems):
+    for type_name, member in sorted(set(MEMBER_REF_RE.findall(text))):
+        if type_name == "std":
+            continue
+        bodies = type_bodies(type_name, texts)
+        if not bodies:
+            problems.append(f"{doc}: names {type_name}::{member}, but src/ "
+                            f"declares no type {type_name}")
+        elif not any(re.search(r"\b" + re.escape(member) + r"\b", b)
+                     for b in bodies):
+            problems.append(f"{doc}: names {type_name}::{member}, but "
+                            f"{type_name} declares no member {member}")
 
 
 def command_lines(text):
@@ -147,6 +194,7 @@ def check_documented_commands(doc, text, table, problems):
 def main():
     problems = []
     table = binary_flag_table()
+    texts = source_texts()
 
     documented_flags = set()
     for doc in DOC_FILES:
@@ -156,6 +204,7 @@ def main():
         check_links(doc, text, problems)
         check_documented_commands(doc, text, table, problems)
         check_bench_names(doc, text, problems)
+        check_member_refs(doc, text, texts, problems)
 
     for binary in MUST_DOCUMENT:
         for flag in sorted(table[binary]):
