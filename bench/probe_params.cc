@@ -16,6 +16,7 @@
 #include "core/pipeline.h"
 #include "graph/graph_builder.h"
 #include "kcore/core_decomposition.h"
+#include "similarity/threshold.h"
 #include "util/options.h"
 
 using namespace krcore;
@@ -26,6 +27,12 @@ int main(int argc, char** argv) {
   std::string name = options.GetString("dataset", "dblp");
   uint32_t k = static_cast<uint32_t>(options.GetInt("k", 5));
 
+  const double permille = options.GetDouble("permille", 3.0);
+  if (Status s = CheckPermille(permille); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.message().c_str());
+    return 1;
+  }
+
   const Dataset& d = GetDataset(name, env);
   std::printf("%s\n", d.StatsString().c_str());
 
@@ -33,7 +40,6 @@ int main(int argc, char** argv) {
   if (options.Has("r_km")) {
     r = options.GetDouble("r_km", 100.0);
   } else {
-    double permille = options.GetDouble("permille", 3.0);
     r = ResolveThresholdPermille(d, permille);
     std::printf("top %.1f permille threshold -> r = %.4f\n", permille, r);
   }
@@ -64,7 +70,7 @@ int main(int argc, char** argv) {
   Status s = PrepareComponents(d.graph, oracle, popts, &comps, &report);
   std::printf("pipeline status: %s\n", s.ToString().c_str());
   if (!s.ok()) return 1;
-  std::printf("preprocess: %s\n", report.ToString().c_str());
+  std::printf("preprocess: %s\n", report.ToJson().c_str());
   uint64_t total_vertices = 0, total_dis = 0;
   VertexId biggest = 0;
   for (const auto& c : comps) {
@@ -85,14 +91,14 @@ int main(int argc, char** argv) {
     auto result = EnumerateMaximalCores(d.graph, oracle, eopts);
     std::printf("%s: %s, %zu cores\n  stats: %s\n", variant.c_str(),
                 result.status.ToString().c_str(), result.cores.size(),
-                result.stats.ToString().c_str());
+                result.stats.ToJson().c_str());
   } else if (run == "max") {
     std::string variant = options.GetString("variant", "AdvMax");
     MaxOptions mopts = MakeMaxVariant(variant, k, env.timeout_seconds);
     auto result = FindMaximumCore(d.graph, oracle, mopts);
     std::printf("%s: %s, |max|=%zu\n  stats: %s\n", variant.c_str(),
                 result.status.ToString().c_str(), result.best.size(),
-                result.stats.ToString().c_str());
+                result.stats.ToJson().c_str());
   }
   return 0;
 }

@@ -24,6 +24,10 @@ int main(int argc, char** argv) {
   uint32_t k = static_cast<uint32_t>(options.GetInt("k", 10));
   double permille = options.GetDouble("permille", 3.0);
   uint64_t seed = options.GetInt("seed", 2);
+  if (Status s = CheckPermille(permille); !s.ok()) {
+    std::fprintf(stderr, "error: %s\n", s.message().c_str());
+    return 1;
+  }
 
   CoAuthorConfig config;
   config.num_vertices = n;

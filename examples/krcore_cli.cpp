@@ -304,10 +304,8 @@ int main(int argc, char** argv) {
     return Fail("unknown --join (use filtered or brute)");
   }
   if (options.Has("permille")) {
-    const double permille = options.GetDouble("permille", 3.0);
-    if (!(permille > 0.0 && permille < 1000.0)) {
-      return Fail("--permille must lie strictly between 0 and 1000");
-    }
+    Status s = CheckPermille(options.GetDouble("permille", 3.0));
+    if (!s.ok()) return Fail(s.message());
   }
 
   auto MakeEnumOptions = [&](uint32_t k) {
@@ -365,14 +363,14 @@ int main(int argc, char** argv) {
       auto result = EnumerateMaximalCores(components, MakeEnumOptions(k));
       std::fprintf(stderr, "status: %s; %zu maximal (%u,r)-cores; %s\n",
                    result.status.ToString().c_str(), result.cores.size(), k,
-                   result.stats.ToString().c_str());
+                   result.stats.ToJson().c_str());
       for (const auto& core : result.cores) PrintCore(core);
       return result.status.ok() ? 0 : 2;
     }
     auto result = FindMaximumCore(components, MakeMaxOptions(k));
     std::fprintf(stderr, "status: %s; |maximum| = %zu; %s\n",
                  result.status.ToString().c_str(), result.best.size(),
-                 result.stats.ToString().c_str());
+                 result.stats.ToJson().c_str());
     if (!result.best.empty()) PrintCore(result.best);
     return result.status.ok() ? 0 : 2;
   };
@@ -624,13 +622,13 @@ int main(int argc, char** argv) {
       if (!s.ok()) return Fail(s.ToString());
       std::fprintf(stderr, "batch %zu (version %llu): %s\n", b + 1,
                    (unsigned long long)ws.version,
-                   report.ToString().c_str());
+                   report.ToJson().c_str());
       WriteVersionHeader(ws.version);
       int batch_code = MineComponents(ws.components, k);
       if (exit_code == 0) exit_code = batch_code;
     }
     const UpdateReport& total = updater.cumulative();
-    std::fprintf(stderr, "updates total: %s\n", total.ToString().c_str());
+    std::fprintf(stderr, "updates total: %s\n", total.ToJson().c_str());
     if (options.Has("snapshot_out")) {
       const std::string path = options.GetString("snapshot_out", "");
       s = SaveWorkspaceSnapshot(ws, path);
@@ -716,7 +714,7 @@ int main(int argc, char** argv) {
     s = SaveWorkspaceSnapshot(ws, path);
     if (!s.ok()) return Fail(s.ToString());
     std::fprintf(stderr, "saved workspace to %s (%s)\n", path.c_str(),
-                 report.ToString().c_str());
+                 report.ToJson().c_str());
     return MineComponents(ws.components, k);
   }
 
@@ -725,14 +723,14 @@ int main(int argc, char** argv) {
         EnumerateMaximalCores(dataset.graph, oracle, MakeEnumOptions(k));
     std::fprintf(stderr, "status: %s; %zu maximal (%u,r)-cores; %s\n",
                  result.status.ToString().c_str(), result.cores.size(), k,
-                 result.stats.ToString().c_str());
+                 result.stats.ToJson().c_str());
     for (const auto& core : result.cores) PrintCore(core);
     return result.status.ok() ? 0 : 2;
   }
   auto result = FindMaximumCore(dataset.graph, oracle, MakeMaxOptions(k));
   std::fprintf(stderr, "status: %s; |maximum| = %zu; %s\n",
                result.status.ToString().c_str(), result.best.size(),
-               result.stats.ToString().c_str());
+               result.stats.ToJson().c_str());
   if (!result.best.empty()) PrintCore(result.best);
   return result.status.ok() ? 0 : 2;
 }

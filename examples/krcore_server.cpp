@@ -121,25 +121,8 @@ int main(int argc, char** argv) {
     if (Status s = registry.AddFromSnapshot(name, path, mode); !s.ok()) {
       return Fail("loading '" + name + "' from " + path + ": " + s.message());
     }
-    auto ws = registry.Find(name);
-    std::string cover_note =
-        ws->score_cover != ws->threshold
-            ? " (scores cover r=" + std::to_string(ws->score_cover) + ")"
-            : "";
-    WorkspaceRegistry::Entry reg_entry;
-    for (auto& e : registry.List()) {
-      if (e.name == name) reg_entry = e;
-    }
-    std::fprintf(stderr,
-                 "registered '%s': k=%u r=%g%s version=%llu, "
-                 "%zu components, %u vertices "
-                 "(snapshot v%u, %s%s, %.3fs load)\n",
-                 name.c_str(), ws->k, ws->threshold, cover_note.c_str(),
-                 (unsigned long long)ws->version, ws->components.size(),
-                 (unsigned)ws->num_vertices(), reg_entry.snapshot_version,
-                 reg_entry.lazy_loaded ? "lazy" : "eager",
-                 reg_entry.mapped ? " mmap" : "", reg_entry.load_seconds);
   }
+  std::fprintf(stderr, "registered: %s\n", RegistryListJson(registry).c_str());
   // Single-workspace ergonomics: requests that omit ws= target "default",
   // so point it at the first snapshot unless the user named one that.
   if (!registry.Find("default")) {
@@ -173,14 +156,7 @@ int main(int argc, char** argv) {
   SessionReport report = ServeSession(&server, &registry, *in, std::cout);
   server.Stop();
 
-  std::fprintf(stderr,
-               "session: %llu lines, %llu queries, %llu responses, "
-               "%llu parse errors, %llu admin commands\n",
-               (unsigned long long)report.lines_read,
-               (unsigned long long)report.queries_submitted,
-               (unsigned long long)report.responses_written,
-               (unsigned long long)report.parse_errors,
-               (unsigned long long)report.admin_commands);
+  std::fprintf(stderr, "session: %s\n", report.ToJson().c_str());
   if (options.GetBool("stats", false)) {
     std::fprintf(stderr, "%s\n", server.Stats().ToJson().c_str());
   }

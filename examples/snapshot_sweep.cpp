@@ -42,7 +42,7 @@ int main() {
     return 1;
   }
   std::printf("prepared k=%u r=%g: %s\n", workspace.k, workspace.threshold,
-              report.ToString().c_str());
+              report.ToJson().c_str());
 
   const char* path = "snapshot_sweep_demo.krws";
   s = SaveWorkspaceSnapshot(workspace, path);

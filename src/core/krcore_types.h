@@ -6,6 +6,7 @@
 #include <vector>
 
 #include "graph/graph.h"
+#include "util/field_table.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -102,7 +103,37 @@ struct MiningStats {
   /// must be accumulated explicitly by the caller instead (the drivers
   /// overwrite `seconds` from a single Timer for exactly this reason).
   void MergeFrom(const MiningStats& other);
-  std::string ToString() const;
+  std::string ToJson() const { return FieldsJson(*this); }
+
+  static constexpr auto Fields() {
+    using S = MiningStats;
+    return std::tuple{
+        Field{"search_nodes", &S::search_nodes},
+        Field{"expand_branches", &S::expand_branches},
+        Field{"shrink_branches", &S::shrink_branches},
+        Field{"emitted_candidates", &S::emitted_candidates},
+        Field{"maximal_found", &S::maximal_found},
+        Field{"early_terminations", &S::early_terminations},
+        Field{"bound_prunes", &S::bound_prunes},
+        Field{"bound_naive_prunes", &S::bound_naive_prunes},
+        Field{"bound_cache_hits", &S::bound_cache_hits},
+        Field{"bound_expensive_prunes", &S::bound_expensive_prunes},
+        Field{"bound_recomputes", &S::bound_recomputes},
+        Field{"promotions", &S::promotions},
+        Field{"maximal_check_calls", &S::maximal_check_calls},
+        Field{"maximal_check_nodes", &S::maximal_check_nodes},
+        Field{"components", &S::components},
+        Field{"tasks_spawned", &S::tasks_spawned},
+        Field{"task_steals", &S::task_steals},
+        Field{"prepare_pair_sweeps", &S::prepare_pair_sweeps},
+        Field{"prepare_derivations", &S::prepare_derivations},
+        Field{"oracle_calls", &S::oracle_calls},
+        Field{"derive_r_restrictions", &S::derive_r_restrictions},
+        Field{"score_filtered_pairs", &S::score_filtered_pairs},
+        Field{"prepare_seconds", &S::prepare_seconds, Merge::kMax},
+        Field{"seconds", &S::seconds, Merge::kMax},
+    };
+  }
 };
 
 /// Result of enumerating maximal (k,r)-cores. On DeadlineExceeded the cores

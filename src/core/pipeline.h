@@ -15,6 +15,7 @@
 #include "similarity/join/self_join.h"
 #include "similarity/similarity_oracle.h"
 #include "util/array_ref.h"
+#include "util/field_table.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -173,7 +174,27 @@ struct PreprocessReport {
   uint64_t peak_bytes = 0;
   double seconds = 0.0;
 
-  std::string ToString() const;
+  std::string ToJson() const { return FieldsJson(*this); }
+
+  static constexpr auto Fields() {
+    using S = PreprocessReport;
+    return std::tuple{
+        Field{"components", &S::components},
+        Field{"vertices", &S::vertices},
+        Field{"edges", &S::edges},
+        Field{"pairs_evaluated", &S::pairs_evaluated},
+        Field{"candidate_pairs", &S::candidate_pairs},
+        Field{"pruned_pairs", &S::pruned_pairs},
+        Field{"oracle_calls", &S::oracle_calls},
+        Field{"dissimilar_pairs", &S::dissimilar_pairs},
+        Field{"reserve_pairs", &S::reserve_pairs},
+        Field{"score_filtered_pairs", &S::score_filtered_pairs},
+        Field{"dissimilar_density", &S::dissimilar_density},
+        Field{"index_bytes", &S::index_bytes},
+        Field{"peak_bytes", &S::peak_bytes},
+        Field{"seconds", &S::seconds},
+    };
+  }
 };
 
 /// Runs the shared preprocessing of Algorithm 1 (lines 1-4): removes edges

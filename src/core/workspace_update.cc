@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <atomic>
 #include <deque>
-#include <sstream>
 #include <utility>
 
 #include "graph/graph_builder.h"
@@ -34,33 +33,7 @@ bool EraseSorted(std::vector<VertexId>& row, VertexId v) {
 }  // namespace
 
 void UpdateReport::MergeFrom(const UpdateReport& other) {
-  batches += other.batches;
-  updates_applied += other.updates_applied;
-  sim_edges_added += other.sim_edges_added;
-  sim_edges_removed += other.sim_edges_removed;
-  vertices_peeled += other.vertices_peeled;
-  vertices_promoted += other.vertices_promoted;
-  components_reused += other.components_reused;
-  components_rebuilt += other.components_rebuilt;
-  rows_rebuilt += other.rows_rebuilt;
-  pairs_from_cache += other.pairs_from_cache;
-  pairs_from_oracle += other.pairs_from_oracle;
-  fallback_rebuilds += other.fallback_rebuilds;
-  rolled_back_batches += other.rolled_back_batches;
-  seconds += other.seconds;
-}
-
-std::string UpdateReport::ToString() const {
-  std::ostringstream os;
-  os << "batches=" << batches << " updates=" << updates_applied
-     << " sim+=" << sim_edges_added << " sim-=" << sim_edges_removed
-     << " peeled=" << vertices_peeled << " promoted=" << vertices_promoted
-     << " reused=" << components_reused << " rebuilt=" << components_rebuilt
-     << " rows=" << rows_rebuilt << " cached_pairs=" << pairs_from_cache
-     << " oracle_pairs=" << pairs_from_oracle
-     << " fallbacks=" << fallback_rebuilds
-     << " rolled_back=" << rolled_back_batches << " sec=" << seconds;
-  return os.str();
+  MergeFields(other, this);
 }
 
 WorkspaceUpdater::WorkspaceUpdater(const Graph& g,

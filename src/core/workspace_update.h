@@ -11,6 +11,7 @@
 #include "core/pipeline.h"
 #include "graph/graph.h"
 #include "similarity/similarity_oracle.h"
+#include "util/field_table.h"
 #include "util/status.h"
 #include "util/timer.h"
 
@@ -109,8 +110,29 @@ struct UpdateReport {
   uint64_t rolled_back_batches = 0;  // batches aborted and fully undone
   double seconds = 0.0;
 
+  /// Sums every field (batches run one after another, so `seconds` adds).
   void MergeFrom(const UpdateReport& other);
-  std::string ToString() const;
+  std::string ToJson() const { return FieldsJson(*this); }
+
+  static constexpr auto Fields() {
+    using S = UpdateReport;
+    return std::tuple{
+        Field{"batches", &S::batches},
+        Field{"updates_applied", &S::updates_applied},
+        Field{"sim_edges_added", &S::sim_edges_added},
+        Field{"sim_edges_removed", &S::sim_edges_removed},
+        Field{"vertices_peeled", &S::vertices_peeled},
+        Field{"vertices_promoted", &S::vertices_promoted},
+        Field{"components_reused", &S::components_reused},
+        Field{"components_rebuilt", &S::components_rebuilt},
+        Field{"rows_rebuilt", &S::rows_rebuilt},
+        Field{"pairs_from_cache", &S::pairs_from_cache},
+        Field{"pairs_from_oracle", &S::pairs_from_oracle},
+        Field{"fallback_rebuilds", &S::fallback_rebuilds},
+        Field{"rolled_back_batches", &S::rolled_back_batches},
+        Field{"seconds", &S::seconds},
+    };
+  }
 };
 
 /// Binds a PreparedWorkspace to the graph it was prepared from and keeps it

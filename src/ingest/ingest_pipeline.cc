@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <sstream>
 #include <utility>
 
 #include "snapshot/workspace_snapshot.h"
@@ -26,34 +25,11 @@ double IngestStatsSnapshot::UpdatesPerSecond() const {
 }
 
 std::string IngestStatsSnapshot::ToJson() const {
-  std::ostringstream out;
-  out << "{";
-  out << "\"submitted_batches\":" << submitted_batches;
-  out << ",\"submitted_updates\":" << submitted_updates;
-  out << ",\"rejected_updates\":" << rejected_updates;
-  out << ",\"merged_updates\":" << merged_updates;
-  out << ",\"annihilated_updates\":" << annihilated_updates;
-  out << ",\"dropped_noop_updates\":" << dropped_noop_updates;
-  out << ",\"emitted_updates\":" << emitted_updates;
-  out << ",\"applied_batches\":" << applied_batches;
-  out << ",\"rolled_back_batches\":" << rolled_back_batches;
-  out << ",\"fallback_rebuilds\":" << fallback_rebuilds;
-  out << ",\"apply_seconds\":" << JsonDouble(apply_seconds);
-  out << ",\"publishes\":" << publishes;
-  out << ",\"publish_seconds\":" << JsonDouble(publish_seconds);
-  out << ",\"published_epoch\":" << published_epoch;
-  out << ",\"published_stream_batches\":" << published_stream_batches;
-  out << ",\"published_stream_updates\":" << published_stream_updates;
-  out << ",\"checkpoints_written\":" << checkpoints_written;
-  out << ",\"checkpoint_failures\":" << checkpoint_failures;
-  out << ",\"queued_updates\":" << queued_updates;
-  out << ",\"batch_target\":" << batch_target;
-  out << ",\"staleness_batches\":" << staleness_batches;
-  out << ",\"staleness_seconds\":" << JsonDouble(staleness_seconds);
-  out << ",\"max_staleness_seconds\":" << JsonDouble(max_staleness_seconds);
-  out << ",\"updates_per_second\":" << JsonDouble(UpdatesPerSecond());
-  out << "}";
-  return out.str();
+  JsonWriter out;
+  WriteFields(*this, &out.BeginObject());
+  return out.Member("updates_per_second", UpdatesPerSecond())
+      .EndObject()
+      .Take();
 }
 
 IngestPipeline::IngestPipeline(LiveWorkspace* live,

@@ -13,6 +13,7 @@
 #include "core/workspace_update.h"
 #include "ingest/edge_coalescer.h"
 #include "ingest/live_workspace.h"
+#include "util/field_table.h"
 #include "util/status.h"
 
 namespace krcore {
@@ -94,7 +95,37 @@ struct IngestStatsSnapshot {
   /// writer busy time (apply + publish). 0 before the first repair.
   double UpdatesPerSecond() const;
 
+  /// The Fields() object plus the computed `updates_per_second`.
   std::string ToJson() const;
+
+  static constexpr auto Fields() {
+    using S = IngestStatsSnapshot;
+    return std::tuple{
+        Field{"submitted_batches", &S::submitted_batches},
+        Field{"submitted_updates", &S::submitted_updates},
+        Field{"rejected_updates", &S::rejected_updates},
+        Field{"merged_updates", &S::merged_updates},
+        Field{"annihilated_updates", &S::annihilated_updates},
+        Field{"dropped_noop_updates", &S::dropped_noop_updates},
+        Field{"emitted_updates", &S::emitted_updates},
+        Field{"applied_batches", &S::applied_batches},
+        Field{"rolled_back_batches", &S::rolled_back_batches},
+        Field{"fallback_rebuilds", &S::fallback_rebuilds},
+        Field{"apply_seconds", &S::apply_seconds},
+        Field{"publishes", &S::publishes},
+        Field{"publish_seconds", &S::publish_seconds},
+        Field{"published_epoch", &S::published_epoch},
+        Field{"published_stream_batches", &S::published_stream_batches},
+        Field{"published_stream_updates", &S::published_stream_updates},
+        Field{"checkpoints_written", &S::checkpoints_written},
+        Field{"checkpoint_failures", &S::checkpoint_failures},
+        Field{"queued_updates", &S::queued_updates},
+        Field{"batch_target", &S::batch_target},
+        Field{"staleness_batches", &S::staleness_batches},
+        Field{"staleness_seconds", &S::staleness_seconds},
+        Field{"max_staleness_seconds", &S::max_staleness_seconds},
+    };
+  }
 };
 
 /// The continuous-ingestion driver: a dedicated writer thread that drains

@@ -155,51 +155,43 @@ Status ParseRequestLine(const std::string& line, QueryRequest* out,
 }
 
 std::string SerializeResponse(const QueryResponse& response) {
-  std::string out = "{\"id\":\"" + JsonEscape(response.id) + "\"";
-  out += ",\"status\":\"";
-  out += StatusCodeName(response.status.code());
-  out += "\"";
+  JsonWriter out;
+  out.BeginObject()
+      .Member("id", response.id)
+      .Member("status", StatusCodeName(response.status.code()));
   if (!response.status.ok()) {
-    out += ",\"error\":\"" + JsonEscape(response.status.message()) + "\"";
+    out.Member("error", response.status.message());
   }
-  out += ",\"op\":\"";
-  out += QueryKindName(response.kind);
-  out += "\",\"k\":" + std::to_string(response.k);
-  out += ",\"r\":" + JsonDouble(response.r);
+  out.Member("op", QueryKindName(response.kind))
+      .Member("k", response.k)
+      .Member("r", response.r);
   if (response.status.ok() || response.status.IsDeadlineExceeded()) {
-    out += ",\"version\":" + std::to_string(response.workspace_version);
+    out.Member("version", response.workspace_version);
     if (response.live) {
-      out += ",\"epoch\":" + std::to_string(response.epoch);
-      out += ",\"staleness_batches\":" +
-             std::to_string(response.staleness_batches);
-      out += ",\"staleness_seconds\":" +
-             JsonDouble(response.staleness_seconds);
+      out.Member("epoch", response.epoch)
+          .Member("staleness_batches", response.staleness_batches)
+          .Member("staleness_seconds", response.staleness_seconds);
     }
-    out += ",\"count\":" + std::to_string(response.count);
+    out.Member("count", response.count);
     if (response.kind == QueryKind::kDerive) {
-      out += ",\"components\":" + std::to_string(response.num_components);
+      out.Member("components", response.num_components);
     } else {
-      out += ",\"cores\":[";
-      for (size_t i = 0; i < response.cores.size(); ++i) {
-        if (i) out += ',';
-        out += '[';
-        for (size_t j = 0; j < response.cores[i].size(); ++j) {
-          if (j) out += ',';
-          out += std::to_string(response.cores[i][j]);
-        }
-        out += ']';
+      out.Key("cores").BeginArray();
+      for (const VertexSet& core : response.cores) {
+        out.BeginArray();
+        for (VertexId v : core) out.Value(v);
+        out.EndArray();
       }
-      out += ']';
+      out.EndArray();
     }
-    out += ",\"search_nodes\":" + std::to_string(response.stats.search_nodes);
+    out.Member("search_nodes", response.stats.search_nodes);
   }
-  out += ",\"coalesced\":";
-  out += response.coalesced ? "true" : "false";
-  out += ",\"wait_seconds\":" + JsonDouble(response.wait_seconds);
-  out += ",\"derive_seconds\":" + JsonDouble(response.derive_seconds);
-  out += ",\"mine_seconds\":" + JsonDouble(response.mine_seconds);
-  out += "}";
-  return out;
+  out.Member("coalesced", response.coalesced)
+      .Member("wait_seconds", response.wait_seconds)
+      .Member("derive_seconds", response.derive_seconds)
+      .Member("mine_seconds", response.mine_seconds)
+      .EndObject();
+  return out.Take();
 }
 
 }  // namespace krcore

@@ -29,58 +29,17 @@ std::string CoalesceKey(const QueryRequest& request) {
          '\x1f' + std::to_string(request.limit);
 }
 
-void AppendStage(std::string* out, const char* name,
-                 const ServerStageStats& s) {
-  *out += "\"";
-  *out += name;
-  *out += "\":{\"entered\":" + std::to_string(s.entered) +
-          ",\"completed\":" + std::to_string(s.completed) +
-          ",\"failed\":" + std::to_string(s.failed) +
-          ",\"wait_seconds\":" + JsonDouble(s.wait_seconds) +
-          ",\"service_seconds\":" + JsonDouble(s.service_seconds) +
-          ",\"max_queue_depth\":" + std::to_string(s.max_queue_depth) + "}";
-}
-
 }  // namespace
 
 std::string ServerStatsSnapshot::ToJson() const {
-  std::string out = "{";
-  out += "\"received\":" + std::to_string(received);
-  out += ",\"admitted\":" + std::to_string(admitted);
-  out += ",\"coalesce_hits\":" + std::to_string(coalesce_hits);
-  out += ",\"rejected_queue_full\":" + std::to_string(rejected_queue_full);
-  out += ",\"rejected_unservable\":" + std::to_string(rejected_unservable);
-  out += ",\"deadline_expired\":" + std::to_string(deadline_expired);
-  out += ",\"injected_faults\":" + std::to_string(injected_faults);
-  out += ",\"completed_ok\":" + std::to_string(completed_ok);
-  out += ",\"queue_depth\":" + std::to_string(queue_depth);
-  out += ",";
-  AppendStage(&out, "derive", derive);
-  out += ",";
-  AppendStage(&out, "mine", mine);
-  out += ",\"workspaces\":[";
-  bool first = true;
-  for (const auto& w : workspaces) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(w.name) + "\"";
-    out += ",\"snapshot_version\":" + std::to_string(w.snapshot_version);
-    out += ",\"load_seconds\":" + JsonDouble(w.load_seconds);
-    out += ",\"lazy\":";
-    out += w.lazy_loaded ? "true" : "false";
-    out += ",\"mapped\":";
-    out += w.mapped ? "true" : "false";
-    out += ",\"live\":";
-    out += w.live ? "true" : "false";
-    if (w.live) {
-      out += ",\"epoch\":" + std::to_string(w.epoch);
-      out += ",\"staleness_batches\":" + std::to_string(w.staleness_batches);
-      out += ",\"staleness_seconds\":" + JsonDouble(w.staleness_seconds);
-    }
-    out += "}";
-  }
-  out += "]}";
-  return out;
+  JsonWriter out;
+  WriteFields(*this, &out.BeginObject());
+  WriteFields(derive, &out.Key("derive").BeginObject());
+  out.EndObject();
+  WriteFields(mine, &out.Key("mine").BeginObject());
+  out.EndObject().Key("workspaces").BeginArray();
+  for (const auto& entry : workspaces) AppendEntryJson(entry, &out);
+  return out.EndArray().EndObject().Take();
 }
 
 QueryServer::QueryServer(const WorkspaceRegistry* registry,

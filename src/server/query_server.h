@@ -18,6 +18,7 @@
 #include "core/parallel.h"
 #include "server/protocol.h"
 #include "server/workspace_registry.h"
+#include "util/field_table.h"
 #include "util/status.h"
 
 namespace krcore {
@@ -55,6 +56,18 @@ struct ServerStageStats {
   double wait_seconds = 0.0;     // summed time jobs sat queued before it
   double service_seconds = 0.0;  // summed stage execution time
   uint64_t max_queue_depth = 0;  // high-water mark of its input queue
+
+  static constexpr auto Fields() {
+    using S = ServerStageStats;
+    return std::tuple{
+        Field{"entered", &S::entered},
+        Field{"completed", &S::completed},
+        Field{"failed", &S::failed},
+        Field{"wait_seconds", &S::wait_seconds},
+        Field{"service_seconds", &S::service_seconds},
+        Field{"max_queue_depth", &S::max_queue_depth},
+    };
+  }
 };
 
 /// One consistent snapshot of the server's counters.
@@ -75,8 +88,24 @@ struct ServerStatsSnapshot {
   std::vector<WorkspaceRegistry::Entry> workspaces;
 
   /// The JSON stats dump (one object, stable key order), served by the
-  /// transport's `stats` command and krcore_server --stats.
+  /// transport's `stats` command and krcore_server --stats: the Fields()
+  /// counters, then `derive`, `mine` and the `workspaces` entries.
   std::string ToJson() const;
+
+  static constexpr auto Fields() {
+    using S = ServerStatsSnapshot;
+    return std::tuple{
+        Field{"received", &S::received},
+        Field{"admitted", &S::admitted},
+        Field{"coalesce_hits", &S::coalesce_hits},
+        Field{"rejected_queue_full", &S::rejected_queue_full},
+        Field{"rejected_unservable", &S::rejected_unservable},
+        Field{"deadline_expired", &S::deadline_expired},
+        Field{"injected_faults", &S::injected_faults},
+        Field{"completed_ok", &S::completed_ok},
+        Field{"queue_depth", &S::queue_depth},
+    };
+  }
 };
 
 /// The long-lived query server: a staged executor over a WorkspaceRegistry.

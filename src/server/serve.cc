@@ -28,32 +28,11 @@ std::string TrimmedView(const std::string& line) {
 }  // namespace
 
 std::string RegistryListJson(const WorkspaceRegistry& registry) {
-  std::string out = "[";
-  bool first = true;
-  for (const auto& e : registry.List()) {
-    if (!first) out += ',';
-    first = false;
-    out += "{\"name\":\"" + JsonEscape(e.name) + "\"";
-    out += ",\"k\":" + std::to_string(e.k);
-    out += ",\"r\":" + JsonDouble(e.threshold);
-    out += ",\"cover\":" + JsonDouble(e.score_cover);
-    out += ",\"scored\":";
-    out += e.score_cover != e.threshold ? "true" : "false";
-    out += ",\"distance_metric\":";
-    out += e.is_distance ? "true" : "false";
-    out += ",\"version\":" + std::to_string(e.version);
-    out += ",\"components\":" + std::to_string(e.num_components);
-    out += ",\"vertices\":" + std::to_string(e.num_vertices);
-    out += ",\"snapshot_version\":" + std::to_string(e.snapshot_version);
-    out += ",\"load_seconds\":" + JsonDouble(e.load_seconds);
-    out += ",\"lazy\":";
-    out += e.lazy_loaded ? "true" : "false";
-    out += ",\"mapped\":";
-    out += e.mapped ? "true" : "false";
-    out += "}";
-  }
-  out += "]";
-  return out;
+  JsonWriter out;
+  out.BeginArray();
+  for (const auto& entry : registry.List()) AppendEntryJson(entry, &out);
+  out.EndArray();
+  return out.Take();
 }
 
 SessionReport ServeSession(QueryServer* server,
@@ -88,7 +67,7 @@ SessionReport ServeSession(QueryServer* server,
       } else if (trimmed == "list") {
         out << RegistryListJson(*registry) << '\n';
       } else if (trimmed == "ping") {
-        out << "{\"pong\":true}" << '\n';
+        out << R"({"pong":true})" << '\n';
       } else {
         out.flush();
         return report;

@@ -7,6 +7,7 @@
 
 #include "server/query_server.h"
 #include "server/workspace_registry.h"
+#include "util/field_table.h"
 #include "util/status.h"
 
 namespace krcore {
@@ -19,6 +20,19 @@ struct SessionReport {
   uint64_t responses_written = 0;
   uint64_t parse_errors = 0;
   uint64_t admin_commands = 0;
+
+  std::string ToJson() const { return FieldsJson(*this); }
+
+  static constexpr auto Fields() {
+    using S = SessionReport;
+    return std::tuple{
+        Field{"lines_read", &S::lines_read},
+        Field{"queries_submitted", &S::queries_submitted},
+        Field{"responses_written", &S::responses_written},
+        Field{"parse_errors", &S::parse_errors},
+        Field{"admin_commands", &S::admin_commands},
+    };
+  }
 };
 
 /// Drives a QueryServer over a newline-delimited byte-stream transport:
@@ -43,8 +57,7 @@ SessionReport ServeSession(QueryServer* server,
                            std::istream& in, std::ostream& out);
 
 /// The registry listing the `list` command writes: a JSON array with one
-/// object per registered workspace (name, k, serving interval, version,
-/// component/vertex counts).
+/// object per registered workspace, written by AppendEntryJson.
 std::string RegistryListJson(const WorkspaceRegistry& registry);
 
 }  // namespace krcore

@@ -206,4 +206,28 @@ size_t WorkspaceRegistry::size() const {
   return entries_.size();
 }
 
+void AppendEntryJson(const WorkspaceRegistry::Entry& e, JsonWriter* out) {
+  out->BeginObject()
+      .Member("name", e.name)
+      .Member("k", e.k)
+      .Member("r", e.threshold)
+      .Member("cover", e.score_cover)
+      .Member("scored", e.score_cover != e.threshold)
+      .Member("distance_metric", e.is_distance)
+      .Member("version", e.version)
+      .Member("components", e.num_components)
+      .Member("vertices", e.num_vertices)
+      .Member("snapshot_version", e.snapshot_version)
+      .Member("load_seconds", e.load_seconds)
+      .Member("lazy", e.lazy_loaded)
+      .Member("mapped", e.mapped)
+      .Member("live", e.live);
+  if (e.live) {
+    out->Member("epoch", e.epoch)
+        .Member("staleness_batches", e.staleness_batches)
+        .Member("staleness_seconds", e.staleness_seconds);
+  }
+  out->EndObject();
+}
+
 }  // namespace krcore

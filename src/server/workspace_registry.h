@@ -10,6 +10,7 @@
 
 #include "core/pipeline.h"
 #include "ingest/live_workspace.h"
+#include "util/json.h"
 #include "util/status.h"
 
 namespace krcore {
@@ -151,6 +152,11 @@ class WorkspaceRegistry {
   mutable std::mutex mu_;
   std::map<std::string, Registered> entries_;
 };
+
+/// Writes one List() entry as a JSON object: the serving identity and load
+/// mode, then `live`, plus `epoch` and the staleness pair for a live entry.
+/// The `list` command and the `workspaces` array of `stats` both use it.
+void AppendEntryJson(const WorkspaceRegistry::Entry& e, JsonWriter* out);
 
 }  // namespace krcore
 

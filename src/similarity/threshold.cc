@@ -29,4 +29,10 @@ double TopPermilleThreshold(const SimilarityOracle& oracle,
   return Quantile(std::move(sample), q);
 }
 
+Status CheckPermille(double permille) {
+  if (permille > 0.0 && permille < 1000.0) return Status::OK();
+  return Status::InvalidArgument(
+      "permille must lie strictly between 0 and 1000");
+}
+
 }  // namespace krcore

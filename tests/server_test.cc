@@ -9,6 +9,7 @@
 #include <chrono>
 #include <cstdio>
 #include <future>
+#include <iterator>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -27,6 +28,7 @@
 #include "snapshot/workspace_snapshot.h"
 #include "test_helpers.h"
 #include "util/failpoint.h"
+#include "util/random.h"
 
 namespace krcore {
 namespace {
@@ -204,6 +206,84 @@ TEST(ProtocolTest, IdSurvivesParseErrors) {
   EXPECT_EQ(id, "q9");
 }
 
+/// One seeded mutation of a request line: a byte flip, a truncation, a
+/// dropped or doubled '=', a 20-digit number in place of the first digit
+/// run, or an inserted control byte.
+std::string MutateRequestLine(std::string line, Rng* rng) {
+  const size_t pos = rng->NextBounded(line.size() + 1);
+  switch (rng->NextBounded(6)) {
+    case 0:
+      if (pos < line.size()) {
+        line[pos] = static_cast<char>(line[pos] ^ (1 + rng->NextBounded(255)));
+      }
+      break;
+    case 1:
+      line.resize(pos);
+      break;
+    case 2:
+    case 3: {
+      const size_t eq = line.find('=', pos);
+      if (eq == std::string::npos) break;
+      if (rng->NextBounded(2) == 0) {
+        line.erase(eq, 1);
+      } else {
+        line.insert(eq, 1, '=');
+      }
+      break;
+    }
+    case 4: {
+      const size_t start = line.find_first_of("0123456789");
+      if (start == std::string::npos) break;
+      const size_t end = line.find_first_not_of("0123456789.", start);
+      std::string digits(20, '0');
+      for (char& d : digits) d = static_cast<char>('0' + rng->NextBounded(10));
+      line.replace(start, end == std::string::npos ? end : end - start,
+                   digits);
+      break;
+    }
+    default:
+      line.insert(pos, 1, static_cast<char>(rng->NextBounded(0x20)));
+  }
+  return line;
+}
+
+TEST(ProtocolTest, SeededMutantsParseOrFailCleanly) {
+  const std::string kValidLines[] = {
+      "op=enum id=q7 ws=geo k=3 r=0.25 timeout=1.5 limit=10",
+      "op=max k=2",
+      "op=derive k=4",
+      "op=enum k=2 id=q1",
+      "op=enum k=2 r=0.5 id=q2",
+  };
+  constexpr uint64_t kBaseSeed = 20261019;
+  for (uint64_t i = 0; i < 8; ++i) {
+    const uint64_t seed = kBaseSeed + i;
+    // Logged so a failing mutant reproduces from its seed.
+    std::fprintf(stderr, "[mutate] sequence seed %llu\n",
+                 static_cast<unsigned long long>(seed));
+    SCOPED_TRACE("mutation seed " + std::to_string(seed));
+    Rng rng(seed);
+    for (int m = 0; m < 250; ++m) {
+      std::string line = kValidLines[rng.NextBounded(std::size(kValidLines))];
+      const uint64_t rounds = 1 + rng.NextBounded(3);
+      for (uint64_t r = 0; r < rounds; ++r) line = MutateRequestLine(line, &rng);
+      QueryRequest req;
+      QueryResponse response;
+      response.status = ParseRequestLine(line, &req, &response.id);
+      if (response.status.ok()) {
+        EXPECT_GT(req.k, 0u) << "mutant '" << line << "' parsed without k";
+        continue;
+      }
+      const std::string json = SerializeResponse(response);
+      for (char c : json) {
+        ASSERT_GE(static_cast<unsigned char>(c), 0x20)
+            << "raw control byte in the error line for mutant '" << line
+            << "': " << json;
+      }
+    }
+  }
+}
+
 TEST(ProtocolTest, SerializeResponseShapes) {
   QueryResponse ok;
   ok.id = "a\"b";
@@ -224,6 +304,74 @@ TEST(ProtocolTest, SerializeResponseShapes) {
   std::string bad_json = SerializeResponse(bad);
   EXPECT_THAT(bad_json, HasSubstr("\"status\":\"INVALID_ARGUMENT\""));
   EXPECT_THAT(bad_json, HasSubstr("\"error\":\"nope\""));
+
+  // Full-line goldens: the wire bytes of each response shape, with fixed
+  // timings (0.30000000000000004 needs all 17 significant digits).
+  QueryResponse live;
+  live.id = "q1";
+  live.kind = QueryKind::kEnumerate;
+  live.k = 3;
+  live.r = 0.25;
+  live.workspace_version = 7;
+  live.live = true;
+  live.epoch = 12;
+  live.staleness_batches = 2;
+  live.staleness_seconds = 0.5;
+  live.cores = {{0, 1, 2}, {4, 5, 6, 7}};
+  live.count = 2;
+  live.stats.search_nodes = 41;
+  live.coalesced = true;
+  live.wait_seconds = 0.30000000000000004;
+  live.mine_seconds = 0.125;
+  EXPECT_EQ(
+      SerializeResponse(live),
+      R"({"id":"q1","status":"OK","op":"enum","k":3,"r":0.25,"version":7,)"
+      R"("epoch":12,"staleness_batches":2,"staleness_seconds":0.5,"count":2,)"
+      R"("cores":[[0,1,2],[4,5,6,7]],"search_nodes":41,"coalesced":true,)"
+      R"("wait_seconds":0.30000000000000004,"derive_seconds":0,)"
+      R"("mine_seconds":0.125})");
+
+  QueryResponse derive;
+  derive.id = "d1";
+  derive.kind = QueryKind::kDerive;
+  derive.k = 4;
+  derive.r = 6.0;
+  derive.count = 120;
+  derive.num_components = 3;
+  derive.wait_seconds = 0.001;
+  derive.derive_seconds = 0.0625;
+  EXPECT_EQ(SerializeResponse(derive),
+            R"({"id":"d1","status":"OK","op":"derive","k":4,"r":6,)"
+            R"("version":0,"count":120,"components":3,"search_nodes":0,)"
+            R"("coalesced":false,"wait_seconds":0.001,)"
+            R"("derive_seconds":0.0625,"mine_seconds":0})");
+
+  QueryResponse expired;
+  expired.id = "m1";
+  expired.status = Status::DeadlineExceeded("query deadline exceeded");
+  expired.kind = QueryKind::kMaximum;
+  expired.k = 5;
+  expired.r = 1.5;
+  expired.workspace_version = 2;
+  expired.cores = {{9, 10, 11}};
+  expired.count = 3;
+  expired.stats.search_nodes = 1000;
+  expired.mine_seconds = 2.5;
+  EXPECT_EQ(SerializeResponse(expired),
+            R"({"id":"m1","status":"DEADLINE_EXCEEDED",)"
+            R"("error":"query deadline exceeded","op":"max","k":5,"r":1.5,)"
+            R"("version":2,"count":3,"cores":[[9,10,11]],)"
+            R"("search_nodes":1000,"coalesced":false,"wait_seconds":0,)"
+            R"("derive_seconds":0,"mine_seconds":2.5})");
+
+  QueryResponse escaped;
+  escaped.id = "a\"b\\c\n\x01";
+  escaped.status = Status::InvalidArgument("bad request: unknown key 'x\ty'");
+  EXPECT_EQ(SerializeResponse(escaped),
+            R"({"id":"a\"b\\c\n\u0001","status":"INVALID_ARGUMENT",)"
+            R"("error":"bad request: unknown key 'x\ty'","op":"enum","k":0,)"
+            R"("r":0,"coalesced":false,"wait_seconds":0,"derive_seconds":0,)"
+            R"("mine_seconds":0})");
 }
 
 // ---------------------------------------------------------------------------

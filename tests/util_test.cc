@@ -1,9 +1,19 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <cstdlib>
 #include <set>
+#include <string>
+#include <tuple>
+#include <type_traits>
 #include <vector>
 
+#include "core/krcore_types.h"
+#include "core/pipeline.h"
+#include "core/workspace_update.h"
+#include "server/serve.h"
+#include "util/field_table.h"
+#include "util/json.h"
 #include "util/logging.h"
 #include "util/options.h"
 #include "util/random.h"
@@ -203,6 +213,143 @@ TEST(OptionsDeathTest, RejectsIntegersOutOfRange) {
   OptionParser p = Parse({"--seed=99999999999999999999"});
   EXPECT_EXIT(p.GetInt("seed", 1), ::testing::ExitedWithCode(2),
               "invalid value for --seed: '99999999999999999999'");
+}
+
+TEST(JsonWriter, TracksCommasAndEscapes) {
+  JsonWriter w;
+  w.BeginObject()
+      .Member("s", "a\"b\\c\n\x01")
+      .Member("n", uint32_t{7})
+      .Member("b", false)
+      .Member("d", 0.1 + 0.2)
+      .Key("a")
+      .BeginArray()
+      .Value(1)
+      .BeginObject()
+      .EndObject()
+      .BeginArray()
+      .EndArray()
+      .EndArray()
+      .EndObject();
+  EXPECT_EQ(w.Take(),
+            R"({"s":"a\"b\\c\n\u0001","n":7,"b":false,)"
+            R"("d":0.30000000000000004,"a":[1,{},[]]})");
+}
+
+/// Field i of a table gets i (counters) or i + 1/3 (doubles, which need
+/// all 17 significant digits to read back), offset by `base`.
+template <typename S>
+S FillDistinct(uint64_t base) {
+  S s;
+  uint64_t i = base;
+  std::apply(
+      [&](const auto&... f) {
+        ((s.*f.member = std::is_floating_point_v<
+                            std::remove_reference_t<decltype(s.*f.member)>>
+                            ? i++ + 1.0 / 3.0
+                            : i++),
+         ...);
+      },
+      S::Fields());
+  return s;
+}
+
+/// Checks a report's table against the member names spelled out by hand,
+/// that ToJson carries every member with its exact value, and that
+/// MergeFrom (when `merge` is set) sums every field except `max_fields`,
+/// which take the max.
+template <typename S>
+void ExpectTableCoversReport(const std::vector<std::string>& names,
+                             const std::set<std::string>& max_fields) {
+  // Every member is 8 bytes, so an untabled member changes the size.
+  size_t table_bytes = 0;
+  std::vector<std::string> keys;
+  std::apply(
+      [&](const auto&... f) {
+        ((table_bytes += sizeof(S{}.*f.member), keys.push_back(f.key)), ...);
+      },
+      S::Fields());
+  EXPECT_EQ(keys, names);
+  EXPECT_EQ(table_bytes, sizeof(S));
+
+  const S a = FillDistinct<S>(1);
+  const std::string json = a.ToJson();
+  EXPECT_EQ(json.front(), '{');
+  EXPECT_EQ(json.back(), '}');
+  std::apply(
+      [&](const auto&... f) {
+        auto check = [&](const char* key, double expected) {
+          const std::string needle = std::string("\"") + key + "\":";
+          const size_t at = json.find(needle);
+          ASSERT_NE(at, std::string::npos) << key << " missing from " << json;
+          EXPECT_EQ(std::strtod(json.c_str() + at + needle.size(), nullptr),
+                    expected)
+              << key;
+        };
+        (check(f.key, static_cast<double>(a.*f.member)), ...);
+      },
+      S::Fields());
+
+  if constexpr (requires(S x) { x.MergeFrom(x); }) {
+    const S b = FillDistinct<S>(1000);
+    S merged = a;
+    merged.MergeFrom(b);
+    std::apply(
+        [&](const auto&... f) {
+          auto check = [&](const char* key, auto got, auto x, auto y) {
+            EXPECT_EQ(got, max_fields.count(key) ? std::max(x, y) : x + y)
+                << key;
+          };
+          (check(f.key, merged.*f.member, a.*f.member, b.*f.member), ...);
+        },
+        S::Fields());
+  }
+}
+
+TEST(FieldTable, EveryReportCounterReachesJsonAndMerge) {
+  ExpectTableCoversReport<MiningStats>(
+      {"search_nodes",          "expand_branches",
+       "shrink_branches",       "emitted_candidates",
+       "maximal_found",         "early_terminations",
+       "bound_prunes",          "bound_naive_prunes",
+       "bound_cache_hits",      "bound_expensive_prunes",
+       "bound_recomputes",      "promotions",
+       "maximal_check_calls",   "maximal_check_nodes",
+       "components",            "tasks_spawned",
+       "task_steals",           "prepare_pair_sweeps",
+       "prepare_derivations",   "oracle_calls",
+       "derive_r_restrictions", "score_filtered_pairs",
+       "prepare_seconds",       "seconds"},
+      {"prepare_seconds", "seconds"});
+  ExpectTableCoversReport<UpdateReport>(
+      {"batches", "updates_applied", "sim_edges_added", "sim_edges_removed",
+       "vertices_peeled", "vertices_promoted", "components_reused",
+       "components_rebuilt", "rows_rebuilt", "pairs_from_cache",
+       "pairs_from_oracle", "fallback_rebuilds", "rolled_back_batches",
+       "seconds"},
+      {});
+  ExpectTableCoversReport<PreprocessReport>(
+      {"components", "vertices", "edges", "pairs_evaluated",
+       "candidate_pairs", "pruned_pairs", "oracle_calls", "dissimilar_pairs",
+       "reserve_pairs", "score_filtered_pairs", "dissimilar_density",
+       "index_bytes", "peak_bytes", "seconds"},
+      {});
+  ExpectTableCoversReport<SessionReport>(
+      {"lines_read", "queries_submitted", "responses_written", "parse_errors",
+       "admin_commands"},
+      {});
+
+  // The counter MiningStats::ToString once dropped, and the wall-clock
+  // merge rule, spelled out.
+  MiningStats a, b;
+  a.maximal_check_nodes = 5;
+  b.maximal_check_nodes = 7;
+  a.seconds = 2.0;
+  b.seconds = 3.0;
+  a.MergeFrom(b);
+  EXPECT_EQ(a.maximal_check_nodes, 12u);
+  EXPECT_EQ(a.seconds, 3.0);
+  EXPECT_NE(a.ToJson().find("\"maximal_check_nodes\":12"), std::string::npos);
 }
 
 }  // namespace

@@ -54,31 +54,39 @@ void PrintInfoText(const std::string& path, const SnapshotInfo& info) {
 }
 
 void PrintInfoJson(const std::string& path, const SnapshotInfo& info) {
-  std::printf("{\"path\":\"%s\",\"format_version\":%u,\"file_size\":%" PRIu64
-              ",\"k\":%u,\"r\":%s,\"cover\":%s,\"scored\":%s,"
-              "\"distance_metric\":%s,\"version\":%" PRIu64
-              ",\"components\":%" PRIu64 ",\"sections\":[",
-              JsonEscape(path).c_str(), info.format_version, info.file_size,
-              info.k, JsonDouble(info.threshold).c_str(),
-              JsonDouble(info.score_cover).c_str(),
-              info.score_cover != info.threshold ? "true" : "false",
-              info.is_distance ? "true" : "false", info.graph_version,
-              info.num_components);
-  bool first = true;
+  JsonWriter out;
+  out.BeginObject()
+      .Member("path", path)
+      .Member("format_version", info.format_version)
+      .Member("file_size", info.file_size)
+      .Member("k", info.k)
+      .Member("r", info.threshold)
+      .Member("cover", info.score_cover)
+      .Member("scored", info.score_cover != info.threshold)
+      .Member("distance_metric", info.is_distance)
+      .Member("version", info.graph_version)
+      .Member("components", info.num_components)
+      .Key("sections")
+      .BeginArray();
   for (const auto& s : info.sections) {
-    std::printf("%s{\"kind\":\"%s\",\"offset\":%" PRIu64 ",\"size\":%" PRIu64
-                ",\"checksum\":\"%016" PRIx64 "\",\"checksum_ok\":%s",
-                first ? "" : ",", s.kind.c_str(), s.offset, s.size, s.checksum,
-                s.checksum_ok ? "true" : "false");
-    first = false;
+    char checksum[17];
+    std::snprintf(checksum, sizeof(checksum), "%016" PRIx64, s.checksum);
+    out.BeginObject()
+        .Member("kind", s.kind)
+        .Member("offset", s.offset)
+        .Member("size", s.size)
+        .Member("checksum", checksum)
+        .Member("checksum_ok", s.checksum_ok);
     if (s.kind == "component") {
-      std::printf(",\"n\":%" PRIu64 ",\"edges\":%" PRIu64 ",\"pairs\":%" PRIu64
-                  ",\"reserve\":%" PRIu64,
-                  s.n, s.num_edges, s.num_pairs, s.num_reserve_pairs);
+      out.Member("n", s.n)
+          .Member("edges", s.num_edges)
+          .Member("pairs", s.num_pairs)
+          .Member("reserve", s.num_reserve_pairs);
     }
-    std::printf("}");
+    out.EndObject();
   }
-  std::printf("]}\n");
+  out.EndArray().EndObject();
+  std::printf("%s\n", out.Take().c_str());
 }
 
 }  // namespace
