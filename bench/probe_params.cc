@@ -25,7 +25,7 @@ int main(int argc, char** argv) {
   OptionParser options(argc, argv);
   auto env = ExperimentEnv::FromOptions(options);
   std::string name = options.GetString("dataset", "dblp");
-  uint32_t k = static_cast<uint32_t>(options.GetInt("k", 5));
+  uint32_t k = options.GetUint32("k", 5);
 
   const double permille = options.GetDouble("permille", 3.0);
   if (Status s = CheckPermille(permille); !s.ok()) {

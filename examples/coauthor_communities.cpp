@@ -20,8 +20,8 @@ using namespace krcore;
 
 int main(int argc, char** argv) {
   OptionParser options(argc, argv);
-  uint32_t n = static_cast<uint32_t>(options.GetInt("n", 8000));
-  uint32_t k = static_cast<uint32_t>(options.GetInt("k", 10));
+  uint32_t n = options.GetUint32("n", 8000);
+  uint32_t k = options.GetUint32("k", 10);
   double permille = options.GetDouble("permille", 3.0);
   uint64_t seed = options.GetInt("seed", 2);
   if (Status s = CheckPermille(permille); !s.ok()) {

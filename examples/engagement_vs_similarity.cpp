@@ -19,7 +19,7 @@ using namespace krcore;
 
 int main(int argc, char** argv) {
   OptionParser options(argc, argv);
-  uint32_t n = static_cast<uint32_t>(options.GetInt("n", 6000));
+  uint32_t n = options.GetUint32("n", 6000);
   uint64_t seed = options.GetInt("seed", 5);
 
   GeoSocialConfig config;

@@ -44,8 +44,8 @@ Centroid CoreCentroid(const Dataset& d, const VertexSet& core) {
 
 int main(int argc, char** argv) {
   OptionParser options(argc, argv);
-  uint32_t n = static_cast<uint32_t>(options.GetInt("n", 8000));
-  uint32_t k = static_cast<uint32_t>(options.GetInt("k", 10));
+  uint32_t n = options.GetUint32("n", 8000);
+  uint32_t k = options.GetUint32("k", 10);
   double r_km = options.GetDouble("r_km", 10.0);
   uint64_t seed = options.GetInt("seed", 1);
 

@@ -81,7 +81,10 @@ bool ParseKs(const std::string& spec, std::vector<uint32_t>* ks) {
   for (const std::string& p : SplitOn(spec, ',')) {
     char* end = nullptr;
     long v = std::strtol(p.c_str(), &end, 10);
-    if (p.empty() || *end != '\0' || v <= 0) return false;
+    if (p.empty() || *end != '\0' || v <= 0 ||
+        v > std::numeric_limits<uint32_t>::max()) {
+      return false;
+    }
     ks->push_back(static_cast<uint32_t>(v));
   }
   return !ks->empty();
@@ -216,14 +219,6 @@ int main(int argc, char** argv) {
         "krcore_cli --dataset=brightkite|gowalla|dblp|pokec [--scale=S] "
         "--k=K (--r=R | --permille=P) [--mode=...]\n"
         "  --threads=N       0 = all hardware cores, 1 = sequential\n"
-        "  --join=S          pair-discovery strategy for the preprocessing\n"
-        "                    self-join: filtered (default; certified filter\n"
-        "                    when one applies), brute (O(n^2) baseline)\n"
-        "  --split_depth=D   fork subtree tasks down to depth D (default 6,\n"
-        "                    0 = per-component parallelism only)\n"
-        "  --bound_refresh=N recompute the expensive size bound at most\n"
-        "                    every N nodes (max mode, default 64)\n"
-        "  --no_seed         skip the greedy incumbent seed (max mode)\n"
         "prepared workspaces (save preprocessing once, query many times):\n"
         "  --snapshot_out=F  prepare at (--k, --r), save the workspace to F,\n"
         "                    then serve the requested query from it\n"
@@ -286,22 +281,10 @@ int main(int argc, char** argv) {
   double timeout = options.GetDouble("timeout", 60.0);
   std::string mode = options.GetString("mode", "enum");
   // 1 = sequential, 0 = all hardware cores (per-component parallelism plus
-  // intra-component subtree splitting down to --split_depth).
-  uint32_t threads = static_cast<uint32_t>(options.GetInt("threads", 1));
-  uint32_t split_depth = static_cast<uint32_t>(
-      options.GetInt("split_depth", ParallelOptions{}.split_depth));
-  int64_t bound_refresh =
-      options.GetInt("bound_refresh", MaxOptions{}.bound_refresh);
-  if (bound_refresh <= 0) {
-    return Fail("--bound_refresh must be a positive integer");
-  }
+  // intra-component subtree splitting).
+  uint32_t threads = options.GetUint32("threads", 1);
   if (mode != "enum" && mode != "max") {
     return Fail("unknown --mode (use enum or max)");
-  }
-  JoinStrategy join_strategy = JoinStrategy::kFiltered;
-  if (!ParseJoinStrategy(options.GetString("join", "filtered"),
-                         &join_strategy)) {
-    return Fail("unknown --join (use filtered or brute)");
   }
   if (options.Has("permille")) {
     Status s = CheckPermille(options.GetDouble("permille", 3.0));
@@ -311,19 +294,13 @@ int main(int argc, char** argv) {
   auto MakeEnumOptions = [&](uint32_t k) {
     EnumOptions opts = AdvEnumOptions(k);
     opts.deadline = Deadline::AfterSeconds(timeout);
-    opts.join_strategy = join_strategy;
     opts.parallel.num_threads = threads;
-    opts.parallel.split_depth = split_depth;
     return opts;
   };
   auto MakeMaxOptions = [&](uint32_t k) {
     MaxOptions opts = AdvMaxOptions(k);
     opts.deadline = Deadline::AfterSeconds(timeout);
-    opts.join_strategy = join_strategy;
     opts.parallel.num_threads = threads;
-    opts.parallel.split_depth = split_depth;
-    opts.bound_refresh = static_cast<uint32_t>(bound_refresh);
-    opts.use_seed_incumbent = !options.GetBool("no_seed", false);
     return opts;
   };
   auto MakeSweepOptions = [&]() {
@@ -417,7 +394,7 @@ int main(int argc, char** argv) {
       return result.status.ok() ? 0 : 2;
     }
 
-    uint32_t k = static_cast<uint32_t>(options.GetInt("k", ws.k));
+    uint32_t k = options.GetUint32("k", ws.k);
     double query_r = options.GetDouble("r", ws.threshold);
     if (k == ws.k && query_r == ws.threshold) {
       return MineComponents(ws.components, k);
@@ -460,7 +437,7 @@ int main(int argc, char** argv) {
     dataset.name = "user";
   }
 
-  uint32_t k = static_cast<uint32_t>(options.GetInt("k", 3));
+  uint32_t k = options.GetUint32("k", 3);
   double r;
   if (options.Has("permille")) {
     if (IsDistanceMetric(dataset.metric) && !options.Has("dataset")) {
@@ -500,7 +477,6 @@ int main(int argc, char** argv) {
     PipelineOptions pipe;
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
-    pipe.join_strategy = join_strategy;
     pipe.num_threads = threads;
     if (options.Has("cover")) {
       pipe.score_cover = options.GetDouble("cover", r);
@@ -517,9 +493,8 @@ int main(int argc, char** argv) {
     if (options.GetBool("stream", false)) {
       LiveWorkspace live(dataset.graph, oracle, std::move(ws));
       IngestOptions ingest;
-      ingest.update.join_strategy = join_strategy;
-      ingest.publish_every_applies = static_cast<uint32_t>(
-          std::max<int64_t>(1, options.GetInt("publish_every", 1)));
+      ingest.publish_every_applies =
+          std::max(1u, options.GetUint32("publish_every", 1));
       ingest.checkpoint_path = options.GetString("checkpoint", "");
       IngestPipeline pipeline(&live, ingest);
 
@@ -599,7 +574,6 @@ int main(int argc, char** argv) {
 
     WorkspaceUpdater updater(dataset.graph, oracle, &ws);
     UpdateOptions update_options;
-    update_options.join_strategy = join_strategy;
     // One result section per mining call lands in --out/stdout; a comment
     // header tags each section with the graph version it was mined at, so
     // consumers can split the stream and tell stale sections from the
@@ -668,7 +642,6 @@ int main(int argc, char** argv) {
       PipelineOptions pipe;
       pipe.k = *std::min_element(grid.ks.begin(), grid.ks.end());
       pipe.deadline = Deadline::AfterSeconds(timeout);
-      pipe.join_strategy = join_strategy;
       pipe.num_threads = threads;
       pipe.score_cover = r_cover;
       PreparedWorkspace ws;
@@ -701,7 +674,6 @@ int main(int argc, char** argv) {
     PipelineOptions pipe;
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
-    pipe.join_strategy = join_strategy;
     pipe.num_threads = threads;
     if (options.Has("cover")) {
       pipe.score_cover = options.GetDouble("cover", r);

@@ -116,6 +116,15 @@ int main(int argc, char** argv) {
       load_mode == "lazy" ? WorkspaceRegistry::SnapshotLoadMode::kLazy
                           : WorkspaceRegistry::SnapshotLoadMode::kEager;
 
+  ServerOptions server_options;
+  server_options.queue_capacity = options.GetUint32("queue", 64);
+  const uint32_t stage_threads = options.GetUint32("stage_threads", 1);
+  server_options.derive_threads = stage_threads;
+  server_options.mine_threads = stage_threads;
+  server_options.default_timeout_seconds = options.GetDouble("timeout", 60.0);
+  server_options.coalesce = !options.GetBool("no_coalesce", false);
+  server_options.parallel.num_threads = options.GetUint32("threads", 1);
+
   WorkspaceRegistry registry;
   for (const auto& [name, path] : specs) {
     if (Status s = registry.AddFromSnapshot(name, path, mode); !s.ok()) {
@@ -128,18 +137,6 @@ int main(int argc, char** argv) {
   if (!registry.Find("default")) {
     (void)registry.Alias("default", specs.front().first);
   }
-
-  ServerOptions server_options;
-  server_options.queue_capacity =
-      static_cast<uint32_t>(options.GetInt("queue", 64));
-  uint32_t stage_threads =
-      static_cast<uint32_t>(options.GetInt("stage_threads", 1));
-  server_options.derive_threads = stage_threads;
-  server_options.mine_threads = stage_threads;
-  server_options.default_timeout_seconds = options.GetDouble("timeout", 60.0);
-  server_options.coalesce = !options.GetBool("no_coalesce", false);
-  server_options.parallel.num_threads =
-      static_cast<uint32_t>(options.GetInt("threads", 1));
 
   QueryServer server(&registry, server_options);
   server.Start();

@@ -21,7 +21,7 @@ ExperimentEnv ExperimentEnv::FromOptions(const OptionParser& options) {
   env.timeout_seconds = options.GetDouble("timeout", env.timeout_seconds);
   env.scale = options.GetDouble("scale", env.scale);
   env.quick = options.GetBool("quick", false);
-  env.threads = static_cast<uint32_t>(options.GetInt("threads", env.threads));
+  env.threads = options.GetUint32("threads", env.threads);
   env.seed = options.GetInt("seed", env.seed);
   env.csv_path = options.GetString("csv", "");
   if (env.quick) {

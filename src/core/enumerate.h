@@ -39,22 +39,15 @@ struct EnumOptions {
   VertexOrder maximal_check_order = VertexOrder::kDelta1ThenDelta2;
   /// Only used by order == kLambdaCombo (and the combo check order).
   double lambda = 5.0;
-  /// Seed for order == kRandom.
-  uint64_t seed = 7;
 
   /// Wall-clock budget; expiry returns partial results with
   /// Status::DeadlineExceeded (rendered as INF by the benches).
   Deadline deadline;
 
-  /// Pair-discovery strategy for the preparation's similarity self-join
-  /// (forwarded to PipelineOptions::join_strategy; results are identical
-  /// for every strategy).
-  JoinStrategy join_strategy = JoinStrategy::kFiltered;
-
   /// Parallel search: component roots plus intra-component subtree tasks
-  /// (forked down to parallel.split_depth) on one shared work-stealing
-  /// pool. Completed runs return an identical result set for every thread
-  /// count and split depth: every split explores the same search space, and
+  /// (forked down to the fixed depth kForkDepth) on one shared
+  /// work-stealing pool. Completed runs return an identical result set for
+  /// every thread count: every split explores the same search space, and
   /// the final maximal filter and sort canonicalise the cores whatever order
   /// the tasks found them in. Deadline-expired runs return a partial,
   /// schedule-dependent set: concurrent tasks each emit until their own

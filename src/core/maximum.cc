@@ -61,6 +61,10 @@ struct BoundCache {
   uint32_t nodes_since = 0;     // nodes on this chain since the last compute
 };
 
+/// Nodes on a root-to-node chain after which the expensive tier is
+/// recomputed even though |M ∪ C| has not shrunk below the cached value.
+constexpr uint32_t kBoundRefresh = 64;
+
 /// One task of AdvMax (Algorithm 5): prunes by the tiered size bound
 /// against the shared incumbent, visits the branch the policy's
 /// branch_order picks first, and offers each core to the incumbent.
@@ -102,8 +106,7 @@ class ComponentMaximizer
       return true;
     }
     ++cache->nodes_since;
-    if (naive < cache->value ||
-        cache->nodes_since >= options().bound_refresh) {
+    if (naive < cache->value || cache->nodes_since >= kBoundRefresh) {
       cache->value = bound_computer_.Compute(ctx_, options().bound);
       cache->nodes_since = 0;
       ++stats_.bound_recomputes;
@@ -144,10 +147,8 @@ MaximumCoreResult FindMaximumCore(
     const MaxOptions& options) {
   MaximumCoreResult result;
   Timer timer;
-  KRCORE_CHECK(options.bound_refresh > 0) << "bound_refresh must be positive";
-
   SharedBest best;
-  if (options.use_seed_incumbent && !components.empty()) {
+  if (!components.empty()) {
     // Seed the incumbent from the densest component (most structure edges)
     // so every task prunes against a real core from its very first node.
     size_t densest = 0;

@@ -22,48 +22,38 @@ namespace krcore {
 struct MaxOptions {
   uint32_t k = 3;
 
+  /// Upper bound on the core size reachable from a node, evaluated in
+  /// tiers: the free |M|+|C| check runs at every node; this expensive tier
+  /// (unless kNaive) is recomputed only when |M ∪ C| has shrunk below the
+  /// cached expensive value or after kBoundRefresh (maximum.cc) nodes on
+  /// the current root-to-node chain, and the cached value — a still-valid
+  /// upper bound, since M ∪ C only shrinks down the tree — prunes in
+  /// between.
   SizeBoundKind bound = SizeBoundKind::kDoubleKcore;
   bool use_retention = true;
   bool use_early_termination = true;
 
-  /// Tiered lazy bound evaluation: the free |M|+|C| check runs at every
-  /// node; the expensive tier (`bound` when not kNaive) is recomputed only
-  /// when |M ∪ C| has shrunk below the cached expensive value or after
-  /// `bound_refresh` nodes on the current root-to-node chain, and the cached
-  /// value — a still-valid upper bound, since M ∪ C only shrinks down the
-  /// tree — prunes in between. 1 restores recompute-every-node. Must be > 0.
-  uint32_t bound_refresh = 64;
-
-  /// Seed the shared incumbent with a greedily peeled (k,r)-core of the
-  /// densest component before the search (see greedy_seed.h), so bound
-  /// pruning bites from the first node instead of after the first emission.
-  bool use_seed_incumbent = true;
-
   VertexOrder order = VertexOrder::kLambdaCombo;
   BranchOrder branch_order = BranchOrder::kAdaptive;
   double lambda = 5.0;
-  uint64_t seed = 7;
 
   Deadline deadline;
 
-  /// Pair-discovery strategy for the preparation's similarity self-join
-  /// (forwarded to PipelineOptions::join_strategy; results are identical
-  /// for every strategy).
-  JoinStrategy join_strategy = JoinStrategy::kFiltered;
-
   /// Parallel search: component roots plus intra-component subtree tasks
-  /// (forked down to parallel.split_depth) on one shared work-stealing
-  /// pool. All tasks share the incumbent best size through an atomic, so a
-  /// large core found anywhere immediately tightens the bound pruning
-  /// everywhere. The maximum *size* is deterministic for any thread count
-  /// and split depth; among equal-sized maxima the lexicographically
-  /// smallest reachable one is preferred.
+  /// (forked down to the fixed depth kForkDepth) on one shared
+  /// work-stealing pool. All tasks share the incumbent best size through an
+  /// atomic, so a large core found anywhere immediately tightens the bound
+  /// pruning everywhere. The maximum *size* is deterministic for any thread
+  /// count; among equal-sized maxima the lexicographically smallest
+  /// reachable one is preferred.
   ParallelOptions parallel;
 };
 
 /// Finds a maximum (k,r)-core of `g` (largest vertex count; among ties the
 /// engine prefers the lexicographically smallest discovered set). `best` is
-/// empty when no (k,r)-core exists.
+/// empty when no (k,r)-core exists. Before the search, a greedily peeled
+/// (k,r)-core of the densest component seeds the shared incumbent (see
+/// greedy_seed.h), so bound pruning bites from the first node.
 MaximumCoreResult FindMaximumCore(const Graph& g,
                                   const SimilarityOracle& oracle,
                                   const MaxOptions& options);

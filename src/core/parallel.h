@@ -14,17 +14,12 @@ namespace krcore {
 /// Thread configuration for the parallel search drivers.
 /// Sec 4.1 guarantees every (k,r)-core lives inside exactly one component
 /// of the preprocessed graph, so components are independent search units;
-/// `split_depth` additionally lets the drivers fork subtrees *inside* a
-/// component so one giant component can still saturate every core.
+/// the drivers additionally fork subtrees *inside* a component, down to the
+/// fixed depth kForkDepth (search_driver.h), so one giant component can
+/// still saturate every core.
 struct ParallelOptions {
   /// 1 = sequential (default), 0 = one thread per hardware core.
   uint32_t num_threads = 1;
-
-  /// Maximum search-tree depth at which a branch node forks its
-  /// second-visited branch into a task on the shared pool (so a component
-  /// produces at most 2^split_depth tasks). 0 restricts parallelism to the
-  /// per-component level. Only consulted when num_threads resolves > 1.
-  uint32_t split_depth = 6;
 
   /// num_threads with 0 resolved to std::thread::hardware_concurrency()
   /// (minimum 1).
@@ -82,7 +77,7 @@ class TaskPool {
   /// until a worker frees up, so the search drivers consult this before
   /// Fork(): once every worker has spare work queued, exploring the branch
   /// inline is both faster and bounds queued-copy memory to O(threads)
-  /// instead of O(2^split_depth) per component.
+  /// instead of O(2^kForkDepth) per component.
   bool BacklogLow() const;
 
  private:

@@ -11,6 +11,7 @@
 #include "graph/connectivity.h"
 #include "graph/graph_builder.h"
 #include "kcore/core_decomposition.h"
+#include "similarity/join/self_join.h"
 #include "util/failpoint.h"
 #include "util/timer.h"
 
@@ -19,13 +20,13 @@ namespace {
 
 /// Builds one component's context: induced structure graph plus the flat
 /// dissimilarity index, with pair discovery delegated to the self-join
-/// engine (src/similarity/join/) under options.join_strategy — the brute
-/// tiled sweep or the certified filter-and-verify join, which produce
-/// bit-identical substrates. The deadline is polled every few thousand
-/// pair operations; on expiry (or when another worker already expired via
-/// *aborted) the build stops early and the returned context must be
-/// discarded. Returns the builder's peak transient byte count through
-/// *transient_bytes and the join's work accounting through *join_report.
+/// engine (src/similarity/join/): the certified filter-and-verify join,
+/// which falls back to the brute tiled sweep where no filter applies. The
+/// deadline is polled every few thousand pair operations; on expiry (or
+/// when another worker already expired via *aborted) the build stops early
+/// and the returned context must be discarded. Returns the builder's peak
+/// transient byte count through *transient_bytes and the join's work
+/// accounting through *join_report.
 ///
 /// With options.score_cover set, the same join also fills the reserve
 /// rows: a pair dissimilar only at the cover threshold keeps the score its
@@ -45,7 +46,6 @@ ComponentContext BuildComponent(const Graph& similar_only,
 
   DissimilarityIndex::Builder builder(ctx.size());
   SelfJoinOptions join;
-  join.strategy = options.join_strategy;
   join.score_cover = options.score_cover;
   join.num_threads = join_threads;
   join.deadline = options.deadline;

@@ -12,7 +12,6 @@
 #include "core/dissimilarity_index.h"
 #include "core/krcore_types.h"
 #include "graph/graph.h"
-#include "similarity/join/self_join.h"
 #include "similarity/similarity_oracle.h"
 #include "util/array_ref.h"
 #include "util/field_table.h"
@@ -94,8 +93,8 @@ void SortComponents(std::vector<ComponentContext>* components);
 
 /// The one preparation configuration. Algorithm 1 itself depends only on k
 /// and r (the oracle's threshold); the other fields say what else to store
-/// (the cover), how fast to build it (threads, join strategy — neither
-/// changes the output) and when to give up.
+/// (the cover), how fast to build it (threads, which do not change the
+/// output) and when to give up.
 struct PipelineOptions {
   uint32_t k = 1;
   /// Threads building per-component indexes (components are independent;
@@ -112,14 +111,6 @@ struct PipelineOptions {
   /// filter — the "prepare once at the loosest grid threshold, derive
   /// every (k,r) cell" substrate.
   double score_cover = std::numeric_limits<double>::quiet_NaN();
-  /// Pair-discovery strategy for the per-component similarity self-join
-  /// (src/similarity/join/): kFiltered runs the certified filter-and-verify
-  /// engine where a per-metric filter applies (grid for Euclidean distance,
-  /// prefix/size filters for the token metrics) and falls back to the
-  /// brute sweep elsewhere; kBrute pins the baseline. Every strategy builds
-  /// the identical substrate — bit-identical pair sets and stored scores —
-  /// so this is purely a performance knob.
-  JoinStrategy join_strategy = JoinStrategy::kFiltered;
   /// Wall-clock budget for the pair sweep itself: the O(n^2) evaluation can
   /// be long, so the mining entry points forward their deadline here and
   /// expiry yields DeadlineExceeded.
@@ -127,8 +118,7 @@ struct PipelineOptions {
 };
 
 /// The preparation a mining call with `options` (EnumOptions or MaxOptions)
-/// runs at `k`: the search's resolved thread count, join strategy and
-/// deadline. The cold entry points and the parameter sweep both prepare
+/// runs at `k`: the search's resolved thread count and deadline. The cold entry points and the parameter sweep both prepare
 /// through this, so their substrates cannot drift.
 template <typename MiningOptions>
 PipelineOptions MiningPipelineOptions(const MiningOptions& options,
@@ -136,7 +126,6 @@ PipelineOptions MiningPipelineOptions(const MiningOptions& options,
   PipelineOptions pipe;
   pipe.k = k;
   pipe.num_threads = options.parallel.Resolve();
-  pipe.join_strategy = options.join_strategy;
   pipe.deadline = options.deadline;
   return pipe;
 }

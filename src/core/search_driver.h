@@ -61,6 +61,14 @@ struct ComponentJob {
 /// The per-node state a search without one passes down its chain.
 struct NoFrame {};
 
+/// Deepest search-tree level at which a branch node of a multi-threaded run
+/// forks its second-visited branch onto the pool, so one component yields
+/// at most 2^kForkDepth tasks.
+constexpr uint32_t kForkDepth = 6;
+
+/// Seed of the VertexOrder::kRandom vertex order.
+constexpr uint64_t kRandomOrderSeed = 7;
+
 /// One task of a component's branch-and-bound: the component root or a
 /// forked subtree. It owns its SearchContext and all per-task scratch, so
 /// tasks share nothing mutable but the job and the sink.
@@ -89,7 +97,7 @@ class SearchTask {
       : job_(job),
         ctx_(std::move(ctx)),
         policy_(job->options.order, branch_order, job->options.lambda,
-                job->options.seed),
+                kRandomOrderSeed),
         et_checker_(job->comp) {}
 
   const Options& options() const { return job_->options; }
@@ -176,7 +184,7 @@ class SearchTask {
         Derived::kSumBranches);
     const VertexId u = choice.vertex;
     const bool first = choice.expand_first;
-    if (job_->pool != nullptr && depth < options().parallel.split_depth &&
+    if (job_->pool != nullptr && depth < kForkDepth &&
         job_->pool->BacklogLow()) {
       // Fork the second-visited branch onto the shared pool and continue
       // the first inline. Skipped when the pool already has a backlog:

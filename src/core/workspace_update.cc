@@ -487,13 +487,11 @@ Status WorkspaceUpdater::ApplyEdgeUpdates(std::span<const EdgeUpdate> updates,
         if (Status st = CheckAbort("update/fallback_resweep"); !st.ok()) {
           return FailInComponent(std::move(st));
         }
-        // Scoped re-prepare of just this component, routed through the
-        // configured join strategy — the exact engine PrepareComponents
-        // uses (bit-identical to the EvaluatePair classification above).
-        // The batch deadline flows into the join, whose own polling aborts
-        // it mid-sweep.
+        // Scoped re-prepare of just this component through the self-join
+        // PrepareComponents runs (bit-identical to the EvaluatePair
+        // classification above). The batch deadline flows into the join,
+        // whose own polling aborts it mid-sweep.
         SelfJoinOptions join;
-        join.strategy = options.join_strategy;
         join.deadline = options.deadline;
         join.score_cover = cover;
         std::atomic<bool> join_aborted{false};

@@ -78,12 +78,6 @@ struct UpdateOptions {
   /// disables it (the fraction is strictly below 1).
   double max_dirty_fraction = 0.35;
 
-  /// Pair-discovery strategy for the fallback's scoped re-sweep — the same
-  /// similarity self-join PrepareComponents runs, so a dirtied component
-  /// gets the filter-and-verify engine instead of a hard-wired brute tile
-  /// loop. Results are identical for every strategy.
-  JoinStrategy join_strategy = JoinStrategy::kFiltered;
-
   /// Wall-clock budget for the whole batch, polled in every repair loop
   /// (replay, peel/promotion cascades, dirty BFS, component rebuilds, and
   /// the fallback resweep's pair engine). Expiry aborts the batch with

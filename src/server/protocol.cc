@@ -40,7 +40,9 @@ bool ParseU64(const std::string& s, uint64_t* out) {
   char* end = nullptr;
   errno = 0;
   unsigned long long v = std::strtoull(s.c_str(), &end, 10);
-  if (errno != 0 || *end != '\0') return false;
+  // Compare against the string's end, not a NUL: a value holding a NUL
+  // byte ("3\0junk") must not parse as its prefix.
+  if (errno != 0 || end != s.data() + s.size()) return false;
   *out = v;
   return true;
 }
@@ -50,7 +52,9 @@ bool ParseDoubleStrict(const std::string& s, double* out) {
   char* end = nullptr;
   errno = 0;
   double v = std::strtod(s.c_str(), &end);
-  if (errno != 0 || *end != '\0' || !std::isfinite(v)) return false;
+  if (errno != 0 || end != s.data() + s.size() || !std::isfinite(v)) {
+    return false;
+  }
   *out = v;
   return true;
 }

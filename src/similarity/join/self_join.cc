@@ -11,27 +11,6 @@
 
 namespace krcore {
 
-std::string JoinStrategyName(JoinStrategy s) {
-  switch (s) {
-    case JoinStrategy::kBrute:
-      return "brute";
-    case JoinStrategy::kFiltered:
-      return "filtered";
-  }
-  return "unknown";
-}
-
-bool ParseJoinStrategy(const std::string& name, JoinStrategy* out) {
-  if (name == "brute") {
-    *out = JoinStrategy::kBrute;
-  } else if (name == "filtered") {
-    *out = JoinStrategy::kFiltered;
-  } else {
-    return false;
-  }
-  return true;
-}
-
 namespace {
 
 /// The baseline: the tiled O(n^2) sweep, evaluating every pair through the

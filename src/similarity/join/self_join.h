@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <limits>
 #include <span>
-#include <string>
 
 #include "core/dissimilarity_index.h"
 #include "graph/graph.h"
@@ -26,17 +25,14 @@ namespace krcore {
 ///    surviving candidates are verified through SimilarityOracle::Score.
 ///    Where no certified filter applies (no attribute table or a metric/
 ///    attribute-kind mismatch) the engine falls back to brute, so kFiltered
-///    is always safe to request. It is the default.
+///    is always safe to request. It is the default, and the only strategy
+///    the library's preparation and update paths request.
 ///
 /// Every strategy produces the identical pair set with bit-identical stored
 /// scores: filters may only skip a pair with a certified threshold verdict
 /// (conservative margins push anything near the threshold to verification),
 /// so the brute/filtered choice is purely a performance knob.
 enum class JoinStrategy : uint8_t { kBrute, kFiltered };
-
-std::string JoinStrategyName(JoinStrategy s);
-/// Parses "brute" / "filtered". Returns false on anything else.
-bool ParseJoinStrategy(const std::string& name, JoinStrategy* out);
 
 /// Options for one SelfJoinPairs call.
 struct SelfJoinOptions {

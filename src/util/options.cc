@@ -4,6 +4,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <limits>
 
 namespace krcore {
 namespace {
@@ -58,6 +59,15 @@ int64_t OptionParser::GetInt(const std::string& name, int64_t def) const {
     RejectValue(name, it->second);
   }
   return value;
+}
+
+uint32_t OptionParser::GetUint32(const std::string& name,
+                                 uint32_t def) const {
+  const int64_t value = GetInt(name, def);
+  if (value < 0 || value > std::numeric_limits<uint32_t>::max()) {
+    RejectValue(name, values_.at(name));
+  }
+  return static_cast<uint32_t>(value);
 }
 
 double OptionParser::GetDouble(const std::string& name, double def) const {

@@ -1,6 +1,7 @@
 #ifndef KRCORE_UTIL_OPTIONS_H_
 #define KRCORE_UTIL_OPTIONS_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 #include <vector>
@@ -9,10 +10,10 @@ namespace krcore {
 
 /// Minimal command-line option parser used by examples and bench drivers.
 /// Accepts `--name=value`, `--name value`, and bare `--flag` (=> "true").
-/// Positional arguments are collected in order. GetInt/GetDouble accept
-/// only a value that parses in full; anything else (empty, trailing
-/// garbage, out of int64 range) prints "invalid value for --NAME: 'VALUE'"
-/// to stderr and exits with status 2.
+/// Positional arguments are collected in order. GetInt/GetUint32/GetDouble
+/// accept only a value that parses in full and fits the returned type;
+/// anything else (empty, trailing garbage, out of range) prints "invalid
+/// value for --NAME: 'VALUE'" to stderr and exits with status 2.
 class OptionParser {
  public:
   OptionParser(int argc, char** argv);
@@ -21,6 +22,7 @@ class OptionParser {
   std::string GetString(const std::string& name,
                         const std::string& def = "") const;
   int64_t GetInt(const std::string& name, int64_t def) const;
+  uint32_t GetUint32(const std::string& name, uint32_t def) const;
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def = false) const;
 

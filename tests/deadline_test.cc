@@ -7,11 +7,14 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
+#include <numeric>
 #include <vector>
 
 #include "core/parameter_sweep.h"
 #include "core/pipeline.h"
 #include "core/workspace_update.h"
+#include "similarity/join/self_join.h"
 #include "test_helpers.h"
 #include "util/timer.h"
 
@@ -47,17 +50,24 @@ TEST(DeadlineEntryPoints, SweepMaximumMode) {
 TEST(DeadlineEntryPoints, BothJoinStrategiesAbortThePairSweep) {
   auto dataset = test::MakeRandomGeo(120, 600, 5);
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.4);
-  for (JoinStrategy strategy :
-       {JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
-    PipelineOptions opts;
-    opts.k = 2;
-    opts.join_strategy = strategy;
-    opts.deadline = Deadline::AfterSeconds(-1.0);
-    std::vector<ComponentContext> components;
-    Status s = PrepareComponents(dataset.graph, oracle, opts, &components);
-    EXPECT_TRUE(s.IsDeadlineExceeded())
-        << JoinStrategyName(strategy) << ": " << s.ToString();
-  }
+  // The preparation runs the filtered join.
+  PipelineOptions opts;
+  opts.k = 2;
+  opts.deadline = Deadline::AfterSeconds(-1.0);
+  std::vector<ComponentContext> components;
+  Status s = PrepareComponents(dataset.graph, oracle, opts, &components);
+  EXPECT_TRUE(s.IsDeadlineExceeded()) << s.ToString();
+
+  // The brute join, driven directly.
+  std::vector<VertexId> members(dataset.graph.num_vertices());
+  std::iota(members.begin(), members.end(), 0);
+  SelfJoinOptions join;
+  join.strategy = JoinStrategy::kBrute;
+  join.deadline = Deadline::AfterSeconds(-1.0);
+  DissimilarityIndex::Builder builder(members.size());
+  std::atomic<bool> aborted{false};
+  SelfJoinPairs(oracle, members, join, &aborted, &builder);
+  EXPECT_TRUE(aborted.load());
 }
 
 TEST(DeadlineEntryPoints, UpdaterRollsBackTheExpiredBatch) {

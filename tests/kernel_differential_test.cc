@@ -40,7 +40,6 @@ constexpr VertexOrder kCheckOrders[] = {VertexOrder::kDegree,
 constexpr SizeBoundKind kBounds[] = {
     SizeBoundKind::kNaive, SizeBoundKind::kColor, SizeBoundKind::kKcore,
     SizeBoundKind::kColorPlusKcore, SizeBoundKind::kDoubleKcore};
-constexpr uint32_t kSplitDepths[] = {0, 6};
 constexpr uint32_t kThreads[] = {1, 2};
 
 /// The counters that describe the search tree; two runs with equal counters
@@ -96,35 +95,30 @@ void RunAllVariants(const Graph& g, const SimilarityOracle& oracle,
         if (!checks && check_order != variant.options.maximal_check_order) {
           continue;
         }
-        for (uint32_t split : kSplitDepths) {
-          for (uint32_t threads : kThreads) {
-            EnumOptions opts = variant.options;
-            opts.order = order;
-            opts.maximal_check_order = check_order;
-            opts.parallel.split_depth = split;
-            opts.parallel.num_threads = threads;
-            const std::string what =
-                std::string(variant.name) + " order=" + VertexOrderName(order) +
-                " check_order=" + VertexOrderName(check_order) +
-                " split=" + std::to_string(split) +
-                " threads=" + std::to_string(threads);
-            MiningStats per_kernel[2];
-            for (int i = 0; i < 2; ++i) {
-              ScopedKernel forced(kKernels[i]);
-              MaximalCoresResult result =
-                  EnumerateMaximalCores(g, oracle, opts);
-              ASSERT_TRUE(result.status.ok()) << what;
-              if (!have_expected) {
-                expected = result.cores;
-                have_expected = true;
-              }
-              EXPECT_EQ(result.cores, expected)
-                  << what << " kernel=" << test::KernelName(kKernels[i]);
-              per_kernel[i] = result.stats;
+        for (uint32_t threads : kThreads) {
+          EnumOptions opts = variant.options;
+          opts.order = order;
+          opts.maximal_check_order = check_order;
+          opts.parallel.num_threads = threads;
+          const std::string what =
+              std::string(variant.name) + " order=" + VertexOrderName(order) +
+              " check_order=" + VertexOrderName(check_order) +
+              " threads=" + std::to_string(threads);
+          MiningStats per_kernel[2];
+          for (int i = 0; i < 2; ++i) {
+            ScopedKernel forced(kKernels[i]);
+            MaximalCoresResult result = EnumerateMaximalCores(g, oracle, opts);
+            ASSERT_TRUE(result.status.ok()) << what;
+            if (!have_expected) {
+              expected = result.cores;
+              have_expected = true;
             }
-            if (threads == 1) {
-              ExpectSameTree(per_kernel[0], per_kernel[1], what);
-            }
+            EXPECT_EQ(result.cores, expected)
+                << what << " kernel=" << test::KernelName(kKernels[i]);
+            per_kernel[i] = result.stats;
+          }
+          if (threads == 1) {
+            ExpectSameTree(per_kernel[0], per_kernel[1], what);
           }
         }
       }
@@ -137,36 +131,32 @@ void RunAllVariants(const Graph& g, const SimilarityOracle& oracle,
   }
   for (VertexOrder order : kOrders) {
     for (SizeBoundKind bound : kBounds) {
-      for (uint32_t split : kSplitDepths) {
-        for (uint32_t threads : kThreads) {
-          MaxOptions opts = AdvMaxOptions(k);
-          opts.order = order;
-          opts.bound = bound;
-          opts.parallel.split_depth = split;
-          opts.parallel.num_threads = threads;
-          const std::string what =
-              std::string("AdvMax order=") + VertexOrderName(order) +
-              " bound=" + SizeBoundName(bound) +
-              " split=" + std::to_string(split) +
-              " threads=" + std::to_string(threads);
-          MaximumCoreResult per_kernel[2];
-          for (int i = 0; i < 2; ++i) {
-            ScopedKernel forced(kKernels[i]);
-            per_kernel[i] = FindMaximumCore(g, oracle, opts);
-            const MaximumCoreResult& result = per_kernel[i];
-            ASSERT_TRUE(result.status.ok()) << what;
-            EXPECT_EQ(result.best.size(), max_size)
-                << what << " kernel=" << test::KernelName(kKernels[i]);
-            if (!result.best.empty()) {
-              std::string why;
-              EXPECT_TRUE(IsKrCore(g, oracle, k, result.best, &why))
-                  << what << ": " << why;
-            }
+      for (uint32_t threads : kThreads) {
+        MaxOptions opts = AdvMaxOptions(k);
+        opts.order = order;
+        opts.bound = bound;
+        opts.parallel.num_threads = threads;
+        const std::string what =
+            std::string("AdvMax order=") + VertexOrderName(order) +
+            " bound=" + SizeBoundName(bound) +
+            " threads=" + std::to_string(threads);
+        MaximumCoreResult per_kernel[2];
+        for (int i = 0; i < 2; ++i) {
+          ScopedKernel forced(kKernels[i]);
+          per_kernel[i] = FindMaximumCore(g, oracle, opts);
+          const MaximumCoreResult& result = per_kernel[i];
+          ASSERT_TRUE(result.status.ok()) << what;
+          EXPECT_EQ(result.best.size(), max_size)
+              << what << " kernel=" << test::KernelName(kKernels[i]);
+          if (!result.best.empty()) {
+            std::string why;
+            EXPECT_TRUE(IsKrCore(g, oracle, k, result.best, &why))
+                << what << ": " << why;
           }
-          if (threads == 1) {
-            EXPECT_EQ(per_kernel[0].best, per_kernel[1].best) << what;
-            ExpectSameTree(per_kernel[0].stats, per_kernel[1].stats, what);
-          }
+        }
+        if (threads == 1) {
+          EXPECT_EQ(per_kernel[0].best, per_kernel[1].best) << what;
+          ExpectSameTree(per_kernel[0].stats, per_kernel[1].stats, what);
         }
       }
     }

@@ -216,54 +216,44 @@ TEST_P(ParallelMaxSweep, ThreadsDoNotChangeMaximumSize) {
 INSTANTIATE_TEST_SUITE_P(Sweep, ParallelMaxSweep,
                          ::testing::Range<uint64_t>(0, 6));
 
-/// Acceptance requirement for intra-component splitting: with subtree tasks
-/// enabled (any split_depth), the enumeration result set is byte-identical
-/// to the 1-thread run, and the maximum size matches.
+/// Acceptance requirement for intra-component splitting: with subtree
+/// tasks forked down to kForkDepth, the enumeration result set is
+/// byte-identical to the 1-thread run, and the maximum size matches. Every
+/// multi-threaded run must actually fork subtrees: more tasks than
+/// components.
 class SubtreeSplitSweep : public ::testing::TestWithParam<uint64_t> {};
 
-TEST_P(SubtreeSplitSweep, EnumIdenticalAcrossThreadsAndSplitDepths) {
+TEST_P(SubtreeSplitSweep, EnumIdenticalAcrossThreads) {
   auto dataset = test::MakeRandomGeo(60, 260, GetParam());
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
   EnumOptions opts = AdvEnumOptions(2);
-  opts.parallel.split_depth = 0;
   auto sequential = EnumerateMaximalCores(dataset.graph, oracle, opts);
   ASSERT_TRUE(sequential.status.ok());
-  for (uint32_t split_depth : {2u, 16u}) {
-    for (uint32_t threads : {2u, 4u}) {
-      opts.parallel.num_threads = threads;
-      opts.parallel.split_depth = split_depth;
-      auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
-      ASSERT_TRUE(parallel.status.ok());
-      EXPECT_EQ(parallel.cores, sequential.cores)
-          << "threads=" << threads << " split_depth=" << split_depth
-          << " seed=" << GetParam();
-      // Deep splitting on a multi-threaded run must actually fork subtrees:
-      // more tasks than components.
-      if (split_depth == 16u) {
-        EXPECT_GT(parallel.stats.tasks_spawned, parallel.stats.components)
-            << "seed=" << GetParam();
-      }
-    }
+  for (uint32_t threads : {2u, 4u}) {
+    opts.parallel.num_threads = threads;
+    auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
+    ASSERT_TRUE(parallel.status.ok());
+    EXPECT_EQ(parallel.cores, sequential.cores)
+        << "threads=" << threads << " seed=" << GetParam();
+    EXPECT_GT(parallel.stats.tasks_spawned, parallel.stats.components)
+        << "threads=" << threads << " seed=" << GetParam();
   }
 }
 
-TEST_P(SubtreeSplitSweep, MaxSizeIdenticalAcrossThreadsAndSplitDepths) {
+TEST_P(SubtreeSplitSweep, MaxSizeIdenticalAcrossThreads) {
   auto dataset = test::MakeRandomGeo(60, 260, GetParam());
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
   MaxOptions opts = AdvMaxOptions(2);
-  opts.parallel.split_depth = 0;
   auto sequential = FindMaximumCore(dataset.graph, oracle, opts);
   ASSERT_TRUE(sequential.status.ok());
-  for (uint32_t split_depth : {2u, 16u}) {
-    for (uint32_t threads : {2u, 4u}) {
-      opts.parallel.num_threads = threads;
-      opts.parallel.split_depth = split_depth;
-      auto parallel = FindMaximumCore(dataset.graph, oracle, opts);
-      ASSERT_TRUE(parallel.status.ok());
-      EXPECT_EQ(parallel.best.size(), sequential.best.size())
-          << "threads=" << threads << " split_depth=" << split_depth
-          << " seed=" << GetParam();
-    }
+  for (uint32_t threads : {2u, 4u}) {
+    opts.parallel.num_threads = threads;
+    auto parallel = FindMaximumCore(dataset.graph, oracle, opts);
+    ASSERT_TRUE(parallel.status.ok());
+    EXPECT_EQ(parallel.best.size(), sequential.best.size())
+        << "threads=" << threads << " seed=" << GetParam();
+    EXPECT_GT(parallel.stats.tasks_spawned, parallel.stats.components)
+        << "threads=" << threads << " seed=" << GetParam();
   }
 }
 
@@ -274,45 +264,15 @@ TEST(SubtreeSplit, BasicEnumAlsoIdenticalWithSplitting) {
   auto dataset = test::MakeRandomGeo(50, 220, 3);
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
   EnumOptions opts = BasicEnumOptions(2);
-  opts.parallel.split_depth = 0;
   auto sequential = EnumerateMaximalCores(dataset.graph, oracle, opts);
   ASSERT_TRUE(sequential.status.ok());
-  opts.parallel.num_threads = 4;
-  opts.parallel.split_depth = 16;
-  auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
-  ASSERT_TRUE(parallel.status.ok());
-  EXPECT_EQ(parallel.cores, sequential.cores);
-}
-
-TEST(ParallelMax, BoundRefreshDoesNotChangeMaximumSize) {
-  // Tiered lazy bounds are exact for any refresh interval: the cached value
-  // stays a valid upper bound between recomputes.
-  auto dataset = test::MakeRandomGeo(60, 260, 9);
-  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
-  MaxOptions opts = AdvMaxOptions(2);
-  opts.bound_refresh = 1;  // recompute every node (the pre-tiered behavior)
-  auto eager = FindMaximumCore(dataset.graph, oracle, opts);
-  ASSERT_TRUE(eager.status.ok());
-  for (uint32_t refresh : {4u, 64u, 100000u}) {
-    opts.bound_refresh = refresh;
-    auto lazy = FindMaximumCore(dataset.graph, oracle, opts);
-    ASSERT_TRUE(lazy.status.ok());
-    EXPECT_EQ(lazy.best.size(), eager.best.size()) << "refresh=" << refresh;
-  }
-}
-
-TEST(ParallelMax, SeedIncumbentDoesNotChangeMaximumSize) {
-  for (uint64_t seed : {1ull, 2ull, 3ull}) {
-    auto dataset = test::MakeRandomGeo(60, 260, seed);
-    SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
-    MaxOptions opts = AdvMaxOptions(2);
-    opts.use_seed_incumbent = false;
-    auto unseeded = FindMaximumCore(dataset.graph, oracle, opts);
-    ASSERT_TRUE(unseeded.status.ok());
-    opts.use_seed_incumbent = true;
-    auto seeded = FindMaximumCore(dataset.graph, oracle, opts);
-    ASSERT_TRUE(seeded.status.ok());
-    EXPECT_EQ(seeded.best.size(), unseeded.best.size()) << "seed=" << seed;
+  for (uint32_t threads : {2u, 4u}) {
+    opts.parallel.num_threads = threads;
+    auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
+    ASSERT_TRUE(parallel.status.ok());
+    EXPECT_EQ(parallel.cores, sequential.cores) << "threads=" << threads;
+    EXPECT_GT(parallel.stats.tasks_spawned, parallel.stats.components)
+        << "threads=" << threads;
   }
 }
 

@@ -11,7 +11,6 @@
 #include <vector>
 
 #include "core/pipeline.h"
-#include "core/workspace_update.h"
 #include "similarity/join/pair_filter.h"
 #include "test_helpers.h"
 #include "util/random.h"
@@ -418,99 +417,25 @@ TEST(SelfJoin, ParallelJoinIsDeterministic) {
 }
 
 // ---------------------------------------------------------------------------
-// Strategy plumbing.
+// Work accounting.
 // ---------------------------------------------------------------------------
-
-TEST(SelfJoin, StrategyNamesRoundTrip) {
-  for (JoinStrategy s : {JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
-    JoinStrategy parsed;
-    ASSERT_TRUE(ParseJoinStrategy(JoinStrategyName(s), &parsed));
-    EXPECT_EQ(parsed, s);
-  }
-  JoinStrategy parsed;
-  EXPECT_FALSE(ParseJoinStrategy("auto", &parsed));
-  EXPECT_FALSE(ParseJoinStrategy("grid", &parsed));
-  EXPECT_FALSE(ParseJoinStrategy("", &parsed));
-}
 
 TEST(SelfJoin, PipelineReportThreadsJoinCounters) {
   Dataset data = test::MakeRandomGeo(300, 900, 77);
   SimilarityOracle oracle(&data.attributes, Metric::kEuclideanDistance, 0.1);
-  for (JoinStrategy s : {JoinStrategy::kBrute, JoinStrategy::kFiltered}) {
-    PipelineOptions pipe;
-    pipe.k = 2;
-    pipe.join_strategy = s;
-    PreparedWorkspace ws;
-    PreprocessReport report;
-    ASSERT_TRUE(PrepareWorkspace(data.graph, oracle, pipe, &ws, &report).ok());
-    EXPECT_EQ(report.pruned_pairs + report.oracle_calls,
-              report.pairs_evaluated)
-        << JoinStrategyName(s);
-    if (s == JoinStrategy::kBrute) {
-      EXPECT_EQ(report.oracle_calls, report.pairs_evaluated);
-      EXPECT_EQ(report.pruned_pairs, 0u);
-    }
-  }
-}
-
-// ---------------------------------------------------------------------------
-// Updater fallback: the dirty-fraction re-sweep must produce the same
-// workspace under every configured strategy.
-// ---------------------------------------------------------------------------
-
-TEST(SelfJoin, UpdaterFallbackStrategyEquivalence) {
-  Dataset data = test::MakeRandomGeo(240, 1100, 55);
-  // A loose threshold keeps the similarity-filtered graph dense enough that
-  // the k-core survives and random churn actually dirties components.
-  SimilarityOracle oracle(&data.attributes, Metric::kEuclideanDistance, 0.45);
+  // The preparation runs the filtered join; its report carries the counters.
   PipelineOptions pipe;
   pipe.k = 2;
+  PreparedWorkspace ws;
+  PreprocessReport report;
+  ASSERT_TRUE(PrepareWorkspace(data.graph, oracle, pipe, &ws, &report).ok());
+  EXPECT_EQ(report.pruned_pairs + report.oracle_calls, report.pairs_evaluated);
 
-  std::vector<std::pair<VertexId, VertexId>> existing;
-  for (VertexId u = 0; u < data.graph.num_vertices(); ++u) {
-    for (VertexId v : data.graph.neighbors(u)) {
-      if (u < v) existing.push_back({u, v});
-    }
-  }
-  Rng rng(123);
-  std::vector<EdgeUpdate> batch;
-  for (int i = 0; i < 40; ++i) {
-    VertexId u = static_cast<VertexId>(rng.NextBounded(240));
-    VertexId v = static_cast<VertexId>(rng.NextBounded(240));
-    if (u != v) batch.push_back(EdgeUpdate::Insert(u, v));
-    const auto& e = existing[rng.NextBounded(existing.size())];
-    batch.push_back(EdgeUpdate::Remove(e.first, e.second));
-  }
-
-  std::vector<PreparedWorkspace> maintained(2);
-  for (size_t i = 0; i < 2; ++i) {
-    ASSERT_TRUE(
-        PrepareWorkspace(data.graph, oracle, pipe, &maintained[i]).ok());
-    WorkspaceUpdater updater(data.graph, oracle, &maintained[i]);
-    UpdateOptions options;
-    options.max_dirty_fraction = 0.0;  // force the fallback re-sweep
-    options.join_strategy =
-        i == 0 ? JoinStrategy::kBrute : JoinStrategy::kFiltered;
-    UpdateReport report;
-    ASSERT_TRUE(updater.ApplyEdgeUpdates(batch, options, &report).ok());
-    EXPECT_GT(report.fallback_rebuilds, 0u);
-  }
-
-  const PreparedWorkspace& a = maintained[0];
-  const PreparedWorkspace& b = maintained[1];
-  ASSERT_EQ(a.components.size(), b.components.size());
-  for (size_t c = 0; c < a.components.size(); ++c) {
-    const ComponentContext& ca = a.components[c];
-    const ComponentContext& cb = b.components[c];
-    ASSERT_EQ(ca.to_parent, cb.to_parent) << "component " << c;
-    ASSERT_EQ(ca.num_dissimilar_pairs(), cb.num_dissimilar_pairs());
-    for (VertexId u = 0; u < ca.size(); ++u) {
-      auto ra = ca.dissimilar[u];
-      auto rb = cb.dissimilar[u];
-      ASSERT_TRUE(std::equal(ra.begin(), ra.end(), rb.begin(), rb.end()))
-          << "component " << c << " vertex " << u;
-    }
-  }
+  // The brute join, driven directly, evaluates every pair.
+  JoinOutcome brute = RunJoin(oracle, 300, JoinStrategy::kBrute);
+  ASSERT_FALSE(brute.aborted);
+  EXPECT_EQ(brute.report.oracle_calls, brute.report.total_pairs);
+  EXPECT_EQ(brute.report.pruned_pairs, 0u);
 }
 
 }  // namespace

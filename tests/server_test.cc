@@ -196,6 +196,13 @@ TEST(ProtocolTest, MalformedRequestsAreInvalidArgument) {
   // Token without '='.
   EXPECT_TRUE(ParseRequestLine("op=enum k=3 naked", &req, &id)
                   .IsInvalidArgument());
+  // A NUL byte inside a numeric value does not end it early.
+  using namespace std::string_literals;
+  EXPECT_TRUE(ParseRequestLine("op=enum k=3\0junk limit=1\0x id=a"s, &req,
+                               &id)
+                  .IsInvalidArgument());
+  EXPECT_TRUE(ParseRequestLine("op=enum k=3 r=0.5\0x"s, &req, &id)
+                  .IsInvalidArgument());
 }
 
 TEST(ProtocolTest, IdSurvivesParseErrors) {
@@ -208,10 +215,10 @@ TEST(ProtocolTest, IdSurvivesParseErrors) {
 
 /// One seeded mutation of a request line: a byte flip, a truncation, a
 /// dropped or doubled '=', a 20-digit number in place of the first digit
-/// run, or an inserted control byte.
+/// run, a NUL byte plus junk after a digit, or an inserted control byte.
 std::string MutateRequestLine(std::string line, Rng* rng) {
   const size_t pos = rng->NextBounded(line.size() + 1);
-  switch (rng->NextBounded(6)) {
+  switch (rng->NextBounded(7)) {
     case 0:
       if (pos < line.size()) {
         line[pos] = static_cast<char>(line[pos] ^ (1 + rng->NextBounded(255)));
@@ -241,10 +248,34 @@ std::string MutateRequestLine(std::string line, Rng* rng) {
                    digits);
       break;
     }
+    case 5: {
+      const size_t digit = line.find_first_of("0123456789", pos);
+      if (digit == std::string::npos) break;
+      line.insert(digit + 1, std::string("\0x", 2));
+      break;
+    }
     default:
       line.insert(pos, 1, static_cast<char>(rng->NextBounded(0x20)));
   }
   return line;
+}
+
+/// True when a token of `line` before any '#' comment is a numeric key
+/// (k, r, timeout, limit) whose value holds a NUL byte.
+bool HasNulInNumericValue(const std::string& line) {
+  std::istringstream in(line);
+  std::string token;
+  while (in >> token) {
+    if (token[0] == '#') break;
+    const size_t eq = token.find('=');
+    if (eq == std::string::npos) continue;
+    const std::string key = token.substr(0, eq);
+    if ((key == "k" || key == "r" || key == "timeout" || key == "limit") &&
+        token.find('\0', eq) != std::string::npos) {
+      return true;
+    }
+  }
+  return false;
 }
 
 TEST(ProtocolTest, SeededMutantsParseOrFailCleanly) {
@@ -272,6 +303,8 @@ TEST(ProtocolTest, SeededMutantsParseOrFailCleanly) {
       response.status = ParseRequestLine(line, &req, &response.id);
       if (response.status.ok()) {
         EXPECT_GT(req.k, 0u) << "mutant '" << line << "' parsed without k";
+        EXPECT_FALSE(HasNulInNumericValue(line))
+            << "mutant '" << line << "' parsed despite a NUL in a number";
         continue;
       }
       const std::string json = SerializeResponse(response);

@@ -163,9 +163,13 @@ TEST(Deadline, PastDeadlineExpires) {
 
 TEST(Options, ParsesFormsAndDefaults) {
   const char* argv[] = {"prog", "--alpha=3", "--beta", "2.5", "pos1",
-                        "--flag", "--gamma=-3", "--delta=1e-3"};
-  OptionParser p(8, const_cast<char**>(argv));
+                        "--flag", "--gamma=-3", "--delta=1e-3",
+                        "--big=4294967295"};
+  OptionParser p(9, const_cast<char**>(argv));
   EXPECT_EQ(p.GetInt("alpha", 0), 3);
+  EXPECT_EQ(p.GetUint32("alpha", 0), 3u);
+  EXPECT_EQ(p.GetUint32("big", 0), 4294967295u);
+  EXPECT_EQ(p.GetUint32("missing", 7), 7u);
   EXPECT_DOUBLE_EQ(p.GetDouble("beta", 0.0), 2.5);
   EXPECT_EQ(p.GetInt("gamma", 0), -3);
   EXPECT_DOUBLE_EQ(p.GetDouble("delta", 0.0), 1e-3);
@@ -210,9 +214,14 @@ TEST(OptionsDeathTest, RejectsNonNumericValues) {
 }
 
 TEST(OptionsDeathTest, RejectsIntegersOutOfRange) {
-  OptionParser p = Parse({"--seed=99999999999999999999"});
+  OptionParser p = Parse(
+      {"--seed=99999999999999999999", "--threads=-1", "--k=4294967296"});
   EXPECT_EXIT(p.GetInt("seed", 1), ::testing::ExitedWithCode(2),
               "invalid value for --seed: '99999999999999999999'");
+  EXPECT_EXIT(p.GetUint32("threads", 1), ::testing::ExitedWithCode(2),
+              "invalid value for --threads: '-1'");
+  EXPECT_EXIT(p.GetUint32("k", 3), ::testing::ExitedWithCode(2),
+              "invalid value for --k: '4294967296'");
 }
 
 TEST(JsonWriter, TracksCommasAndEscapes) {

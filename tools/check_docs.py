@@ -49,7 +49,7 @@ BENCH_COMMON = ["src/bench_support/experiment.cc"]
 MUST_DOCUMENT = ["krcore_cli", "krcore_server"]
 
 PARSE_RE = re.compile(
-    r'options\s*\.\s*(?:Has|GetString|GetInt|GetDouble|GetBool)\s*\(\s*"([A-Za-z0-9_]+)"'
+    r'options\s*\.\s*(?:Has|GetString|GetInt|GetUint32|GetDouble|GetBool)\s*\(\s*"([A-Za-z0-9_]+)"'
 )
 LINK_RE = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
 FLAG_RE = re.compile(r"--([A-Za-z][A-Za-z0-9_]*)")
