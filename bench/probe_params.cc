@@ -4,7 +4,7 @@
 // parameter ranges that exercise the same regimes as the paper.
 //
 // Usage: probe_params --dataset=dblp [--scale=1.0] [--r_km=100 | --permille=3]
-//                     [--k=5]
+//                     [--k=5] [--run=enum|max [--variant=NAME]]
 
 #include <algorithm>
 #include <cstdio>
@@ -23,11 +23,17 @@ using namespace krcore;
 
 int main(int argc, char** argv) {
   OptionParser options(argc, argv);
-  auto env = ExperimentEnv::FromOptions(options);
+  // Own flags first: FromOptions refuses every flag not read by then.
   std::string name = options.GetString("dataset", "dblp");
   uint32_t k = options.GetUint32("k", 5);
-
   const double permille = options.GetDouble("permille", 3.0);
+  const bool has_r_km = options.Has("r_km");
+  const double r_km = options.GetDouble("r_km", 100.0);
+  const std::string run = options.GetString("run", "");
+  const std::string variant =
+      options.GetString("variant", run == "max" ? "AdvMax" : "AdvEnum");
+  auto env = ExperimentEnv::FromOptions(options);
+
   if (Status s = CheckPermille(permille); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.message().c_str());
     return 1;
@@ -37,8 +43,8 @@ int main(int argc, char** argv) {
   std::printf("%s\n", d.StatsString().c_str());
 
   double r;
-  if (options.Has("r_km")) {
-    r = options.GetDouble("r_km", 100.0);
+  if (has_r_km) {
+    r = r_km;
   } else {
     r = ResolveThresholdPermille(d, permille);
     std::printf("top %.1f permille threshold -> r = %.4f\n", permille, r);
@@ -84,16 +90,13 @@ int main(int argc, char** argv) {
               (unsigned long long)total_dis);
 
   // Optionally run an algorithm variant and dump its mining statistics.
-  std::string run = options.GetString("run", "");
   if (run == "enum") {
-    std::string variant = options.GetString("variant", "AdvEnum");
     EnumOptions eopts = MakeEnumVariant(variant, k, env.timeout_seconds);
     auto result = EnumerateMaximalCores(d.graph, oracle, eopts);
     std::printf("%s: %s, %zu cores\n  stats: %s\n", variant.c_str(),
                 result.status.ToString().c_str(), result.cores.size(),
                 result.stats.ToJson().c_str());
   } else if (run == "max") {
-    std::string variant = options.GetString("variant", "AdvMax");
     MaxOptions mopts = MakeMaxVariant(variant, k, env.timeout_seconds);
     auto result = FindMaximumCore(d.graph, oracle, mopts);
     std::printf("%s: %s, |max|=%zu\n  stats: %s\n", variant.c_str(),

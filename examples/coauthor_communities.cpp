@@ -24,6 +24,7 @@ int main(int argc, char** argv) {
   uint32_t k = options.GetUint32("k", 10);
   double permille = options.GetDouble("permille", 3.0);
   uint64_t seed = options.GetInt("seed", 2);
+  options.RejectUnknown();
   if (Status s = CheckPermille(permille); !s.ok()) {
     std::fprintf(stderr, "error: %s\n", s.message().c_str());
     return 1;

@@ -21,6 +21,7 @@ int main(int argc, char** argv) {
   OptionParser options(argc, argv);
   uint32_t n = options.GetUint32("n", 6000);
   uint64_t seed = options.GetInt("seed", 5);
+  options.RejectUnknown();
 
   GeoSocialConfig config;
   config.num_vertices = n;

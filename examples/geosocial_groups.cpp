@@ -48,6 +48,7 @@ int main(int argc, char** argv) {
   uint32_t k = options.GetUint32("k", 10);
   double r_km = options.GetDouble("r_km", 10.0);
   uint64_t seed = options.GetInt("seed", 1);
+  options.RejectUnknown();
 
   GeoSocialConfig config;
   config.num_vertices = n;

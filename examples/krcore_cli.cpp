@@ -383,6 +383,7 @@ int main(int argc, char** argv) {
       if (!ParseSweepSpec(options.GetString("sweep", ""), &ks, &rs)) {
         return Fail("bad --sweep spec (want k1,k2[xr1,r2]); see --help");
       }
+      options.RejectUnknown();
       // A snapshot serves any r between its serving threshold and its
       // cover; when the two are equal, only the baked-in r.
       if (rs.empty()) rs = {ws.threshold};
@@ -396,6 +397,7 @@ int main(int argc, char** argv) {
 
     uint32_t k = options.GetUint32("k", ws.k);
     double query_r = options.GetDouble("r", ws.threshold);
+    options.RejectUnknown();
     if (k == ws.k && query_r == ws.threshold) {
       return MineComponents(ws.components, k);
     }
@@ -410,37 +412,63 @@ int main(int argc, char** argv) {
     return MineComponents(derived.components, k);
   }
 
-  // --- Cold path: build or read the attributed graph.
+  // --- Cold path. Every flag it reads is read here, so an unknown one
+  // fails before the graph is built.
+  const bool from_dataset = options.Has("dataset");
+  const std::string dataset_name = options.GetString("dataset", "gowalla");
+  const double scale = options.GetDouble("scale", 0.25);
+  const int64_t seed = options.GetInt("seed", 1);
+  const bool from_files = options.Has("graph") && options.Has("attrs");
+  const std::string graph_path = options.GetString("graph", "");
+  const std::string attrs_path = options.GetString("attrs", "");
+  const std::string metric_flag = options.GetString("metric", "");
+  const uint32_t k = options.GetUint32("k", 3);
+  const bool has_r = options.Has("r");
+  const double r_flag = options.GetDouble("r", 0.5);
+  const bool has_updates = options.Has("updates");
+  const std::string updates_path = options.GetString("updates", "");
+  const bool has_sweep = options.Has("sweep");
+  const std::string sweep_spec = options.GetString("sweep", "");
+  const bool save = options.Has("snapshot_out");
+  const std::string snapshot_out = options.GetString("snapshot_out", "");
+  const bool has_cover = options.Has("cover");
+  const double cover = options.GetDouble("cover", 0.0);
+  const bool stream = options.GetBool("stream", false);
+  const uint32_t publish_every =
+      std::max(1u, options.GetUint32("publish_every", 1));
+  const std::string checkpoint = options.GetString("checkpoint", "");
+  options.RejectUnknown();
+
+  // Build or read the attributed graph.
   Dataset dataset;
-  if (options.Has("dataset")) {
-    dataset = MakePaperAnalogue(options.GetString("dataset", "gowalla"),
-                                options.GetDouble("scale", 0.25),
-                                options.GetInt("seed", 1));
+  if (from_dataset) {
+    dataset = MakePaperAnalogue(dataset_name, scale, seed);
   } else {
-    if (!options.Has("graph") || !options.Has("attrs")) {
+    if (!from_files) {
       return Fail("need --graph and --attrs (or --dataset); see --help");
     }
-    Status s = ReadEdgeList(options.GetString("graph", ""), &dataset.graph);
+    Status s = ReadEdgeList(graph_path, &dataset.graph);
     if (!s.ok()) return Fail(s.ToString());
-    s = ReadAttributes(options.GetString("attrs", ""), &dataset.attributes);
+    s = ReadAttributes(attrs_path, &dataset.attributes);
     if (!s.ok()) return Fail(s.ToString());
     if (dataset.attributes.size() < dataset.graph.num_vertices()) {
       return Fail("attribute file has fewer rows than graph vertices");
     }
-    std::string metric_name = options.GetString(
-        "metric", dataset.attributes.kind() == AttributeTable::Kind::kGeo
-                      ? "euclidean"
-                      : "jaccard");
+    std::string metric_name = metric_flag;
+    if (metric_name.empty()) {
+      metric_name = dataset.attributes.kind() == AttributeTable::Kind::kGeo
+                        ? "euclidean"
+                        : "jaccard";
+    }
     if (!ParseMetric(metric_name, &dataset.metric)) {
       return Fail("unknown metric: " + metric_name);
     }
     dataset.name = "user";
   }
 
-  uint32_t k = options.GetUint32("k", 3);
   double r;
   if (options.Has("permille")) {
-    if (IsDistanceMetric(dataset.metric) && !options.Has("dataset")) {
+    if (IsDistanceMetric(dataset.metric) && !from_dataset) {
       std::fprintf(stderr,
                    "note: calibrating a distance threshold from the pairwise "
                    "distribution\n");
@@ -449,8 +477,8 @@ int main(int argc, char** argv) {
                              dataset.graph.num_vertices(),
                              options.GetDouble("permille", 3.0));
     std::fprintf(stderr, "calibrated r = %.6f\n", r);
-  } else if (options.Has("r")) {
-    r = options.GetDouble("r", 0.5);
+  } else if (has_r) {
+    r = r_flag;
   } else {
     return Fail("need --r or --permille");
   }
@@ -461,11 +489,10 @@ int main(int argc, char** argv) {
   // through each batch and re-mine between batches. The maintained
   // substrate mines byte-identically to a cold rebuild of the updated
   // graph; --snapshot_out persists the final (versioned) workspace.
-  if (options.Has("updates")) {
-    if (options.Has("sweep")) {
+  if (has_updates) {
+    if (has_sweep) {
       return Fail("--updates cannot be combined with --sweep");
     }
-    const std::string updates_path = options.GetString("updates", "");
     std::ifstream updates_in(updates_path);
     if (!updates_in) return Fail("cannot open --updates file: " + updates_path);
     std::vector<std::vector<EdgeUpdate>> batches;
@@ -478,9 +505,7 @@ int main(int argc, char** argv) {
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
     pipe.num_threads = threads;
-    if (options.Has("cover")) {
-      pipe.score_cover = options.GetDouble("cover", r);
-    }
+    if (has_cover) pipe.score_cover = cover;
     PreparedWorkspace ws;
     Status s = PrepareWorkspace(dataset.graph, oracle, pipe, &ws);
     if (!s.ok()) return Fail(s.ToString());
@@ -490,12 +515,11 @@ int main(int argc, char** argv) {
     // --- Streaming ingestion: writer thread applies + publishes, this
     // thread mines whichever immutable version is published — a read never
     // waits on a repair, a repair never waits on a read.
-    if (options.GetBool("stream", false)) {
+    if (stream) {
       LiveWorkspace live(dataset.graph, oracle, std::move(ws));
       IngestOptions ingest;
-      ingest.publish_every_applies =
-          std::max(1u, options.GetUint32("publish_every", 1));
-      ingest.checkpoint_path = options.GetString("checkpoint", "");
+      ingest.publish_every_applies = publish_every;
+      ingest.checkpoint_path = checkpoint;
       IngestPipeline pipeline(&live, ingest);
 
       auto WriteEpochHeader = [&](const PublishedVersion& v) {
@@ -559,15 +583,14 @@ int main(int argc, char** argv) {
                      "warning: %llu batches rolled back and dropped\n",
                      (unsigned long long)ingest_stats.rolled_back_batches);
       }
-      if (options.Has("snapshot_out")) {
-        const std::string path = options.GetString("snapshot_out", "");
-        s = SaveWorkspaceSnapshot(*version.workspace, path);
+      if (save) {
+        s = SaveWorkspaceSnapshot(*version.workspace, snapshot_out);
         if (!s.ok()) return Fail(s.ToString());
         std::fprintf(stderr,
                      "saved workspace (epoch=%llu version=%llu) to %s\n",
                      (unsigned long long)version.epoch,
                      (unsigned long long)version.workspace->version,
-                     path.c_str());
+                     snapshot_out.c_str());
       }
       return exit_code;
     }
@@ -603,13 +626,12 @@ int main(int argc, char** argv) {
     }
     const UpdateReport& total = updater.cumulative();
     std::fprintf(stderr, "updates total: %s\n", total.ToJson().c_str());
-    if (options.Has("snapshot_out")) {
-      const std::string path = options.GetString("snapshot_out", "");
-      s = SaveWorkspaceSnapshot(ws, path);
+    if (save) {
+      s = SaveWorkspaceSnapshot(ws, snapshot_out);
       if (!s.ok()) return Fail(s.ToString());
       std::fprintf(stderr, "saved workspace (k=%u r=%g version=%llu) to %s\n",
                    ws.k, ws.threshold, (unsigned long long)ws.version,
-                   path.c_str());
+                   snapshot_out.c_str());
     }
     return exit_code;
   }
@@ -619,25 +641,21 @@ int main(int argc, char** argv) {
   // with scores covering its strictest, at the smallest k — is persisted
   // first, then the whole grid is served from it. The saved snapshot
   // keeps serving every (k' >= k_min, r inside the grid's r range) later.
-  if (options.Has("sweep")) {
+  if (has_sweep) {
     SweepGrid grid;
-    if (!ParseSweepSpec(options.GetString("sweep", ""), &grid.ks,
-                        &grid.rs)) {
+    if (!ParseSweepSpec(sweep_spec, &grid.ks, &grid.rs)) {
       return Fail("bad --sweep spec (want k1,k2[xr1,r2]); see --help");
     }
     if (grid.rs.empty()) grid.rs = {r};
-    if (options.Has("snapshot_out")) {
+    if (save) {
       const bool is_distance = oracle.is_distance();
       const double r_serve = LoosestThreshold(grid.rs, is_distance);
       double r_cover = StrictestThreshold(grid.rs, is_distance);
-      if (options.Has("cover")) {
-        // Honor a wider (stricter) user-requested cover so the saved
-        // snapshot serves beyond the grid; a looser one could not serve
-        // the grid itself, so the stricter of the two wins.
-        const double user_cover = options.GetDouble("cover", r_cover);
-        if (ThresholdAtLeastAsStrict(user_cover, r_cover, is_distance)) {
-          r_cover = user_cover;
-        }
+      // Honor a wider (stricter) user-requested cover so the saved
+      // snapshot serves beyond the grid; a looser one could not serve the
+      // grid itself, so the stricter of the two wins.
+      if (has_cover && ThresholdAtLeastAsStrict(cover, r_cover, is_distance)) {
+        r_cover = cover;
       }
       PipelineOptions pipe;
       pipe.k = *std::min_element(grid.ks.begin(), grid.ks.end());
@@ -648,12 +666,11 @@ int main(int argc, char** argv) {
       Status s = PrepareWorkspace(
           dataset.graph, oracle.WithThreshold(r_serve), pipe, &ws);
       if (!s.ok()) return Fail(s.ToString());
-      const std::string path = options.GetString("snapshot_out", "");
-      s = SaveWorkspaceSnapshot(ws, path);
+      s = SaveWorkspaceSnapshot(ws, snapshot_out);
       if (!s.ok()) return Fail(s.ToString());
       std::fprintf(stderr,
                    "saved workspace (k=%u r=%g, scores cover r=%g) to %s\n",
-                   ws.k, ws.threshold, ws.score_cover, path.c_str());
+                   ws.k, ws.threshold, ws.score_cover, snapshot_out.c_str());
       SweepResult result =
           SweepPreparedWorkspace(ws, grid.ks, grid.rs, MakeSweepOptions());
       PrintSweepResult(result, mode == "enum" ? SweepMode::kEnumerate
@@ -670,22 +687,19 @@ int main(int argc, char** argv) {
   // --- Single cell, optionally persisting the prepared workspace first.
   // With --cover the same pair sweep keeps reserve scores down to the cover
   // threshold, so the saved snapshot serves a whole r range, not one point.
-  if (options.Has("snapshot_out")) {
+  if (save) {
     PipelineOptions pipe;
     pipe.k = k;
     pipe.deadline = Deadline::AfterSeconds(timeout);
     pipe.num_threads = threads;
-    if (options.Has("cover")) {
-      pipe.score_cover = options.GetDouble("cover", r);
-    }
+    if (has_cover) pipe.score_cover = cover;
     PreparedWorkspace ws;
     PreprocessReport report;
     Status s = PrepareWorkspace(dataset.graph, oracle, pipe, &ws, &report);
     if (!s.ok()) return Fail(s.ToString());
-    const std::string path = options.GetString("snapshot_out", "");
-    s = SaveWorkspaceSnapshot(ws, path);
+    s = SaveWorkspaceSnapshot(ws, snapshot_out);
     if (!s.ok()) return Fail(s.ToString());
-    std::fprintf(stderr, "saved workspace to %s (%s)\n", path.c_str(),
+    std::fprintf(stderr, "saved workspace to %s (%s)\n", snapshot_out.c_str(),
                  report.ToJson().c_str());
     return MineComponents(ws.components, k);
   }

@@ -76,8 +76,9 @@ int main(int argc, char** argv) {
         "  --stage_threads=N  worker threads per pipeline stage (derive and\n"
         "                     mine each get N; default 1 — one each already\n"
         "                     overlaps the two stages)\n"
-        "  --threads=N        per-query mining parallelism on the shared\n"
-        "                     TaskPool (0 = all hardware cores, 1 = default)\n"
+        "  --threads=N        per-query mining parallelism on each mine\n"
+        "                     thread's persistent TaskPool (0 = all\n"
+        "                     hardware cores, 1 = default)\n"
         "  --timeout=S        default per-request deadline in seconds when a\n"
         "                     request carries no timeout= (default 60)\n"
         "  --no_coalesce      disable sharing one execution among identical\n"
@@ -124,6 +125,9 @@ int main(int argc, char** argv) {
   server_options.default_timeout_seconds = options.GetDouble("timeout", 60.0);
   server_options.coalesce = !options.GetBool("no_coalesce", false);
   server_options.parallel.num_threads = options.GetUint32("threads", 1);
+  const std::string requests_path = options.GetString("requests", "");
+  const bool print_stats = options.GetBool("stats", false);
+  options.RejectUnknown();
 
   WorkspaceRegistry registry;
   for (const auto& [name, path] : specs) {
@@ -143,10 +147,11 @@ int main(int argc, char** argv) {
 
   std::ifstream request_file;
   std::istream* in = &std::cin;
-  if (options.Has("requests")) {
-    const std::string path = options.GetString("requests", "");
-    request_file.open(path);
-    if (!request_file) return Fail("cannot open --requests file: " + path);
+  if (!requests_path.empty()) {
+    request_file.open(requests_path);
+    if (!request_file) {
+      return Fail("cannot open --requests file: " + requests_path);
+    }
     in = &request_file;
   }
 
@@ -154,7 +159,7 @@ int main(int argc, char** argv) {
   server.Stop();
 
   std::fprintf(stderr, "session: %s\n", report.ToJson().c_str());
-  if (options.GetBool("stats", false)) {
+  if (print_stats) {
     std::fprintf(stderr, "%s\n", server.Stats().ToJson().c_str());
   }
   return 0;

@@ -24,6 +24,7 @@ ExperimentEnv ExperimentEnv::FromOptions(const OptionParser& options) {
   env.threads = options.GetUint32("threads", env.threads);
   env.seed = options.GetInt("seed", env.seed);
   env.csv_path = options.GetString("csv", "");
+  options.RejectUnknown();
   if (env.quick) {
     env.scale = std::min(env.scale, 0.15);
     env.timeout_seconds = std::min(env.timeout_seconds, 10.0);

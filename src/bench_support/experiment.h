@@ -28,6 +28,9 @@ struct ExperimentEnv {
   /// Optional CSV output path ("" = none).
   std::string csv_path;
 
+  /// Reads the shared flags above, then refuses every flag no call has
+  /// read (OptionParser::RejectUnknown), so a main reads its own flags
+  /// first.
   static ExperimentEnv FromOptions(const OptionParser& options);
 };
 

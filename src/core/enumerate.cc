@@ -1,5 +1,6 @@
 #include "core/enumerate.h"
 
+#include <algorithm>
 #include <mutex>
 #include <utility>
 #include <vector>
@@ -80,18 +81,23 @@ MaximalCoresResult EnumerateMaximalCores(
   // A failed run keeps the cores of the components up to the failed one,
   // like a sequential run that stops there; the set is schedule-dependent
   // (see EnumOptions::parallel).
-  ResultSet results;
-  for (size_t i = 0; i < searched; ++i) {
-    for (auto& core : found[i].TakeSorted()) results.Insert(std::move(core));
-  }
-
+  //
   // Variants without the smart maximal check filter non-maximal cores the
   // naive way (Algorithm 1 lines 6-8). The smart check makes this a no-op,
   // but emitted results from *different* branches can still duplicate or
   // nest across components of a C == SF(C) emission with empty M; the filter
-  // keeps the output canonical in all configurations.
-  results.FilterNonMaximal();
-  result.cores = results.TakeSorted();
+  // keeps the output canonical in all configurations. Each component's
+  // ResultSet already drops duplicates, and the filter runs per component:
+  // components are vertex-disjoint, so no core of one can equal or lie
+  // inside a core of another, and filtering the union would remove nothing
+  // more.
+  for (size_t i = 0; i < searched; ++i) {
+    found[i].FilterNonMaximal();
+    for (auto& core : found[i].TakeSorted()) {
+      result.cores.push_back(std::move(core));
+    }
+  }
+  std::sort(result.cores.begin(), result.cores.end());
   result.stats.maximal_found = result.cores.size();
   result.stats.seconds = timer.ElapsedSeconds();
   return result;

@@ -45,15 +45,17 @@ struct EnumOptions {
   Deadline deadline;
 
   /// Parallel search: component roots plus intra-component subtree tasks
-  /// (forked down to the fixed depth kForkDepth) on one shared
-  /// work-stealing pool. Completed runs return an identical result set for
-  /// every thread count: every split explores the same search space, and
-  /// the final maximal filter and sort canonicalise the cores whatever order
-  /// the tasks found them in. Deadline-expired runs return a partial,
-  /// schedule-dependent set: concurrent tasks each emit until their own
-  /// deadline check fires, so the partial set can differ from — and with
-  /// subtree splitting even exceed — the sequential partial set. It keeps
-  /// the cores of the components up to the first failed one.
+  /// (forked whenever a worker is free) on the calling thread's persistent
+  /// work-stealing pool (TaskPool::ForThisThread). Completed runs return an
+  /// identical result set for every thread count: every split reaches the same
+  /// maximal cores, and the per-component maximal filter and the final sort
+  /// canonicalise them whatever order the tasks found them in. The search tree
+  /// itself can differ (see SearchContext), so the node counts of a
+  /// multi-threaded run may move by a few. Deadline-expired runs return a
+  /// partial, schedule-dependent set: concurrent tasks each emit until their
+  /// own deadline check fires, so the partial set can differ from — and with
+  /// subtree splitting even exceed — the sequential partial set. It keeps the
+  /// cores of the components up to the first failed one.
   ParallelOptions parallel;
 };
 

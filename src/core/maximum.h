@@ -40,12 +40,12 @@ struct MaxOptions {
   Deadline deadline;
 
   /// Parallel search: component roots plus intra-component subtree tasks
-  /// (forked down to the fixed depth kForkDepth) on one shared
-  /// work-stealing pool. All tasks share the incumbent best size through an
-  /// atomic, so a large core found anywhere immediately tightens the bound
-  /// pruning everywhere. The maximum *size* is deterministic for any thread
-  /// count; among equal-sized maxima the lexicographically smallest
-  /// reachable one is preferred.
+  /// (forked whenever a worker is free) on the calling thread's persistent
+  /// work-stealing pool (TaskPool::ForThisThread). All tasks share the
+  /// incumbent best size through an atomic, so a large core found anywhere
+  /// immediately tightens the bound pruning everywhere. The maximum *size* is
+  /// deterministic for any thread count; among equal-sized maxima the
+  /// lexicographically smallest reachable one is preferred.
   ParallelOptions parallel;
 };
 

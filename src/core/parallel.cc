@@ -1,7 +1,10 @@
 #include "core/parallel.h"
 
+#include <unistd.h>
+
 #include <algorithm>
 #include <atomic>
+#include <memory>
 #include <utility>
 
 #include "util/failpoint.h"
@@ -14,6 +17,20 @@ namespace {
 // Submit from inside a task lands on the submitting worker's own deque.
 thread_local TaskPool* tls_pool = nullptr;
 thread_local uint32_t tls_worker = 0;
+
+/// Holds TaskPool::ForThisThread's pool and the process that built it.
+struct ThreadPoolHolder {
+  std::unique_ptr<TaskPool> pool;
+  pid_t owner = 0;
+
+  /// Leaks the pool unless this process built it: after a fork its workers
+  /// do not exist, so joining them would hang.
+  void DropIfForeign(pid_t pid) {
+    if (owner != pid) (void)pool.release();
+  }
+  ~ThreadPoolHolder() { DropIfForeign(getpid()); }
+};
+thread_local ThreadPoolHolder tls_holder;
 }  // namespace
 
 uint32_t ResolveThreadCount(uint32_t requested, uint32_t hardware) {
@@ -36,7 +53,7 @@ TaskPool::TaskPool(uint32_t num_threads)
 TaskPool::~TaskPool() {
   {
     std::lock_guard<std::mutex> lock(mu_);
-    KRCORE_DCHECK(pending_ == 0);
+    KRCORE_DCHECK(queued_ + running_ == 0);
     stop_ = true;
   }
   work_cv_.notify_all();
@@ -54,28 +71,30 @@ void TaskPool::Submit(Task task) {
       slot = static_cast<uint32_t>(next_queue_++ % queues_.size());
       queues_[slot].push_back(std::move(task));
     }
-    ++pending_;
+    queued_.fetch_add(1, std::memory_order_relaxed);
     ++submitted_;
   }
   work_cv_.notify_one();
 }
 
 bool TaskPool::PopTask(uint32_t index, Task* task) {
-  if (!queues_[index].empty()) {
-    *task = std::move(queues_[index].front());
-    queues_[index].pop_front();
-    return true;
+  std::deque<Task>* from = &queues_[index];
+  for (size_t off = 1; from->empty() && off < queues_.size(); ++off) {
+    from = &queues_[(index + off) % queues_.size()];
   }
-  for (size_t off = 1; off < queues_.size(); ++off) {
-    auto& victim = queues_[(index + off) % queues_.size()];
-    if (!victim.empty()) {
-      *task = std::move(victim.back());
-      victim.pop_back();
-      ++stolen_;
-      return true;
-    }
+  if (from->empty()) return false;
+  if (from == &queues_[index]) {
+    *task = std::move(from->front());
+    from->pop_front();
+  } else {
+    *task = std::move(from->back());
+    from->pop_back();
+    ++stolen_;
   }
-  return false;
+  // Running first, so HasFreeWorker never misses the task in both counts.
+  running_.fetch_add(1, std::memory_order_relaxed);
+  queued_.fetch_sub(1, std::memory_order_relaxed);
+  return true;
 }
 
 void TaskPool::WorkerLoop(uint32_t index) {
@@ -97,7 +116,8 @@ void TaskPool::WorkerLoop(uint32_t index) {
       task();
       task = nullptr;  // release captures before re-locking
       lock.lock();
-      if (--pending_ == 0) done_cv_.notify_all();
+      running_.fetch_sub(1, std::memory_order_relaxed);
+      if (running_ + queued_ == 0) done_cv_.notify_all();
       continue;
     }
     if (stop_) break;
@@ -108,7 +128,7 @@ void TaskPool::WorkerLoop(uint32_t index) {
 
 void TaskPool::Wait() {
   std::unique_lock<std::mutex> lock(mu_);
-  done_cv_.wait(lock, [this] { return pending_ == 0; });
+  done_cv_.wait(lock, [this] { return running_ + queued_ == 0; });
 }
 
 uint64_t TaskPool::tasks_spawned() const {
@@ -121,11 +141,16 @@ uint64_t TaskPool::tasks_stolen() const {
   return stolen_;
 }
 
-bool TaskPool::BacklogLow() const {
-  std::lock_guard<std::mutex> lock(mu_);
-  size_t queued = 0;
-  for (const auto& q : queues_) queued += q.size();
-  return queued < 2 * queues_.size();
+TaskPool& TaskPool::ForThisThread(uint32_t num_threads) {
+  ThreadPoolHolder& holder = tls_holder;
+  const pid_t pid = getpid();
+  holder.DropIfForeign(pid);
+  if (!holder.pool ||
+      holder.pool->num_threads() != std::max(1u, num_threads)) {
+    holder.pool = std::make_unique<TaskPool>(num_threads);
+    holder.owner = pid;
+  }
+  return *holder.pool;
 }
 
 void ParallelFor(uint32_t num_threads, size_t count,

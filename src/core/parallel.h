@@ -1,6 +1,7 @@
 #ifndef KRCORE_CORE_PARALLEL_H_
 #define KRCORE_CORE_PARALLEL_H_
 
+#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <deque>
@@ -14,8 +15,8 @@ namespace krcore {
 /// Thread configuration for the parallel search drivers.
 /// Sec 4.1 guarantees every (k,r)-core lives inside exactly one component
 /// of the preprocessed graph, so components are independent search units;
-/// the drivers additionally fork subtrees *inside* a component, down to the
-/// fixed depth kForkDepth (search_driver.h), so one giant component can
+/// the drivers additionally fork subtrees *inside* a component whenever a
+/// worker is free (TaskPool::HasFreeWorker), so one giant component can
 /// still saturate every core.
 struct ParallelOptions {
   /// 1 = sequential (default), 0 = one thread per hardware core.
@@ -72,25 +73,40 @@ class TaskPool {
   /// Tasks executed by a worker other than the one whose deque held them.
   uint64_t tasks_stolen() const;
 
-  /// True while the queued (not yet running) backlog is below 2 tasks per
-  /// worker. Forking a subtree costs a deep state copy that sits in a deque
-  /// until a worker frees up, so the search drivers consult this before
-  /// Fork(): once every worker has spare work queued, exploring the branch
-  /// inline is both faster and bounds queued-copy memory to O(threads)
-  /// instead of O(2^kForkDepth) per component.
-  bool BacklogLow() const;
+  /// True while running + queued tasks are fewer than the workers, so a
+  /// task submitted now would start at once. The search drivers fork a
+  /// subtree (a deep state copy) only then, which keeps every worker busy
+  /// and bounds the queued copies by the thread count. Takes no lock: it
+  /// reads two counters that Submit, PopTask and task completion update
+  /// under the mutex.
+  bool HasFreeWorker() const {
+    return running_.load(std::memory_order_relaxed) +
+               queued_.load(std::memory_order_relaxed) <
+           workers_.size();
+  }
+
+  /// The calling thread's pool of `num_threads` workers. It outlives the
+  /// call, so a query pays no thread start-up, and is rebuilt only when
+  /// `num_threads` changes. Every calling thread owns its own pool, so
+  /// concurrent callers never wait on each other's tasks. A process forked
+  /// after the pool was built has none of its workers: there the old pool
+  /// is neither reused nor joined but leaked, and a new one is built.
+  static TaskPool& ForThisThread(uint32_t num_threads);
 
  private:
   void WorkerLoop(uint32_t index);
   /// Pops a task for worker `index` (own front first, then steal from the
-  /// back of the others). Caller holds mu_. Returns false when idle.
+  /// back of the others) and counts it as running. Caller holds mu_.
+  /// Returns false when idle.
   bool PopTask(uint32_t index, Task* task);
 
   mutable std::mutex mu_;
   std::condition_variable work_cv_;   // workers sleep here
   std::condition_variable done_cv_;   // Wait() sleeps here
   std::vector<std::deque<Task>> queues_;
-  uint64_t pending_ = 0;    // queued + currently running
+  // Written under mu_, read without it by HasFreeWorker.
+  std::atomic<uint64_t> queued_{0};
+  std::atomic<uint64_t> running_{0};
   uint64_t submitted_ = 0;
   uint64_t stolen_ = 0;
   uint64_t next_queue_ = 0;  // round-robin slot for external submitters

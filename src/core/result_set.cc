@@ -42,7 +42,7 @@ void ResultSet::FilterNonMaximal() {
                      return a.size() > b.size();
                    });
   std::vector<VertexSet> kept;
-  for (const auto& core : cores_) {
+  for (auto& core : cores_) {
     bool contained = false;
     for (const auto& big : kept) {
       if (big.size() > core.size() && IsSubsetOf(core, big)) {
@@ -50,7 +50,7 @@ void ResultSet::FilterNonMaximal() {
         break;
       }
     }
-    if (!contained) kept.push_back(core);
+    if (!contained) kept.push_back(std::move(core));
   }
   cores_ = std::move(kept);
   Reindex();

@@ -14,8 +14,9 @@ namespace krcore {
 
 /// Intrusive doubly-linked list over a fixed vertex universe, with O(1)
 /// insert/remove. Used to iterate the M / C / E sets without scanning all
-/// vertices. Removal anywhere and front-insertion are both reversible, so
-/// the trail-based undo in SearchContext can restore membership.
+/// vertices. The trail-based undo in SearchContext restores membership by
+/// front-insertion, so it does not restore the order: a vertex removed from
+/// the middle comes back at the head.
 class VertexList {
  public:
   void Init(VertexId n);
@@ -113,9 +114,13 @@ struct DenseRows {
 ///    the CSR rows on every membership change.
 /// Both journal every state change on a trail, the sparse kernel also every
 /// counter update; Mark()/RewindTo() give O(#changes) backtracking. The
-/// trail also restores the M / C / E list order, which Choose's ties depend
-/// on, so both kernels walk the identical search tree. All ids are
-/// component-local.
+/// rewind restores membership and counters but not the M / C / E list
+/// order, which Choose's ties depend on: a rewound vertex returns at the
+/// head of its list. Both kernels make the same list operations, so on one
+/// thread they walk the identical search tree. A forked subtree starts
+/// from the order at the fork, not the order a sequential run reaches
+/// after rewinding the first branch, so a multi-threaded run can walk a
+/// slightly different tree to the same cores. All ids are component-local.
 class SearchContext {
  public:
   /// Components up to this size run the dense kernel.
@@ -224,7 +229,8 @@ class SearchContext {
   // ---- backtracking -------------------------------------------------------
   /// Returns a checkpoint token for RewindTo.
   size_t Mark() const { return trail_.size(); }
-  /// Restores the exact state at Mark(); clears the dead flag.
+  /// Restores the state at Mark() except the list order (see above); clears
+  /// the dead flag.
   void RewindTo(size_t mark);
 
   /// Members of M ∪ C (sorted ascending).

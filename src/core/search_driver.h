@@ -3,17 +3,17 @@
 
 // The M/C/E set-enumeration that AdvEnum (Algorithm 3) and AdvMax
 // (Algorithm 5) share: per-component jobs, the branch step, subtree forking
-// onto one TaskPool, emission of the components of M ∪ C, and the
-// component loop. The two searches differ only in their extra pruning, the
-// branch they visit first and what they do with a (k,r)-core, which each
-// supplies as a SearchTask subclass. Internal to enumerate.cc / maximum.cc.
+// onto the calling thread's TaskPool, emission of the components of M ∪ C,
+// and the component loop. The two searches differ only in their extra
+// pruning, the branch they visit first and what they do with a (k,r)-core,
+// which each supplies as a SearchTask subclass. Internal to enumerate.cc /
+// maximum.cc.
 
 #include <algorithm>
 #include <atomic>
 #include <deque>
 #include <memory>
 #include <mutex>
-#include <optional>
 #include <utility>
 #include <vector>
 
@@ -61,11 +61,6 @@ struct ComponentJob {
 /// The per-node state a search without one passes down its chain.
 struct NoFrame {};
 
-/// Deepest search-tree level at which a branch node of a multi-threaded run
-/// forks its second-visited branch onto the pool, so one component yields
-/// at most 2^kForkDepth tasks.
-constexpr uint32_t kForkDepth = 6;
-
 /// Seed of the VertexOrder::kRandom vertex order.
 constexpr uint64_t kRandomOrderSeed = 7;
 
@@ -90,7 +85,7 @@ class SearchTask {
   using Job = ComponentJob<Options, Sink>;
 
   /// Runs the component root: the retention fixpoint, then the whole tree.
-  void RunRoot() { Finish(Promote() ? Visit(0, Frame{}) : Status::OK()); }
+  void RunRoot() { Finish(Promote() ? Visit(Frame{}) : Status::OK()); }
 
  protected:
   SearchTask(Job* job, SearchContext ctx, BranchOrder branch_order)
@@ -122,8 +117,8 @@ class SearchTask {
 
   /// Runs a forked subtree: applies the branch the parent deferred, then
   /// explores the subtree.
-  void RunBranch(bool expand, VertexId u, uint32_t depth, Frame frame) {
-    Finish(Step(expand, u) ? Visit(depth, frame) : Status::OK());
+  void RunBranch(bool expand, VertexId u, Frame frame) {
+    Finish(Step(expand, u) ? Visit(frame) : Status::OK());
   }
 
   /// The retention rule (Thm 4 / Remark 1) to its fixpoint; false when the
@@ -147,15 +142,15 @@ class SearchTask {
   }
 
   /// Visits one child inline and backtracks.
-  Status Branch(bool expand, VertexId u, uint32_t depth, const Frame& frame) {
+  Status Branch(bool expand, VertexId u, const Frame& frame) {
     size_t mark = ctx_.Mark();
-    Status s = Step(expand, u) ? Visit(depth, frame) : Status::OK();
+    Status s = Step(expand, u) ? Visit(frame) : Status::OK();
     ctx_.RewindTo(mark);
     return s;
   }
 
   /// One search node: prune, emit or branch.
-  Status Visit(uint32_t depth, Frame frame) {
+  Status Visit(Frame frame) {
     if ((stats_.search_nodes++ & 0x3F) == 0 && options().deadline.Expired()) {
       return Status::DeadlineExceeded(Derived::kBudgetExpired);
     }
@@ -184,26 +179,25 @@ class SearchTask {
         Derived::kSumBranches);
     const VertexId u = choice.vertex;
     const bool first = choice.expand_first;
-    if (job_->pool != nullptr && depth < kForkDepth &&
-        job_->pool->BacklogLow()) {
-      // Fork the second-visited branch onto the shared pool and continue
-      // the first inline. Skipped when the pool already has a backlog:
-      // queued forks are dead weight (each holds a full state copy).
-      Spawn(!first, u, depth + 1, frame);
-      return Branch(first, u, depth + 1, frame);
+    if (job_->pool != nullptr && job_->pool->HasFreeWorker()) {
+      // A worker is free: fork the second-visited branch onto the pool and
+      // continue the first inline. Otherwise a fork would only queue a full
+      // state copy, so both branches run inline.
+      Spawn(!first, u, frame);
+      return Branch(first, u, frame);
     }
-    if (Status s = Branch(first, u, depth + 1, frame); !s.ok()) return s;
-    return Branch(!first, u, depth + 1, frame);
+    if (Status s = Branch(first, u, frame); !s.ok()) return s;
+    return Branch(!first, u, frame);
   }
 
-  void Spawn(bool expand, VertexId u, uint32_t depth, const Frame& frame) {
+  void Spawn(bool expand, VertexId u, const Frame& frame) {
     // std::function requires copyable captures; box the forked context.
     auto forked = std::make_shared<SearchContext>(ctx_.Fork());
     Job* job = job_;
-    job->pool->Submit([job, forked, expand, u, depth, frame] {
+    job->pool->Submit([job, forked, expand, u, frame] {
       if (job->failed->load(std::memory_order_relaxed)) return;
       Derived task(job, std::move(*forked));
-      task.RunBranch(expand, u, depth, frame);
+      task.RunBranch(expand, u, frame);
     });
   }
 
@@ -228,14 +222,14 @@ class SearchTask {
   EarlyTerminationChecker et_checker_;
 };
 
-/// Searches every component with `Task`, on one TaskPool for the component
-/// roots and the subtrees they fork when options.parallel resolves to more
-/// than one thread, else inline in component order, stopping at the first
-/// failure. Component i's cores go to `sink_for(i)`; a component for which
-/// `skip(comp)` holds when it would start is not searched. Each component
-/// passes the first-touch validation gate (mapped snapshots) before its
-/// root task walks any row, so a corrupt component fails only the runs that
-/// reach it.
+/// Searches every component with `Task`, on the calling thread's persistent
+/// TaskPool (TaskPool::ForThisThread) for the component roots and the subtrees
+/// they fork when options.parallel resolves to more than one thread, else
+/// inline in component order, stopping at the first failure. Component i's
+/// cores go to `sink_for(i)`; a component for which `skip(comp)` holds when it
+/// would start is not searched. Each component passes the first-touch
+/// validation gate (mapped snapshots) before its root task walks any row, so a
+/// corrupt component fails only the runs that reach it.
 ///
 /// Adds the per-component stats to `*stats` in component order, stopping
 /// after the first failed component, whose status goes to `*status` — the
@@ -247,13 +241,11 @@ size_t SearchComponents(const std::vector<ComponentContext>& components,
                         Skip skip, MiningStats* stats, Status* status) {
   using Job = typename Task::Job;
   const uint32_t threads = options.parallel.Resolve();
-  std::optional<TaskPool> pool;
-  if (threads > 1) pool.emplace(threads);
+  TaskPool* pool = threads > 1 ? &TaskPool::ForThisThread(threads) : nullptr;
   std::atomic<bool> failed{false};
   std::deque<Job> jobs;
   for (size_t i = 0; i < components.size(); ++i) {
-    jobs.emplace_back(components[i], options, sink_for(i), &failed,
-                      pool ? &*pool : nullptr);
+    jobs.emplace_back(components[i], options, sink_for(i), &failed, pool);
   }
 
   auto run_root = [&options](Job* job) {
@@ -272,6 +264,9 @@ size_t SearchComponents(const std::vector<ComponentContext>& components,
       if (!job.status.ok()) break;
     }
   } else {
+    // The pool outlives this call: report only this call's tasks.
+    const uint64_t spawned_before = pool->tasks_spawned();
+    const uint64_t stolen_before = pool->tasks_stolen();
     for (Job& job : jobs) {
       pool->Submit([job = &job, &failed, &skip, &run_root] {
         if (failed.load(std::memory_order_relaxed) || skip(job->comp)) return;
@@ -279,8 +274,8 @@ size_t SearchComponents(const std::vector<ComponentContext>& components,
       });
     }
     pool->Wait();
-    stats->tasks_spawned = pool->tasks_spawned();
-    stats->task_steals = pool->tasks_stolen();
+    stats->tasks_spawned = pool->tasks_spawned() - spawned_before;
+    stats->task_steals = pool->tasks_stolen() - stolen_before;
   }
 
   size_t searched = 0;

@@ -39,16 +39,19 @@ OptionParser::OptionParser(int argc, char** argv) {
 }
 
 bool OptionParser::Has(const std::string& name) const {
+  read_.insert(name);
   return values_.count(name) > 0;
 }
 
 std::string OptionParser::GetString(const std::string& name,
                                     const std::string& def) const {
+  read_.insert(name);
   auto it = values_.find(name);
   return it == values_.end() ? def : it->second;
 }
 
 int64_t OptionParser::GetInt(const std::string& name, int64_t def) const {
+  read_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return def;
   const char* text = it->second.c_str();
@@ -71,6 +74,7 @@ uint32_t OptionParser::GetUint32(const std::string& name,
 }
 
 double OptionParser::GetDouble(const std::string& name, double def) const {
+  read_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return def;
   const char* text = it->second.c_str();
@@ -81,9 +85,21 @@ double OptionParser::GetDouble(const std::string& name, double def) const {
 }
 
 bool OptionParser::GetBool(const std::string& name, bool def) const {
+  read_.insert(name);
   auto it = values_.find(name);
   if (it == values_.end()) return def;
   return it->second == "true" || it->second == "1" || it->second == "yes";
+}
+
+void OptionParser::RejectUnknown() const {
+  bool unknown = false;
+  for (const auto& [name, value] : values_) {
+    if (read_.count(name) == 0) {
+      std::fprintf(stderr, "unknown flag --%s\n", name.c_str());
+      unknown = true;
+    }
+  }
+  if (unknown) std::exit(2);
 }
 
 }  // namespace krcore

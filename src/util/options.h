@@ -3,6 +3,7 @@
 
 #include <cstdint>
 #include <map>
+#include <set>
 #include <string>
 #include <vector>
 
@@ -13,7 +14,9 @@ namespace krcore {
 /// Positional arguments are collected in order. GetInt/GetUint32/GetDouble
 /// accept only a value that parses in full and fits the returned type;
 /// anything else (empty, trailing garbage, out of range) prints "invalid
-/// value for --NAME: 'VALUE'" to stderr and exits with status 2.
+/// value for --NAME: 'VALUE'" to stderr and exits with status 2. Every
+/// Has/Get* call records the name it reads, so RejectUnknown can refuse
+/// flags the program never asked for.
 class OptionParser {
  public:
   OptionParser(int argc, char** argv);
@@ -26,10 +29,16 @@ class OptionParser {
   double GetDouble(const std::string& name, double def) const;
   bool GetBool(const std::string& name, bool def = false) const;
 
+  /// Prints "unknown flag --NAME" to stderr for every given flag that no
+  /// Has/Get* call has read, and exits with status 2 if there was one. Call
+  /// it once the program has read all its flags, before it does any work.
+  void RejectUnknown() const;
+
   const std::vector<std::string>& positional() const { return positional_; }
 
  private:
   std::map<std::string, std::string> values_;
+  mutable std::set<std::string> read_;  // names any Has/Get* call asked for
   std::vector<std::string> positional_;
 };
 

@@ -1,7 +1,10 @@
 #include <gtest/gtest.h>
+#include <unistd.h>
 
 #include <atomic>
+#include <cstdlib>
 #include <numeric>
+#include <thread>
 #include <vector>
 
 #include "core/enumerate.h"
@@ -9,6 +12,14 @@
 #include "core/parallel.h"
 #include "core/pipeline.h"
 #include "test_helpers.h"
+
+#if defined(__SANITIZE_THREAD__)
+#define KRCORE_TEST_TSAN 1
+#elif defined(__has_feature)
+#if __has_feature(thread_sanitizer)
+#define KRCORE_TEST_TSAN 1
+#endif
+#endif
 
 namespace krcore {
 namespace {
@@ -132,6 +143,112 @@ TEST(TaskPoolTest, WaitCanBeReusedAcrossBatches) {
   }
 }
 
+TEST(TaskPoolTest, ThisThreadsPoolIsKeptAndRebuiltOnCountChange) {
+  TaskPool* two = &TaskPool::ForThisThread(2);
+  EXPECT_EQ(two->num_threads(), 2u);
+  EXPECT_EQ(&TaskPool::ForThisThread(2), two);
+  EXPECT_EQ(TaskPool::ForThisThread(4).num_threads(), 4u);
+  EXPECT_EQ(TaskPool::ForThisThread(2).num_threads(), 2u);
+
+  // 2 -> 4 -> 2 threads: each search runs on a pool of its own size and
+  // finds the same cores.
+  auto dataset = test::MakeRandomGeo(60, 260, 4);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
+  EnumOptions opts = AdvEnumOptions(2);
+  const auto sequential = EnumerateMaximalCores(dataset.graph, oracle, opts);
+  ASSERT_TRUE(sequential.status.ok());
+  for (uint32_t threads : {2u, 4u, 2u}) {
+    opts.parallel.num_threads = threads;
+    auto parallel = EnumerateMaximalCores(dataset.graph, oracle, opts);
+    ASSERT_TRUE(parallel.status.ok());
+    EXPECT_EQ(parallel.cores, sequential.cores) << "threads=" << threads;
+    EXPECT_EQ(TaskPool::ForThisThread(threads).num_threads(), threads);
+  }
+}
+
+TEST(TaskPoolTest, EachCallingThreadOwnsItsPool) {
+  TaskPool* here = &TaskPool::ForThisThread(2);
+  TaskPool* there = nullptr;
+  std::thread([&there] { there = &TaskPool::ForThisThread(2); }).join();
+  EXPECT_NE(here, there);
+}
+
+/// Disjoint 4-cliques, each one similarity group: every component is a
+/// (k,r)-core at its root, so its search never branches.
+test::GroupedSimilarity DisjointCliques(VertexId cliques) {
+  std::vector<std::pair<VertexId, VertexId>> edges;
+  std::vector<uint32_t> group_of;
+  for (VertexId c = 0; c < cliques; ++c) {
+    for (VertexId a = 0; a < 4; ++a) {
+      group_of.push_back(c);
+      for (VertexId b = a + 1; b < 4; ++b) {
+        edges.push_back({4 * c + a, 4 * c + b});
+      }
+    }
+  }
+  return test::MakeGrouped(4 * cliques, edges, group_of);
+}
+
+TEST(ParallelEnum, TaskCountersArePerCall) {
+  // A forking call first, on this thread's persistent pool...
+  auto dataset = test::MakeRandomGeo(60, 260, 0);
+  SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
+  EnumOptions opts = AdvEnumOptions(2);
+  opts.parallel.num_threads = 2;
+  auto forking = EnumerateMaximalCores(dataset.graph, oracle, opts);
+  ASSERT_TRUE(forking.status.ok());
+  ASSERT_GT(forking.stats.tasks_spawned, forking.stats.components);
+
+  // ...then one whose components never branch: one root task each.
+  auto cliques = DisjointCliques(5);
+  auto flat = EnumerateMaximalCores(cliques.graph, cliques.MakeOracle(), opts);
+  ASSERT_TRUE(flat.status.ok());
+  EXPECT_EQ(flat.cores.size(), 5u);
+  EXPECT_EQ(flat.stats.components, 5u);
+  EXPECT_EQ(flat.stats.tasks_spawned, 5u);
+  EXPECT_LE(flat.stats.task_steals, 5u);
+}
+
+/// Fork safety: a process forked after this thread built its pool has none
+/// of the pool's workers. The child must neither reuse the pool nor join
+/// it on exit; either would hang, which the alarm turns into a failure.
+class SearchPoolDeathTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    ::testing::FLAGS_gtest_death_test_style = "fast";  // fork, no re-exec
+    opts_.parallel.num_threads = 2;
+    parent_ = EnumerateMaximalCores(dataset_.graph, oracle_, opts_);
+    ASSERT_TRUE(parent_.status.ok());
+    ASSERT_GT(parent_.stats.tasks_spawned, 0u);
+  }
+
+  Dataset dataset_ = test::MakeRandomGeo(60, 260, 2);
+  SimilarityOracle oracle_{&dataset_.attributes, dataset_.metric, 0.45};
+  EnumOptions opts_ = AdvEnumOptions(2);
+  MaximalCoresResult parent_;
+};
+
+TEST_F(SearchPoolDeathTest, ForkedChildSearchesAgain) {
+#ifdef KRCORE_TEST_TSAN
+  GTEST_SKIP() << "ThreadSanitizer cannot run threads started after a "
+                  "multi-threaded fork";
+#endif
+  auto search_again = [this] {
+    alarm(30);
+    auto child = EnumerateMaximalCores(dataset_.graph, oracle_, opts_);
+    std::exit(child.status.ok() && child.cores == parent_.cores ? 0 : 1);
+  };
+  EXPECT_EXIT(search_again(), ::testing::ExitedWithCode(0), "");
+}
+
+TEST_F(SearchPoolDeathTest, ForkedChildExits) {
+  auto exit_at_once = [] {
+    alarm(30);
+    std::exit(2);
+  };
+  EXPECT_EXIT(exit_at_once(), ::testing::ExitedWithCode(2), "");
+}
+
 TEST(ParallelPipeline, ThreadCountDoesNotChangeComponents) {
   auto dataset = test::MakeRandomGeo(120, 500, 77);
   SimilarityOracle oracle(&dataset.attributes, dataset.metric, 0.45);
@@ -217,7 +334,7 @@ INSTANTIATE_TEST_SUITE_P(Sweep, ParallelMaxSweep,
                          ::testing::Range<uint64_t>(0, 6));
 
 /// Acceptance requirement for intra-component splitting: with subtree
-/// tasks forked down to kForkDepth, the enumeration result set is
+/// tasks forked whenever a worker is free, the enumeration result set is
 /// byte-identical to the 1-thread run, and the maximum size matches. Every
 /// multi-threaded run must actually fork subtrees: more tasks than
 /// components.

@@ -224,6 +224,30 @@ TEST(OptionsDeathTest, RejectsIntegersOutOfRange) {
               "invalid value for --k: '4294967296'");
 }
 
+TEST(OptionsDeathTest, RejectsFlagsNoCallRead) {
+  // A misspelt or removed flag is refused, not run with the default.
+  OptionParser p = Parse({"--k=5", "--dataset=gowalla", "--thread=4",
+                          "--split_depth=3", "--snapshot_out"});
+  EXPECT_EQ(p.GetUint32("k", 3), 5u);
+  EXPECT_TRUE(p.Has("dataset"));
+  EXPECT_FALSE(p.GetBool("stream"));  // read but absent: no flag to refuse
+  EXPECT_EXIT(p.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --snapshot_out\nunknown flag --split_depth\n"
+              "unknown flag --thread\n");
+  // Reading the rest accepts the line.
+  EXPECT_EQ(p.GetUint32("thread", 1), 4u);
+  EXPECT_EQ(p.GetUint32("split_depth", 0), 3u);
+  EXPECT_TRUE(p.Has("snapshot_out"));
+  p.RejectUnknown();
+}
+
+TEST(OptionsDeathTest, RejectsEveryFlagWhenNoneIsRead) {
+  OptionParser p = Parse({"--help"});
+  EXPECT_EXIT(p.RejectUnknown(), ::testing::ExitedWithCode(2),
+              "unknown flag --help");
+  Parse({"positional"}).RejectUnknown();
+}
+
 TEST(JsonWriter, TracksCommasAndEscapes) {
   JsonWriter w;
   w.BeginObject()

@@ -106,11 +106,13 @@ int main(int argc, char** argv) {
 
   if (!options.Has("info")) return Fail("need --info=PATH; see --help");
   const std::string path = options.GetString("info", "");
+  const bool json = options.GetBool("json", false);
+  options.RejectUnknown();
   SnapshotInfo info;
   if (Status s = InspectSnapshot(path, &info); !s.ok()) {
     return Fail(path + ": " + s.message());
   }
-  if (options.GetBool("json", false)) {
+  if (json) {
     PrintInfoJson(path, info);
   } else {
     PrintInfoText(path, info);
